@@ -380,11 +380,8 @@ def run_study(cfg, spec, out, seed, rep):
                          "grid.n_nodes", lo=16)
     rows = rates.step_size_study(spec, eta_list, x0, N, n_nodes=n_nodes, tol=tol)
     rates.write_study_csv(rows, out / "study.csv")
-    for eta in eta_list:
-        grid = ke.default_grid(spec, eta, n_nodes=n_nodes)
-        curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid, tol=tol)
-        curve.write_csv(out / f"curve_eta_{eta!r}.csv", experiment="study")
     for r in rows:
+        r.curve.write_csv(out / f"curve_eta_{r.eta!r}.csv", experiment="study")
         rep.add(f"delta_hat[eta={r.eta!r}]",
                 "undefined" if r.delta_hat is None else repr(r.delta_hat))
 
@@ -402,8 +399,7 @@ _RUNNERS = {
 }
 
 
-def run(experiment: str, config_path: str, out_dir: str,
-        seed=None, workers: int = 1) -> int:
+def run(experiment: str, config_path: str, out_dir: str, seed=None) -> int:
     """Execute one experiment; returns the process exit status."""
     cfg = load_config(config_path)
     kind = cfg["experiment"].get("kind")
@@ -471,7 +467,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
     p = sub.add_parser("emit-plotdata")
     p.add_argument("--out", required=True, help="completed run directory")
     args = parser.parse_args(argv)
@@ -480,8 +475,7 @@ def main(argv=None) -> int:
         if args.command == "emit-plotdata":
             return emit_plotdata(args.out)
         out_dir = args.out or _default_out(args.command)
-        return run(args.command, args.config, out_dir,
-                   seed=args.seed, workers=args.workers)
+        return run(args.command, args.config, out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

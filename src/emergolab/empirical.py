@@ -24,8 +24,7 @@ def coarse_bin_edges(measure: GridMeasure, target_bins: int = 128) -> np.ndarray
 
 
 def binned_probabilities(measure: GridMeasure, edges: np.ndarray) -> np.ndarray:
-    return np.array([measure.prob_interval(a, b)
-                     for a, b in zip(edges[:-1], edges[1:])])
+    return np.diff(measure.cdf_at(edges))
 
 
 def binned_tv(samples: np.ndarray, measure: GridMeasure,

@@ -1,10 +1,11 @@
 """Deterministic quadrature representation of the one-step Markov kernel.
 
 Densities live on a uniform grid and are integrated by the trapezoid rule.
-The kernel acts on them through a dense row-stochastic quadrature matrix
-(materialized and cached for grids up to 8192 nodes, applied matrix-free in
-chunks beyond that).  All results carry an additive, conservative bound on
-the probability mass that has leaked off the grid.
+The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by :class:`Chain`;
+it acts on densities through a row-stochastic quadrature matrix
+(materialized and cached for grids up to DENSE_MATRIX_LIMIT nodes, applied
+in row blocks beyond that).  All results carry an additive, conservative
+bound on the probability mass that has leaked off the grid.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,6 +27,39 @@ LEAK_TOL = 1e-8
 INVARIANT_TOL = 1e-9
 MAX_ITERS = 10 ** 5
 DENSE_MATRIX_LIMIT = 8192
+
+
+@dataclass(frozen=True)
+class Chain:
+    """The one-step Gaussian law x -> N(x + h*g(x), eta*sigma^2).
+
+    h = eta gives the Euler-Maruyama chain; h = 1 gives the chain with the
+    bounded mean x + g(x) that the uniform-ergodicity statements use.
+    """
+
+    spec: DriftSpec
+    eta: float
+    h: float
+
+    def __post_init__(self):
+        if not (0.0 < self.eta < 1.0):
+            raise ValueError(f"eta={self.eta!r} outside (0, 1)")
+
+    @property
+    def var(self) -> float:
+        return self.eta * self.spec.sigma ** 2
+
+    @property
+    def sd(self) -> float:
+        # computed apart from var: sqrt(eta)**2 != eta in floating point
+        return math.sqrt(self.eta) * self.spec.sigma
+
+    def mean(self, x):
+        return x + self.h * eval_drift(self.spec, x)
+
+    def step(self, x, noise):
+        """The chain's update driven by standard normal noise."""
+        return self.mean(x) + self.sd * noise
 
 
 @dataclass(frozen=True)
@@ -102,21 +136,8 @@ class GridMeasure:
         """Exact integral of the piecewise-linear density over [a, b]."""
         if b < a:
             raise ValueError("need a <= b")
-        x, d, h = self.grid.nodes, self.density, self.grid.spacing
-        a = max(a, self.grid.lower)
-        b = min(b, self.grid.upper)
-        if b <= a:
-            return 0.0
-
-        def antideriv(t):
-            # integral of the interpolant from grid.lower to t
-            i = min(int((t - self.grid.lower) / h), self.grid.n_nodes - 2)
-            base = np.trapezoid(d[:i + 1], dx=h)
-            s = t - x[i]
-            slope = (d[i + 1] - d[i]) / h
-            return base + d[i] * s + 0.5 * slope * s * s
-
-        return float(antideriv(b) - antideriv(a))
+        lo, hi = self.cdf_at([a, b])
+        return float(hi - lo)
 
     def cdf_at(self, points) -> np.ndarray:
         """CDF of the tabulated density at arbitrary points."""
@@ -160,36 +181,56 @@ def gaussian_on_grid(grid: Grid, mean: float, variance: float) -> GridMeasure:
     return GridMeasure(grid, dens, tail_bound=float(tail))
 
 
+def _normal_pdf(d: np.ndarray, var: float) -> np.ndarray:
+    """N(0, var) density at d, computed in d's buffer so that building a
+    dense matrix holds one n x n array at a time."""
+    np.square(d, out=d)
+    d /= -2.0 * var
+    np.exp(d, out=d)
+    d /= math.sqrt(2.0 * math.pi * var)
+    return d
+
+
 def transition_density(spec: DriftSpec, eta: float, x, y):
     """Kernel density p(x, y): normal in y with mean x + eta*g(x), var eta*sigma^2."""
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta={eta!r} outside (0, 1)")
+    chain = Chain(spec, eta, eta)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    var = eta * spec.sigma ** 2
-    mean = x + eta * eval_drift(spec, x)
-    out = np.exp(-((y - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    out = _normal_pdf(np.asarray(y - chain.mean(x)), chain.var)
     return out if out.ndim else float(out)
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_matrix(spec: DriftSpec, eta: float, grid: Grid) -> np.ndarray:
-    """Dense quadrature matrix K with K[i, j] = p(x_j, y_i) * w_j."""
-    x = grid.nodes
-    mean = x + eta * np.asarray(eval_drift(spec, x))
-    var = eta * spec.sigma ** 2
-    K = np.exp(-((x[:, None] - mean[None, :]) ** 2) / (2.0 * var))
-    K /= math.sqrt(2.0 * math.pi * var)
+def _kernel_rows(chain: Chain, grid: Grid, mean: np.ndarray,
+                 lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of K[i, j] = p(x_j, y_i) * w_j; mean holds the node means."""
+    K = _normal_pdf(grid.nodes[lo:hi, None] - mean[None, :], chain.var)
     K *= grid.weights[None, :]
     return K
 
 
-def _one_step_inside_mass(spec: DriftSpec, eta: float, grid: Grid) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _kernel_matrix(chain: Chain, grid: Grid) -> np.ndarray:
+    """Dense quadrature matrix K with K[i, j] = p(x_j, y_i) * w_j."""
+    return _kernel_rows(chain, grid, chain.mean(grid.nodes), 0, grid.n_nodes)
+
+
+def _matvec(chain: Chain, grid: Grid, v: np.ndarray) -> np.ndarray:
+    """K @ v: the cached dense matrix up to DENSE_MATRIX_LIMIT nodes, else
+    512-row blocks, so the matrix is never held whole."""
+    n = grid.n_nodes
+    if n <= DENSE_MATRIX_LIMIT:
+        return _kernel_matrix(chain, grid) @ v
+    mean = chain.mean(grid.nodes)
+    out = np.empty((n,) + v.shape[1:])
+    for lo in range(0, n, 512):
+        out[lo:lo + 512] = _kernel_rows(chain, grid, mean, lo, lo + 512) @ v
+    return out
+
+
+def _inside_mass(chain: Chain, grid: Grid) -> np.ndarray:
     """For each node x_j, the mass of one step from x_j that stays on the grid."""
-    x = grid.nodes
-    mean = x + eta * np.asarray(eval_drift(spec, x))
-    sd = math.sqrt(eta) * spec.sigma
-    return ndtr((grid.upper - mean) / sd) - ndtr((grid.lower - mean) / sd)
+    mean = chain.mean(grid.nodes)
+    return ndtr((grid.upper - mean) / chain.sd) - ndtr((grid.lower - mean) / chain.sd)
 
 
 def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure,
@@ -200,35 +241,19 @@ def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure,
     is added to the tail bound; if it exceeds leak_tol the grid is rejected
     with suggested bounds.
     """
+    chain = Chain(spec, eta, eta)
     grid = xi.grid
-    inside = _one_step_inside_mass(spec, eta, grid)
+    inside = _inside_mass(chain, grid)
     leak = float(np.sum(grid.weights * xi.density * (1.0 - inside)))
     if leak > leak_tol:
-        x = grid.nodes
-        mean = x + eta * np.asarray(eval_drift(spec, x))
-        pad = 10.0 * math.sqrt(eta) * spec.sigma
+        mean = chain.mean(grid.nodes)
+        pad = 10.0 * chain.sd
+        lo, hi = float(mean.min() - pad), float(mean.max() + pad)
         raise GridTooSmallError(
             f"one-step leakage {leak!r} exceeds {leak_tol!r}; "
-            f"grid should cover [{float(mean.min() - pad)!r}, "
-            f"{float(mean.max() + pad)!r}]",
-            suggested_lower=float(mean.min() - pad),
-            suggested_upper=float(mean.max() + pad),
-        )
-    if grid.n_nodes <= DENSE_MATRIX_LIMIT:
-        new = _kernel_matrix(spec, eta, grid) @ xi.density
-    else:
-        new = np.empty(grid.n_nodes)
-        wxi = grid.weights * xi.density
-        x = grid.nodes
-        mean = x + eta * np.asarray(eval_drift(spec, x))
-        var = eta * spec.sigma ** 2
-        norm = math.sqrt(2.0 * math.pi * var)
-        chunk = 512
-        for lo in range(0, grid.n_nodes, chunk):
-            hi = min(lo + chunk, grid.n_nodes)
-            block = np.exp(-((x[lo:hi, None] - mean[None, :]) ** 2) / (2.0 * var))
-            new[lo:hi] = block @ wxi / norm
-    new = np.maximum(new, 0.0)
+            f"grid should cover [{lo!r}, {hi!r}]",
+            suggested_lower=lo, suggested_upper=hi)
+    new = np.maximum(_matvec(chain, grid, xi.density), 0.0)
     return GridMeasure(grid, new, tail_bound=xi.tail_bound + leak)
 
 
@@ -241,8 +266,8 @@ def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    mean = x0 + eta * float(eval_drift(spec, x0))
-    out = gaussian_on_grid(grid, mean, eta * spec.sigma ** 2)
+    chain = Chain(spec, eta, eta)
+    out = gaussian_on_grid(grid, chain.mean(x0), chain.var)
     for _ in range(n - 1):
         out = apply_kernel(spec, eta, out)
     return out
@@ -262,32 +287,33 @@ def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
     The iterate is renormalized to unit mass each step; the returned tail
     bound is the one-step leakage of the converged density.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     lam = drifts.lambda_of(spec, eta)
     if not (0.0 < lam < 1.0):
         warnings.warn(
             f"lambda(eta)={lam!r} outside (0,1); the drift-condition "
             "guarantee does not apply, power iteration may still converge",
             stacklevel=2)
+    return _power_iteration(Chain(spec, eta, eta), grid, tol, max_iters,
+                            seed_measure)
+
+
+def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
+                     max_iters: int = MAX_ITERS,
+                     seed_measure: GridMeasure | None = None) -> InvariantResult:
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if seed_measure is None:
         seed_measure = gaussian_on_grid(grid, 0.0, 1.0)
     w = grid.weights
     dens = seed_measure.density / float(np.sum(w * seed_measure.density))
-    inside = _one_step_inside_mass(spec, eta, grid)
-    K = _kernel_matrix(spec, eta, grid) if grid.n_nodes <= DENSE_MATRIX_LIMIT else None
     increment = math.inf
     for it in range(1, max_iters + 1):
-        if K is not None:
-            new = K @ dens
-        else:
-            new = apply_kernel(spec, eta, GridMeasure(grid, dens, 1.0)).density
-        new = np.maximum(new, 0.0)
+        new = np.maximum(_matvec(chain, grid, dens), 0.0)
         new /= float(np.sum(w * new))
         increment = 0.5 * float(np.sum(w * np.abs(new - dens)))
         dens = new
         if increment < tol:
-            leak = float(np.sum(w * dens * (1.0 - inside)))
+            leak = float(np.sum(w * dens * (1.0 - _inside_mass(chain, grid))))
             return InvariantResult(GridMeasure(grid, dens, tail_bound=leak), it)
     raise ConvergenceError(
         f"power iteration did not reach tol={tol!r} in {max_iters} steps",
@@ -347,14 +373,13 @@ def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
     pdf at (y - x - eta*g(x))/(sqrt(eta)*sigma).  The infimum is located by
     nested grid refinement (not assumed at a corner) until stable to rel_tol.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta={eta!r} outside (0, 1)")
+    chain = Chain(spec, eta, eta)
     if not c_lower < c_upper:
         raise ValueError("degenerate interval")
-    sd = math.sqrt(eta) * spec.sigma
+    sd = chain.sd
 
     def z2(x, y):
-        return ((y - x - eta * np.asarray(eval_drift(spec, x))) / sd) ** 2
+        return ((y - chain.mean(x)) / sd) ** 2
 
     xlo, xhi = c_lower, c_upper
     ylo, yhi = c_lower, c_upper
@@ -396,10 +421,25 @@ def whole_space_minorization(spec: DriftSpec, eta: float,
     shifted means; m is its total mass.  Raises ApplicabilityError when
     x + g(x) looks unbounded on a wide scan.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta={eta!r} outside (0, 1)")
+    chain = Chain(spec, eta, 1.0)
+    i, s = _mean_range(chain, scan_half_width, scan_points)
+    sd = chain.sd
+    y = np.linspace(i - 10.0 * sd, s + 10.0 * sd, quad_points)
+    far = np.maximum((y - i) ** 2, (y - s) ** 2)
+    f = np.exp(-far / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))
+    m = float(np.trapezoid(f, y))
+    return min(m, 1.0)
+
+
+def _mean_range(chain: Chain, scan_half_width: float = 100.0,
+                scan_points: int = 20001) -> tuple[float, float]:
+    """(inf, sup) of the one-step mean over a wide scan.
+
+    Raises ApplicabilityError when the mean still grows beyond the inner
+    half of the scan, i.e. looks unbounded.
+    """
     xs = np.linspace(-scan_half_width, scan_half_width, scan_points)
-    h = xs + np.asarray(eval_drift(spec, xs))
+    h = chain.mean(xs)
     half = np.abs(xs) <= scan_half_width / 2.0
     grow_hi = float(h.max() - h[half].max())
     grow_lo = float(h[half].min() - h.min())
@@ -408,13 +448,7 @@ def whole_space_minorization(spec: DriftSpec, eta: float,
         raise ApplicabilityError(
             "x + g(x) appears unbounded; the uniform-ergodicity hypothesis "
             "'the function g satisfies |x+g(x)|<c' fails for this drift")
-    i, s = float(h.min()), float(h.max())
-    sd = math.sqrt(eta) * spec.sigma
-    y = np.linspace(i - 10.0 * sd, s + 10.0 * sd, quad_points)
-    far = np.maximum((y - i) ** 2, (y - s) ** 2)
-    f = np.exp(-far / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))
-    m = float(np.trapezoid(f, y))
-    return min(m, 1.0)
+    return float(h.min()), float(h.max())
 
 
 def doeblin_rate(m: float) -> float:

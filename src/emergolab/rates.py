@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,16 +15,19 @@ from .drifts import DriftSpec
 from .errors import ApplicabilityError
 from .kernel import Grid, GridMeasure
 
-_PI_CACHE: dict = {}
-
 
 def invariant_cached(spec: DriftSpec, eta: float, grid: Grid,
                      tol: float = ke.INVARIANT_TOL) -> GridMeasure:
     """Memoized invariant measure shared by all curves at the same eta."""
-    key = (spec, eta, grid, tol)
-    if key not in _PI_CACHE:
-        _PI_CACHE[key] = ke.invariant_measure(spec, eta, grid, tol=tol).measure
-    return _PI_CACHE[key]
+    return _invariant(ke.Chain(spec, eta, eta), grid, tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _invariant(chain: ke.Chain, grid: Grid, tol: float) -> GridMeasure:
+    if chain.h == chain.eta:
+        # the Euler-Maruyama chain keeps the public solver and its warning
+        return ke.invariant_measure(chain.spec, chain.eta, grid, tol=tol).measure
+    return ke._power_iteration(chain, grid, tol).measure
 
 
 @dataclass
@@ -166,35 +170,6 @@ def summability_check(curve: DecayCurve, delta: float, margin: float = 0.05,
     )
 
 
-_BOUNDED_SPECS: dict = {}
-
-
-def _bounded_map_spec(spec: DriftSpec, eta: float) -> DriftSpec:
-    """Companion drift whose one-step mean is x + g(x) at step size eta.
-
-    The uniform-ergodicity statements control the chain through the bounded
-    map x + g(x); dividing the drift by eta realizes that map inside the
-    standard kernel while keeping the noise variance eta*sigma^2.
-    """
-    key = (spec, eta)
-    if key not in _BOUNDED_SPECS:
-        from .drifts import custom, eval_drift
-        _BOUNDED_SPECS[key] = custom(
-            lambda x, _s=spec, _e=eta: eval_drift(_s, x) / _e,
-            sigma=spec.sigma, L=spec.L / eta, K1=spec.K1 / eta,
-            K2=spec.K2 / eta, c_offset=spec.c_offset / eta)
-    return _BOUNDED_SPECS[key]
-
-
-def _bounded_map_grid(spec: DriftSpec, eta: float, n_nodes: int = 2049) -> Grid:
-    from .drifts import eval_drift
-    xs = np.linspace(-100.0, 100.0, 20001)
-    h = xs + np.asarray(eval_drift(spec, xs))
-    sd = math.sqrt(eta) * spec.sigma
-    return Grid(float(h.min()) - 12.0 * sd - 1.0,
-                float(h.max()) + 12.0 * sd + 1.0, n_nodes)
-
-
 @dataclass
 class UniformSupReport:
     n_list: list[int]
@@ -229,51 +204,38 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     n_list = sorted(int(n) for n in n_list)
     if n_list[0] < 0:
         raise ValueError("n must be >= 0")
+    chain = ke.Chain(spec, eta, 1.0)
     try:
-        m = ke.whole_space_minorization(spec, eta)
+        lo, hi = ke._mean_range(chain)
     except ApplicabilityError:
         warnings.warn(
             "whole-space minorization does not apply; the uniform-sup table "
             "is exploratory and carries no Doeblin envelope", stacklevel=2)
         m = None
-    if m is not None:
-        prop_spec = _bounded_map_spec(spec, eta)
-        grid = _bounded_map_grid(spec, eta)
-    else:
-        prop_spec = spec
+        chain = ke.Chain(spec, eta, eta)
         if grid is None:
             grid = ke.default_grid(spec, eta)
+    else:
+        m = ke.whole_space_minorization(spec, eta)
+        grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pi = invariant_cached(prop_spec, eta, grid, tol)
-    xs = np.asarray(x_grid, dtype=float)
+        pi = _invariant(chain, grid, tol)
     w = grid.weights
 
     # batched propagation: one column per starting point
     columns = np.stack(
-        [ke.n_step_from_point(prop_spec, eta, float(x), 1, grid).density
-         for x in xs],
+        [ke.gaussian_on_grid(grid, chain.mean(float(x)), chain.var).density
+         for x in np.asarray(x_grid, dtype=float)],
         axis=1)
-    K = ke._kernel_matrix(prop_spec, eta, grid)
-    sup_tv, spread = [], []
-    n_max = max(n_list)
-    step = 0
-    by_n = {}
-    if 0 in n_list:
-        by_n[0] = (1.0, 0.0)  # point mass against a density
-    step = 1
-    for n in range(1, n_max + 1):
+    by_n = {0: (1.0, 0.0)}  # point mass against a density
+    for n in range(1, max(n_list) + 1):
         if n > 1:
-            columns = K @ columns
+            columns = ke._matvec(chain, grid, columns)
         if n in n_list:
             d = 0.5 * np.abs(columns - pi.density[:, None]).T @ w
             by_n[n] = (float(d.max()), float(d.max() - d.min()))
-    for n in n_list:
-        s, sp = by_n[n]
-        sup_tv.append(s)
-        spread.append(sp)
-    sup_tv = np.array(sup_tv)
-    spread = np.array(spread)
+    sup_tv, spread = np.array([by_n[n] for n in n_list]).T
     envelope = None
     env_ok = None
     if m is not None:
@@ -290,6 +252,7 @@ class StudyRow:
     delta_per_unit_time: Optional[float]
     m: Optional[float]
     envelope_rate: Optional[float]
+    curve: DecayCurve
 
 
 def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
@@ -320,7 +283,7 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
             env = None
         rows.append(StudyRow(eta=eta, delta_hat=delta_hat,
                              delta_per_unit_time=per_unit, m=m,
-                             envelope_rate=env))
+                             envelope_rate=env, curve=curve))
     return rows
 
 

@@ -14,8 +14,8 @@ from typing import Union
 
 import numpy as np
 
-from .drifts import DriftSpec, eval_drift
-from .kernel import GridMeasure
+from .drifts import DriftSpec
+from .kernel import Chain, GridMeasure
 
 Initial = Union[float, GridMeasure]
 
@@ -36,9 +36,8 @@ class PathConfig:
 
 def em_step(spec: DriftSpec, eta: float, x, noise):
     """One Euler-Maruyama update x + eta*g(x) + sqrt(eta)*sigma*noise."""
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    out = x + eta * eval_drift(spec, x) + math.sqrt(eta) * spec.sigma * noise
+    out = Chain(spec, eta, eta).step(np.asarray(x, dtype=float),
+                                     np.asarray(noise, dtype=float))
     return out if out.ndim else float(out)
 
 

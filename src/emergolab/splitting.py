@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-from .drifts import DriftSpec, eval_drift
+from .drifts import DriftSpec
 from .errors import MinorizationError
-from .kernel import (Grid, GridMeasure, SmallSetSpec, apply_kernel,
+from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, apply_kernel,
                      transition_density)
-from .simulate import em_step
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,19 @@ def sample_nu(smallset: SmallSetSpec, rng, size=None):
 
 def _sample_residual_many(spec: DriftSpec, eta: float, x: np.ndarray,
                           smallset: SmallSetSpec, eps: float, rng) -> np.ndarray:
+    return _residual_draws(Chain(spec, eta, eta), x, smallset, eps, rng)
+
+
+def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
+                    eps: float, rng) -> np.ndarray:
     """Vectorized rejection sampler for the residual kernel on C.
 
     Proposes one EM step and accepts with probability 1 - eps*nu(y)/p(x,y);
     the acceptance rate is exactly 1 - eps.  A proposal with p < eps*nu
     indicates a wrong eps and raises.
     """
-    mean = x + eta * np.asarray(eval_drift(spec, x))
-    sd = math.sqrt(eta) * spec.sigma
+    mean = chain.mean(x)
+    sd = chain.sd
     norm = sd * math.sqrt(2.0 * math.pi)
     out = np.empty_like(mean)
     pending = np.arange(mean.size)
@@ -97,7 +101,7 @@ def sample_residual(spec: DriftSpec, eta: float, x: float,
         spec, eta, np.array([float(x)]), smallset, eps, rng)[0])
 
 
-def _advance_x(spec: DriftSpec, eta: float, smallset: SmallSetSpec, eps: float,
+def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
                x: np.ndarray, d: np.ndarray, rng) -> np.ndarray:
     """x-update of the split kernel for a whole ensemble.
 
@@ -112,9 +116,9 @@ def _advance_x(spec: DriftSpec, eta: float, smallset: SmallSetSpec, eps: float,
     if m_atom.any():
         new[m_atom] = sample_nu(smallset, rng, size=int(m_atom.sum()))
     if m_res.any():
-        new[m_res] = _sample_residual_many(spec, eta, x[m_res], smallset, eps, rng)
+        new[m_res] = _residual_draws(chain, x[m_res], smallset, eps, rng)
     if m_out.any():
-        new[m_out] = em_step(spec, eta, x[m_out], rng.standard_normal(int(m_out.sum())))
+        new[m_out] = chain.step(x[m_out], rng.standard_normal(int(m_out.sum())))
     return new
 
 
@@ -125,7 +129,7 @@ def step_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
         eps = resolve_split_epsilon(spec, eta, smallset)
     x = np.array([state.x])
     d = np.array([state.d])
-    new_x = float(_advance_x(spec, eta, smallset, eps, x, d, rng)[0])
+    new_x = float(_advance_x(Chain(spec, eta, eta), smallset, eps, x, d, rng)[0])
     new_d = int(rng.uniform() < eps)
     return SplitState(new_x, new_d)
 
@@ -197,8 +201,9 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
     ds[0] = int(rng.uniform() < eps) if d0 is None else int(d0)
     x = np.array([xs[0]])
     d = np.array([ds[0]], dtype=np.int8)
+    chain = Chain(spec, eta, eta)
     for t in range(1, n_steps + 1):
-        x = _advance_x(spec, eta, smallset, eps, x, d, rng)
+        x = _advance_x(chain, smallset, eps, x, d, rng)
         d = (rng.uniform(size=1) < eps).astype(np.int8)
         xs[t] = x[0]
         ds[t] = d[0]
@@ -226,8 +231,9 @@ def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     xs[0] = x0
     ds[0] = (rng.uniform(size=n) < eps).astype(np.int8) if d0 is None \
         else np.asarray(d0, dtype=np.int8)
+    chain = Chain(spec, eta, eta)
     for t in range(1, n_steps + 1):
-        xs[t] = _advance_x(spec, eta, smallset, eps, xs[t - 1], ds[t - 1], rng)
+        xs[t] = _advance_x(chain, smallset, eps, xs[t - 1], ds[t - 1], rng)
         ds[t] = (rng.uniform(size=n) < eps).astype(np.int8)
     return xs, ds
 
@@ -244,11 +250,9 @@ class AtomReturnCheck:
 def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                  grid: Grid, n_quad: int = 2001) -> GridMeasure:
     """(nu P)(y) on the grid by direct quadrature over C."""
-    xs = np.linspace(smallset.c_lower, smallset.c_upper, n_quad)
-    w = np.full(n_quad, (smallset.c_upper - smallset.c_lower) / (n_quad - 1))
-    w[0] = w[-1] = 0.5 * w[1]
-    p = transition_density(spec, eta, xs[None, :], grid.nodes[:, None])
-    dens = (p @ w) / smallset.length
+    c = Grid(smallset.c_lower, smallset.c_upper, n_quad)
+    p = transition_density(spec, eta, c.nodes[None, :], grid.nodes[:, None])
+    dens = (p @ c.weights) / smallset.length
     mass = float(np.trapezoid(dens, dx=grid.spacing))
     return GridMeasure(grid, dens, tail_bound=max(0.0, 1.0 - mass))
 
@@ -331,7 +335,7 @@ def regenerative_pi_estimate(blocks: RegenerationBlocks,
     sd = float(batch.std(ddof=1))
     if sd == 0.0:
         return RegenEstimate(ratio, ratio, ratio, blocks.n_blocks, nb)
-    half = float(stats.t.ppf(0.975, nb - 1)) * sd / math.sqrt(nb)
+    half = float(stdtrit(nb - 1, 0.975)) * sd / math.sqrt(nb)
     return RegenEstimate(ratio, ratio - half, ratio + half, blocks.n_blocks, nb)
 
 

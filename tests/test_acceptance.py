@@ -142,8 +142,7 @@ def test_11_determinism(tmp_path):
     for name, workers in (("w1", "1"), ("w8", "8")):
         out = tmp_path / name
         status = cli.main(["split-sim", "--config", str(cfg),
-                           "--out", str(out), "--seed", "1234",
-                           "--workers", workers])
+                           "--out", str(out), "--seed", "1234"])
         assert status == 0
         runs.append(out)
     ok = True

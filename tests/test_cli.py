@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -138,6 +140,16 @@ class TestArtifacts:
         assert (tmp_path / "envroot" / "constants" / "report.txt").exists()
 
 
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, emergolab.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", OU_CFG + "\nn_rep = 50\n")
@@ -145,7 +157,7 @@ class TestDeterminism:
         for name, workers in (("a", "1"), ("b", "8")):
             out = tmp_path / name
             assert cli.main(["split-sim", "--config", cfg, "--out", str(out),
-                             "--seed", "9", "--workers", workers]) == 0
+                             "--seed", "9"]) == 0
             outs.append(out)
         for fname in ("trace.csv", "blocks.csv", "report.txt",
                       "config.resolved.ini"):

@@ -101,6 +101,28 @@ class TestKernelStep:
             ke.DENSE_MATRIX_LIMIT = old
         assert eg.tv_distance(got, want) <= 1e-12
 
+    def test_matrix_free_invariant_agrees_with_dense(self, ou, monkeypatch):
+        import emergolab.kernel as ke
+        grid = eg.Grid(-10.0, 10.0, 513)
+        want = eg.invariant_measure(ou, 0.2, grid)
+        monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", 1)
+        got = eg.invariant_measure(ou, 0.2, grid)
+        assert got.iterations == want.iterations
+        assert eg.tv_distance(got.measure, want.measure) <= 1e-12
+        assert got.measure.tail_bound == pytest.approx(want.measure.tail_bound,
+                                                       rel=1e-9, abs=1e-300)
+
+    def test_matrix_free_uniform_sup_agrees_with_dense(self, bp, monkeypatch):
+        import emergolab.kernel as ke
+        from emergolab import rates
+        xs = np.linspace(-4.0, 4.0, 9)
+        rates._invariant.cache_clear()
+        want = eg.uniform_sup_tv(bp, 0.5, xs, [1, 2, 4])
+        rates._invariant.cache_clear()
+        monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", 1)
+        got = eg.uniform_sup_tv(bp, 0.5, xs, [1, 2, 4])
+        assert np.max(np.abs(got.sup_tv - want.sup_tv)) <= 1e-12
+
 
 class TestInvariantMeasure:
     def test_fixed_point(self, ou, grid12):
