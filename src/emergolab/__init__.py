@@ -7,7 +7,7 @@ from .drifts import (DriftSpec, DerivedConstants, AssumptionReport,
 from .kernel import (Grid, GridMeasure, SmallSetSpec, default_grid,
                      gaussian_on_grid, transition_density, apply_kernel,
                      n_step_from_point, invariant_measure, tv_distance,
-                     tv_norm, tv_uncertainty, minorization_epsilon,
+                     tv_uncertainty, minorization_epsilon,
                      whole_space_minorization, doeblin_rate)
 from .simulate import (PathConfig, ReturnTimeSample, ExpMomentEstimate,
                        em_step, sample_paths, return_time,

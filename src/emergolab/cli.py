@@ -61,6 +61,11 @@ def _parse_int(raw: str, field: str, lo=None):
     return val
 
 
+def _parse_list(raw: str, field: str, parse, **bounds) -> list:
+    """Comma-separated values, each parsed and bounded by parse."""
+    return [parse(v, field, **bounds) for v in raw.split(",")]
+
+
 def load_config(path: str) -> dict:
     """Parse and validate a config file; unknown sections or keys reject."""
     parser = configparser.ConfigParser()
@@ -256,8 +261,8 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
     span = _parse_float(cfg["experiment"].get("x_grid_span", repr(default_span)),
                         "experiment.x_grid_span", lo=0.0)
     span = min(span, 0.6 * grid.upper)
-    n_list = [int(v) for v in
-              cfg["experiment"].get("n_list", "1,2,3,4,5,6,7,8,9,10").split(",")]
+    n_list = _parse_list(cfg["experiment"].get("n_list", "1,2,3,4,5,6,7,8,9,10"),
+                         "experiment.n_list", _parse_int, lo=0)
     table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts),
                                  n_list, grid=grid, tol=tol)
     table.write_csv(out / "uniform_sup.csv")
@@ -313,7 +318,8 @@ def run_atom_check(cfg, spec, out, seed, rep):
     eta = _resolve_eta(cfg)
     grid = build_grid(cfg, spec, eta)
     smallset = _smallset(cfg, spec, eta)
-    ks = [int(v) for v in cfg["experiment"].get("k_list", "1,2,3,5").split(",")]
+    ks = _parse_list(cfg["experiment"].get("k_list", "1,2,3,5"),
+                     "experiment.k_list", _parse_int, lo=1)
     n_mc = _parse_int(cfg["experiment"].get("n_mc", "20000"),
                       "experiment.n_mc", lo=1)
     checks = splitting.atom_return_check(spec, eta, smallset, ks, n_mc, grid,
@@ -344,7 +350,7 @@ def run_return_times(cfg, spec, out, seed, rep):
     horizon = _parse_int(cfg["experiment"].get("horizon", "1000000"),
                          "experiment.horizon", lo=1)
     beta = _parse_float(cfg["experiment"].get("beta", repr(dc.beta_eta)),
-                        "experiment.beta")
+                        "experiment.beta", 1.0, math.inf, open_interval=True)
     D = (-dc.radius, dc.radius)
     x0s, sigmas, censored = simulate.return_times_ensemble(
         spec, eta, x0, D, horizon, n_rep, seed)
@@ -352,8 +358,7 @@ def run_return_times(cfg, spec, out, seed, rep):
                                          bool(c), horizon)
                for a, s, c in zip(x0s, sigmas, censored)]
     simulate.write_return_times_csv(samples, out / "return_times.csv")
-    est = simulate.exp_beta_sigma(spec, eta, x0, beta, D, n_rep,
-                                  horizon=horizon, seed=seed)
+    est = simulate._exp_moment(sigmas, censored, beta, horizon)
     bound = drifts.lyapunov(x0) + dc.b_eta * dc.beta_eta
     _add_constants(rep, dc)
     rep.add("beta", beta)
@@ -370,8 +375,8 @@ def run_study(cfg, spec, out, seed, rep):
     raw = cfg["experiment"].get("eta_list")
     if not raw:
         raise ConfigError("experiment.eta_list is required for study runs")
-    eta_list = [_parse_float(v, "experiment.eta_list", 0.0, 1.0,
-                             open_interval=True) for v in raw.split(",")]
+    eta_list = _parse_list(raw, "experiment.eta_list", _parse_float,
+                           lo=0.0, hi=1.0, open_interval=True)
     x0 = _parse_float(cfg["experiment"].get("x0", "3.0"), "experiment.x0")
     N = _parse_int(cfg["experiment"].get("n_steps", "40"),
                    "experiment.n_steps", lo=1)

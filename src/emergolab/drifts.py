@@ -138,7 +138,7 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-def check_assumptions(spec: DriftSpec, probe_points, pair_samples: int = 4096) -> AssumptionReport:
+def check_assumptions(spec: DriftSpec, probe_points) -> AssumptionReport:
     """Numerically audit the declared constants of a drift.
 
     Checks, over sampled pairs and points:
@@ -165,8 +165,8 @@ def check_assumptions(spec: DriftSpec, probe_points, pair_samples: int = 4096) -
 
     # global pairs
     rng = np.random.default_rng(20240817)
-    i = rng.integers(0, pts.size, size=pair_samples)
-    j = rng.integers(0, pts.size, size=pair_samples)
+    i = rng.integers(0, pts.size, size=4096)
+    j = rng.integers(0, pts.size, size=4096)
     mask = i != j
     i, j = i[mask], j[mask]
     dxg = pts[i] - pts[j]

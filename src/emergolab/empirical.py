@@ -9,14 +9,14 @@ import numpy as np
 from .kernel import GridMeasure
 
 
-def coarse_bin_edges(measure: GridMeasure, target_bins: int = 128) -> np.ndarray:
+def coarse_bin_edges(measure: GridMeasure) -> np.ndarray:
     """Bin edges that coarsen the engine grid by an integer cell factor.
 
     Shared edges keep the binned comparison between a histogram and the
     quadrature density exact up to the interpolant.
     """
     n_cells = measure.grid.n_nodes - 1
-    factor = max(1, n_cells // target_bins)
+    factor = max(1, n_cells // 128)
     idx = np.arange(0, n_cells + 1, factor)
     if idx[-1] != n_cells:
         idx = np.append(idx, n_cells)

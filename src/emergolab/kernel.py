@@ -233,24 +233,23 @@ def _inside_mass(chain: Chain, grid: Grid) -> np.ndarray:
     return ndtr((grid.upper - mean) / chain.sd) - ndtr((grid.lower - mean) / chain.sd)
 
 
-def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure,
-                 leak_tol: float = LEAK_TOL) -> GridMeasure:
+def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure) -> GridMeasure:
     """One adjoint kernel step (xi P)(y) = integral xi(x) p(x, y) dx.
 
     The certified one-step leakage (density-weighted off-grid Gaussian mass)
-    is added to the tail bound; if it exceeds leak_tol the grid is rejected
+    is added to the tail bound; if it exceeds LEAK_TOL the grid is rejected
     with suggested bounds.
     """
     chain = Chain(spec, eta, eta)
     grid = xi.grid
     inside = _inside_mass(chain, grid)
     leak = float(np.sum(grid.weights * xi.density * (1.0 - inside)))
-    if leak > leak_tol:
+    if leak > LEAK_TOL:
         mean = chain.mean(grid.nodes)
         pad = 10.0 * chain.sd
         lo, hi = float(mean.min() - pad), float(mean.max() + pad)
         raise GridTooSmallError(
-            f"one-step leakage {leak!r} exceeds {leak_tol!r}; "
+            f"one-step leakage {leak!r} exceeds {LEAK_TOL!r}; "
             f"grid should cover [{lo!r}, {hi!r}]",
             suggested_lower=lo, suggested_upper=hi)
     new = np.maximum(_matvec(chain, grid, xi.density), 0.0)
@@ -332,11 +331,6 @@ def tv_uncertainty(a: GridMeasure, b: GridMeasure) -> float:
     return 0.5 * (a.tail_bound + b.tail_bound)
 
 
-def tv_norm(a: GridMeasure, b: GridMeasure) -> float:
-    """Total variation norm of the difference (twice the distance)."""
-    return 2.0 * tv_distance(a, b)
-
-
 @dataclass(frozen=True)
 class SmallSetSpec:
     """An interval C with its one-step minorization constant epsilon.
@@ -366,12 +360,13 @@ class SmallSetSpec:
 
 
 def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
-                         c_upper: float, rel_tol: float = 1e-6) -> SmallSetSpec:
+                         c_upper: float) -> SmallSetSpec:
     """Minorization constant of a compact interval C.
 
     epsilon = Leb(C)/(sqrt(eta)*sigma) * inf over C^2 of the standard normal
     pdf at (y - x - eta*g(x))/(sqrt(eta)*sigma).  The infimum is located by
-    nested grid refinement (not assumed at a corner) until stable to rel_tol.
+    nested grid refinement (not assumed at a corner) until stable to a
+    relative 1e-6.
     """
     chain = Chain(spec, eta, eta)
     if not c_lower < c_upper:
@@ -391,7 +386,7 @@ def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
         vals = z2(xs[:, None], ys[None, :])
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best = float(vals[i, j])
-        if prev is not None and abs(best - prev) <= rel_tol * max(1.0, abs(best)) / 10.0:
+        if prev is not None and abs(best - prev) <= 1e-6 * max(1.0, abs(best)) / 10.0:
             break
         prev = best
         dx = (xhi - xlo) / 64
@@ -410,37 +405,38 @@ def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
     return SmallSetSpec(c_lower, c_upper, eps)
 
 
-def whole_space_minorization(spec: DriftSpec, eta: float,
-                             scan_half_width: float = 100.0,
-                             scan_points: int = 20001,
-                             quad_points: int = 20001) -> float:
+def whole_space_minorization(spec: DriftSpec, eta: float) -> float:
     """Common mass m of all kernel rows when x + g(x) is bounded.
 
-    With i = inf(x + g(x)) and s = sup(x + g(x)), every row dominates the
-    sub-probability density f(y) = N-density at the farther of the two
-    shifted means; m is its total mass.  Raises ApplicabilityError when
-    x + g(x) looks unbounded on a wide scan.
+    Raises ApplicabilityError when x + g(x) looks unbounded on a wide scan.
     """
     chain = Chain(spec, eta, 1.0)
-    i, s = _mean_range(chain, scan_half_width, scan_points)
+    return _doeblin_mass(chain, *_mean_range(chain))
+
+
+def _doeblin_mass(chain: Chain, i: float, s: float) -> float:
+    """Doeblin mass m of a chain whose one-step mean ranges over [i, s].
+
+    Every row dominates the sub-probability density f(y) = N-density at the
+    farther of the two shifted means i and s; m is its total mass.
+    """
     sd = chain.sd
-    y = np.linspace(i - 10.0 * sd, s + 10.0 * sd, quad_points)
+    y = np.linspace(i - 10.0 * sd, s + 10.0 * sd, 20001)
     far = np.maximum((y - i) ** 2, (y - s) ** 2)
     f = np.exp(-far / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))
     m = float(np.trapezoid(f, y))
     return min(m, 1.0)
 
 
-def _mean_range(chain: Chain, scan_half_width: float = 100.0,
-                scan_points: int = 20001) -> tuple[float, float]:
-    """(inf, sup) of the one-step mean over a wide scan.
+def _mean_range(chain: Chain) -> tuple[float, float]:
+    """(inf, sup) of the one-step mean over a scan of [-100, 100].
 
     Raises ApplicabilityError when the mean still grows beyond the inner
     half of the scan, i.e. looks unbounded.
     """
-    xs = np.linspace(-scan_half_width, scan_half_width, scan_points)
+    xs = np.linspace(-100.0, 100.0, 20001)
     h = chain.mean(xs)
-    half = np.abs(xs) <= scan_half_width / 2.0
+    half = np.abs(xs) <= 50.0
     grow_hi = float(h.max() - h[half].max())
     grow_lo = float(h[half].min() - h.min())
     tol = 1e-6 * (1.0 + float(np.abs(h).max()))

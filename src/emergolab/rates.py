@@ -49,15 +49,14 @@ class DecayCurve:
         """Indices n (1-based) with d_n above the numeric floor."""
         return np.flatnonzero(self.values >= self.floor) + 1
 
-    def write_csv(self, path, envelope: Optional[np.ndarray] = None,
-                  experiment: str = "tv-decay") -> None:
+    def write_csv(self, path, experiment: str = "tv-decay") -> None:
+        """n,d_tv rows; the envelope column is kept, empty, for emit-plotdata."""
         with open(path, "w") as fh:
             fh.write(f"# experiment={experiment} eta={self.eta!r} "
                      f"initial={self.initial}\n")
             fh.write("n,d_tv,envelope\n")
             for i, d in enumerate(self.values):
-                env = "" if envelope is None else repr(float(envelope[i]))
-                fh.write(f"{i + 1},{float(d)!r},{env}\n")
+                fh.write(f"{i + 1},{float(d)!r},\n")
 
 
 def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasure],
@@ -96,11 +95,11 @@ class RateFit:
     floor_reached: bool
 
 
-def fit_geometric_rate(curve: DecayCurve, head_rms: float = 0.05) -> RateFit:
+def fit_geometric_rate(curve: DecayCurve) -> RateFit:
     """Log-linear least squares on the asymptotic tail of a decay curve.
 
     The pre-asymptotic head is dropped: the window starts at the first index
-    where a 5-point sliding line fits log d_n within RMS head_rms.  Points
+    where a 5-point sliding line fits log d_n within RMS 0.05.  Points
     at or below the numeric floor are excluded.
     """
     ns = curve.usable()
@@ -115,7 +114,7 @@ def fit_geometric_rate(curve: DecayCurve, head_rms: float = 0.05) -> RateFit:
         w_l = logd[h:h + 5]
         coef = np.polyfit(w_n, w_l, 1)
         resid = w_l - np.polyval(coef, w_n)
-        if math.sqrt(float(np.mean(resid ** 2))) <= head_rms:
+        if math.sqrt(float(np.mean(resid ** 2))) <= 0.05:
             start = h
             break
     fit_n = ns[start:].astype(float)
@@ -137,17 +136,13 @@ class SummabilityReport:
     partial_sum: float
     tail_ratio_max: float
     consistent: bool
-    exp_moment_bound: Optional[float]
 
 
-def summability_check(curve: DecayCurve, delta: float, margin: float = 0.05,
-                      exp_moment: Optional[float] = None) -> SummabilityReport:
+def summability_check(curve: DecayCurve, delta: float) -> SummabilityReport:
     """Partial sums and ratio test for sum_n delta^n d_n.
 
     Consistent with finiteness when the tail ratios delta*d_{n+1}/d_n stay
-    below 1 - margin.  exp_moment, when given, is the simulated
-    E_xi[beta^sigma] that the series is compared against (both reported, no
-    claim about the unknown prefactor).
+    below 0.95.
     """
     if delta <= 1.0:
         raise ValueError("delta must exceed 1")
@@ -165,8 +160,7 @@ def summability_check(curve: DecayCurve, delta: float, margin: float = 0.05,
         delta=delta,
         partial_sum=partial,
         tail_ratio_max=ratio_max,
-        consistent=ratio_max < 1.0 - margin,
-        exp_moment_bound=exp_moment,
+        consistent=ratio_max < 0.95,
     )
 
 
@@ -216,7 +210,7 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         if grid is None:
             grid = ke.default_grid(spec, eta)
     else:
-        m = ke.whole_space_minorization(spec, eta)
+        m = ke._doeblin_mass(chain, lo, hi)
         grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -89,13 +89,10 @@ def return_time(spec: DriftSpec, eta: float, x0: float, D: tuple[float, float],
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lo, hi = D
-    x = float(x0)
-    for n in range(1, horizon + 1):
-        x = em_step(spec, eta, x, rng.standard_normal())
-        if lo <= x <= hi:
-            return ReturnTimeSample(float(x0), lo, hi, n, False, horizon)
-    return ReturnTimeSample(float(x0), lo, hi, horizon, True, horizon)
+    sigmas, censored = _first_returns(Chain(spec, eta, eta),
+                                      np.array([float(x0)]), D, horizon, rng)
+    return ReturnTimeSample(float(x0), D[0], D[1], int(sigmas[0]),
+                            bool(censored[0]), horizon)
 
 
 def return_times_ensemble(spec: DriftSpec, eta: float, x0: Initial,
@@ -107,20 +104,28 @@ def return_times_ensemble(spec: DriftSpec, eta: float, x0: Initial,
     randomness, so the draw order is deterministic for a given seed.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lo, hi = D
     x0s = _initial_states(x0, n_rep, rng)
+    sigmas, censored = _first_returns(Chain(spec, eta, eta), x0s, D, horizon,
+                                      rng)
+    return x0s, sigmas, censored
+
+
+def _first_returns(chain: Chain, x0s: np.ndarray, D: tuple[float, float],
+                   horizon: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(sigmas, censored) of chains started at x0s; censored ones read horizon."""
+    lo, hi = D
     x = x0s.copy()
-    sigmas = np.full(n_rep, horizon, dtype=np.int64)
-    active = np.ones(n_rep, dtype=bool)
+    sigmas = np.full(x.size, horizon, dtype=np.int64)
+    active = np.ones(x.size, dtype=bool)
     for n in range(1, horizon + 1):
         if not active.any():
             break
         idx = np.flatnonzero(active)
-        x[idx] = em_step(spec, eta, x[idx], rng.standard_normal(idx.size))
+        x[idx] = chain.step(x[idx], rng.standard_normal(idx.size))
         returned = idx[(x[idx] >= lo) & (x[idx] <= hi)]
         sigmas[returned] = n
         active[returned] = False
-    return x0s, sigmas, active.copy()
+    return sigmas, active
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,13 @@ def exp_beta_sigma(spec: DriftSpec, eta: float, x0: Initial, beta: float,
         raise ValueError("beta must exceed 1")
     _, sigmas, censored = return_times_ensemble(
         spec, eta, x0, D, horizon, n_rep, seed)
+    return _exp_moment(sigmas, censored, beta, horizon)
+
+
+def _exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
+                horizon: int) -> ExpMomentEstimate:
+    """E[beta^sigma] over the uncensored replicates of a return-time ensemble."""
+    n_rep = sigmas.size
     ok = ~censored
     n_cens = int(censored.sum())
     if n_cens == n_rep:

@@ -20,6 +20,8 @@ from .errors import MinorizationError
 from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, apply_kernel,
                      transition_density)
 
+N_BATCHES = 30
+
 
 @dataclass(frozen=True)
 class SplitState:
@@ -125,13 +127,9 @@ def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
 def step_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                state: SplitState, rng, eps: Optional[float] = None) -> SplitState:
     """One transition of the split kernel from (x, d)."""
-    if eps is None:
-        eps = resolve_split_epsilon(spec, eta, smallset)
-    x = np.array([state.x])
-    d = np.array([state.d])
-    new_x = float(_advance_x(Chain(spec, eta, eta), smallset, eps, x, d, rng)[0])
-    new_d = int(rng.uniform() < eps)
-    return SplitState(new_x, new_d)
+    xs, ds = split_ensemble(spec, eta, smallset, [state.x], 1, rng, eps=eps,
+                            d0=[state.d])
+    return SplitState(float(xs[1, 0]), int(ds[1, 0]))
 
 
 @dataclass
@@ -185,28 +183,18 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
               ) -> RegenerationBlocks:
     """Simulate one split-chain trajectory of n_steps transitions.
 
-    x0 may be a float or a GridMeasure; d0 defaults to a Bernoulli(eps)
-    draw, matching an initial law xi (x) b_eps.
+    A one-replicate split_ensemble run.  x0 may be a float or a GridMeasure
+    (one draw); d0 defaults to a Bernoulli(eps) draw, matching an initial
+    law xi (x) b_eps.
     """
     if eps is None:
         eps = resolve_split_epsilon(spec, eta, smallset)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    xs = np.empty(n_steps + 1)
-    ds = np.empty(n_steps + 1, dtype=np.int8)
-    if isinstance(x0, GridMeasure):
-        xs[0] = x0.sample(1, rng)[0]
-    else:
-        xs[0] = float(x0)
-    ds[0] = int(rng.uniform() < eps) if d0 is None else int(d0)
-    x = np.array([xs[0]])
-    d = np.array([ds[0]], dtype=np.int8)
-    chain = Chain(spec, eta, eta)
-    for t in range(1, n_steps + 1):
-        x = _advance_x(chain, smallset, eps, x, d, rng)
-        d = (rng.uniform(size=1) < eps).astype(np.int8)
-        xs[t] = x[0]
-        ds[t] = d[0]
+    x = x0.sample(1, rng) if isinstance(x0, GridMeasure) else [float(x0)]
+    xs, ds = split_ensemble(spec, eta, smallset, x, n_steps, rng, eps=eps,
+                            d0=None if d0 is None else [int(d0)])
+    xs, ds = xs[:, 0], ds[:, 0]
     in_c = np.asarray(smallset.contains(xs))
     visits = np.flatnonzero(in_c & (ds == 1))
     return RegenerationBlocks(xs=xs, ds=ds, in_c=in_c,
@@ -248,9 +236,9 @@ class AtomReturnCheck:
 
 
 def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
-                 grid: Grid, n_quad: int = 2001) -> GridMeasure:
+                 grid: Grid) -> GridMeasure:
     """(nu P)(y) on the grid by direct quadrature over C."""
-    c = Grid(smallset.c_lower, smallset.c_upper, n_quad)
+    c = Grid(smallset.c_lower, smallset.c_upper, 2001)
     p = transition_density(spec, eta, c.nodes[None, :], grid.nodes[:, None])
     dens = (p @ c.weights) / smallset.length
     mass = float(np.trapezoid(dens, dx=grid.spacing))
@@ -307,16 +295,17 @@ class RegenEstimate:
 
 def regenerative_pi_estimate(blocks: RegenerationBlocks,
                              test_function: Optional[Callable] = None,
-                             values: Optional[np.ndarray] = None,
-                             n_batches: int = 30) -> RegenEstimate:
+                             values: Optional[np.ndarray] = None
+                             ) -> RegenEstimate:
     """Ratio estimator sum(block sums)/sum(block lengths) with batch CI.
 
     values (per-step numbers aligned with the trace) may be passed instead
-    of a function of x, e.g. the d-bits.  Needs at least 30 complete blocks.
+    of a function of x, e.g. the d-bits.  Needs at least N_BATCHES complete
+    blocks, one per batch of the CI.
     """
-    if blocks.n_blocks < 30:
+    if blocks.n_blocks < N_BATCHES:
         raise ValueError(
-            f"only {blocks.n_blocks} complete blocks; need >= 30 "
+            f"only {blocks.n_blocks} complete blocks; need >= {N_BATCHES} "
             "(run a longer trajectory)")
     if values is None:
         if test_function is None:
@@ -328,7 +317,7 @@ def regenerative_pi_estimate(blocks: RegenerationBlocks,
     lengths = blocks.block_lengths().astype(float)
     ratio = float(sums.sum() / lengths.sum())
 
-    nb = min(n_batches, blocks.n_blocks)
+    nb = N_BATCHES
     edges = np.linspace(0, sums.size, nb + 1).astype(int)
     batch = np.array([sums[a:b].sum() / lengths[a:b].sum()
                       for a, b in zip(edges[:-1], edges[1:])])
@@ -348,12 +337,11 @@ class AtomTailFit:
     low_confidence: bool
 
 
-def atom_return_tail(blocks: RegenerationBlocks,
-                     min_count: int = 5) -> AtomTailFit:
+def atom_return_tail(blocks: RegenerationBlocks) -> AtomTailFit:
     """Geometric tail fit of the atom return time sigma.
 
     Least squares on log P(sigma > n) against n, over the n where the
-    empirical survival still rests on at least min_count observations.
+    empirical survival still rests on at least 5 observations.
     Also reports the largest gamma whose empirical E[gamma^sigma] looks
     stable across the two trajectory halves.
     """
@@ -365,7 +353,7 @@ def atom_return_tail(blocks: RegenerationBlocks,
     ns, logs = [], []
     for n in range(0, n_max):
         cnt = int(np.sum(sigma > n))
-        if cnt < min_count:
+        if cnt < 5:
             break
         ns.append(n)
         logs.append(math.log(cnt / n_obs))

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import emergolab as eg
 from emergolab import cli
 from emergolab.errors import ConfigError
 
@@ -93,6 +94,20 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 3
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, line", [
+        ("uniform-sup", "n_list = 0,a"),
+        ("uniform-sup", "n_list = -1,2"),
+        ("atom-check", "k_list = 1,x"),
+        ("atom-check", "k_list = 0,1"),
+        ("return-times", "beta = 0.5"),
+    ])
+    def test_malformed_list_or_beta_two(self, tmp_path, capsys, sub, line):
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           f"[experiment]\neta = 0.1\n{line}\n")
+        assert cli.main([sub, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_report_and_resolved_config(self, tmp_path):
@@ -138,6 +153,24 @@ class TestArtifacts:
         cfg = write_config(tmp_path / "c.ini", OU_CFG.replace("0.5", "0.1"))
         assert cli.main(["constants", "--config", cfg]) == 0
         assert (tmp_path / "envroot" / "constants" / "report.txt").exists()
+
+
+def test_return_times_report_matches_exp_beta_sigma(tmp_path):
+    cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                       "[experiment]\neta = 0.1\nx0 = 20.0\n"
+                       "n_rep = 200\nhorizon = 100\n")
+    out = tmp_path / "o"
+    cli.main(["return-times", "--config", cfg, "--out", str(out),
+              "--seed", "3"])
+    values = dict(line.split("=", 1) for line in
+                  (out / "report.txt").read_text().splitlines())
+    spec = eg.ornstein_uhlenbeck(kappa=1.0, sigma=1.0)
+    dc = eg.derive_constants(spec, 0.1)
+    est = eg.exp_beta_sigma(spec, 0.1, 20.0, dc.beta_eta,
+                            (-dc.radius, dc.radius), 200, horizon=100, seed=3)
+    assert values["exp_moment_estimate"] == repr(est.mean)
+    assert values["exp_moment_ci_high"] == repr(est.ci_high)
+    assert len((out / "return_times.csv").read_text().splitlines()) == 201
 
 
 def test_cli_import_skips_scipy_stats():
