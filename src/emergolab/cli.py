@@ -89,21 +89,24 @@ def build_drift(cfg: dict) -> drifts.DriftSpec:
     kind = d.get("kind", "ou").lower()
     sigma = _parse_float(d.get("sigma", "1.0"), "drift.sigma")
     kappa = _parse_float(d.get("kappa", "1.0"), "drift.kappa")
-    if kind == "ou":
-        spec = drifts.ornstein_uhlenbeck(kappa=kappa, sigma=sigma)
-    elif kind == "bounded":
-        a = _parse_float(d.get("a", "0.5"), "drift.a")
-        spec = drifts.bounded_perturbation(kappa=kappa, a=a, sigma=sigma)
-    else:
+    if kind not in ("ou", "bounded"):
         raise ConfigError(f"drift.kind={kind!r}: CLI drifts are 'ou' or 'bounded'")
+    a = _parse_float(d.get("a", "0.5"), "drift.a") if kind == "bounded" else None
     overrides = {}
     for key, attr in (("l", "L"), ("k1", "K1"), ("k2", "K2"),
                       ("c_offset", "c_offset")):
         if key in d:
             overrides[attr] = _parse_float(d[key], f"drift.{key}")
-    if overrides:
-        import dataclasses
-        spec = dataclasses.replace(spec, **overrides)
+    try:
+        if kind == "ou":
+            spec = drifts.ornstein_uhlenbeck(kappa=kappa, sigma=sigma)
+        else:
+            spec = drifts.bounded_perturbation(kappa=kappa, a=a, sigma=sigma)
+        if overrides:
+            import dataclasses
+            spec = dataclasses.replace(spec, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"[drift]: {exc}") from None
     return spec
 
 
@@ -279,7 +282,12 @@ def _smallset(cfg, spec, eta):
                         "experiment.c_upper")
     if not c_lo < c_hi:
         raise ConfigError("experiment.c_lower must be < experiment.c_upper")
-    return ke.minorization_epsilon(spec, eta, c_lo, c_hi)
+    smallset = ke.minorization_epsilon(spec, eta, c_lo, c_hi)
+    if smallset.epsilon == 0.0:
+        raise ConfigError(
+            f"small set [c_lower, c_upper] = [{c_lo!r}, {c_hi!r}] is too wide: "
+            "its minorization constant underflows to 0; narrow it")
+    return smallset
 
 
 def run_split_sim(cfg, spec, out, seed, rep):

@@ -2,10 +2,13 @@
 
 Densities live on a uniform grid and are integrated by the trapezoid rule.
 The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by :class:`Chain`;
-it acts on densities through a row-stochastic quadrature matrix
-(materialized and cached for grids up to DENSE_MATRIX_LIMIT nodes, applied
-in row blocks beyond that).  All results carry an additive, conservative
-bound on the probability mass that has leaked off the grid.
+it acts on densities through a row-stochastic quadrature matrix.  Only its
+band |y_i - mean(x_j)| <= BAND_SD*sd is built, as dense blocks of 128 rows
+(cached for grids up to DENSE_MATRIX_LIMIT nodes, built one at a time beyond
+that).  All results carry an additive, conservative bound on the probability
+mass that has leaked off the grid, plus a bound on the quadrature mass the
+band drops (below 2e-16 per unit mass and step when the spacing is at most
+sd).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ LEAK_TOL = 1e-8
 INVARIANT_TOL = 1e-9
 MAX_ITERS = 10 ** 5
 DENSE_MATRIX_LIMIT = 8192
+BAND_SD = 8.5
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ def gaussian_on_grid(grid: Grid, mean: float, variance: float) -> GridMeasure:
 
 def _normal_pdf(d: np.ndarray, var: float) -> np.ndarray:
     """N(0, var) density at d, computed in d's buffer so that building a
-    dense matrix holds one n x n array at a time."""
+    kernel block holds one array of its size at a time."""
     np.square(d, out=d)
     d /= -2.0 * var
     np.exp(d, out=d)
@@ -201,49 +205,75 @@ def transition_density(spec: DriftSpec, eta: float, x, y):
 
 
 def _kernel_rows(chain: Chain, grid: Grid, mean: np.ndarray,
-                 lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of K[i, j] = p(x_j, y_i) * w_j; mean holds the node means."""
-    K = _normal_pdf(grid.nodes[lo:hi, None] - mean[None, :], chain.var)
-    K *= grid.weights[None, :]
-    return K
+                 lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    """Rows lo..hi-1 of K[i, j] = p(x_j, y_i) * w_j as (lo, jlo, block).
+
+    mean holds the node means.  block covers the columns jlo..jlo+c-1: the
+    span of the nodes whose mean lies within BAND_SD*sd of one of the rows,
+    so every entry of the band |y_i - mean_j| <= BAND_SD*sd is in it.
+    """
+    y = grid.nodes[lo:hi]
+    reach = BAND_SD * chain.sd
+    cols = np.flatnonzero((mean >= y[0] - reach) & (mean <= y[-1] + reach))
+    jlo, jhi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+    block = _normal_pdf(y[:, None] - mean[None, jlo:jhi], chain.var)
+    block *= grid.weights[None, jlo:jhi]
+    return lo, jlo, block
+
+
+def _kernel_blocks(chain: Chain, grid: Grid):
+    """The banded quadrature matrix, 128 rows at a time."""
+    mean = chain.mean(grid.nodes)
+    for lo in range(0, grid.n_nodes, 128):
+        yield _kernel_rows(chain, grid, mean, lo, min(lo + 128, grid.n_nodes))
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_matrix(chain: Chain, grid: Grid) -> np.ndarray:
-    """Dense quadrature matrix K with K[i, j] = p(x_j, y_i) * w_j."""
-    return _kernel_rows(chain, grid, chain.mean(grid.nodes), 0, grid.n_nodes)
+def _kernel_matrix(chain: Chain, grid: Grid) -> tuple:
+    """The blocks of the banded quadrature matrix, held for reuse."""
+    return tuple(_kernel_blocks(chain, grid))
 
 
 def _matvec(chain: Chain, grid: Grid, v: np.ndarray) -> np.ndarray:
-    """K @ v: the cached dense matrix up to DENSE_MATRIX_LIMIT nodes, else
-    512-row blocks, so the matrix is never held whole."""
-    n = grid.n_nodes
-    if n <= DENSE_MATRIX_LIMIT:
-        return _kernel_matrix(chain, grid) @ v
-    mean = chain.mean(grid.nodes)
-    out = np.empty((n,) + v.shape[1:])
-    for lo in range(0, n, 512):
-        out[lo:lo + 512] = _kernel_rows(chain, grid, mean, lo, lo + 512) @ v
+    """K @ v over the band: cached blocks up to DENSE_MATRIX_LIMIT nodes,
+    else the same blocks built one at a time, so K is never held whole."""
+    if grid.n_nodes <= DENSE_MATRIX_LIMIT:
+        blocks = _kernel_matrix(chain, grid)
+    else:
+        blocks = _kernel_blocks(chain, grid)
+    out = np.empty((grid.n_nodes,) + v.shape[1:])
+    for lo, jlo, block in blocks:
+        rows, cols = block.shape
+        out[lo:lo + rows] = block @ v[jlo:jlo + cols]
     return out
 
 
-def _inside_mass(chain: Chain, grid: Grid) -> np.ndarray:
-    """For each node x_j, the mass of one step from x_j that stays on the grid."""
+def _leak(chain: Chain, grid: Grid, density: np.ndarray) -> tuple[float, float]:
+    """Certified mass that one step from density loses, (off grid, off band).
+
+    Off the grid: the exact Gaussian mass beyond [lower, upper] from each
+    node.  Off the band: each column drops at most 2*(h/sd*phi(BAND_SD) +
+    Phi(-BAND_SD)) of quadrature mass (trapezoid weights are <= h and the
+    density decreases beyond the band), times the density's mass.
+    """
     mean = chain.mean(grid.nodes)
-    return ndtr((grid.upper - mean) / chain.sd) - ndtr((grid.lower - mean) / chain.sd)
+    inside = ndtr((grid.upper - mean) / chain.sd) - ndtr((grid.lower - mean) / chain.sd)
+    band = 2.0 * (grid.spacing / chain.sd * math.exp(-0.5 * BAND_SD ** 2)
+                  / math.sqrt(2.0 * math.pi) + float(ndtr(-BAND_SD)))
+    mass = grid.weights * density
+    return float(np.sum(mass * (1.0 - inside))), band * float(np.sum(mass))
 
 
 def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure) -> GridMeasure:
     """One adjoint kernel step (xi P)(y) = integral xi(x) p(x, y) dx.
 
     The certified one-step leakage (density-weighted off-grid Gaussian mass)
-    is added to the tail bound; if it exceeds LEAK_TOL the grid is rejected
-    with suggested bounds.
+    and the bound on the mass the band drops are added to the tail bound; if
+    the leakage exceeds LEAK_TOL the grid is rejected with suggested bounds.
     """
     chain = Chain(spec, eta, eta)
     grid = xi.grid
-    inside = _inside_mass(chain, grid)
-    leak = float(np.sum(grid.weights * xi.density * (1.0 - inside)))
+    leak, band = _leak(chain, grid, xi.density)
     if leak > LEAK_TOL:
         mean = chain.mean(grid.nodes)
         pad = 10.0 * chain.sd
@@ -253,7 +283,7 @@ def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure) -> GridMeasure:
             f"grid should cover [{lo!r}, {hi!r}]",
             suggested_lower=lo, suggested_upper=hi)
     new = np.maximum(_matvec(chain, grid, xi.density), 0.0)
-    return GridMeasure(grid, new, tail_bound=xi.tail_bound + leak)
+    return GridMeasure(grid, new, tail_bound=xi.tail_bound + leak + band)
 
 
 def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
@@ -284,7 +314,8 @@ def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
     """Invariant density by power iteration, to TV increment below tol.
 
     The iterate is renormalized to unit mass each step; the returned tail
-    bound is the one-step leakage of the converged density.
+    bound is the one-step leakage of the converged density plus the bound on
+    the mass the band drops.
     """
     lam = drifts.lambda_of(spec, eta)
     if not (0.0 < lam < 1.0):
@@ -312,8 +343,8 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
         increment = 0.5 * float(np.sum(w * np.abs(new - dens)))
         dens = new
         if increment < tol:
-            leak = float(np.sum(w * dens * (1.0 - _inside_mass(chain, grid))))
-            return InvariantResult(GridMeasure(grid, dens, tail_bound=leak), it)
+            return InvariantResult(
+                GridMeasure(grid, dens, tail_bound=sum(_leak(chain, grid, dens))), it)
     raise ConvergenceError(
         f"power iteration did not reach tol={tol!r} in {max_iters} steps",
         last_increment=increment)

@@ -108,6 +108,18 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, text", [
+        ("constants", "[drift]\nkind = ou\nsigma = 0\n[experiment]\neta = 0.1\n"),
+        ("split-sim", "[drift]\nkind = ou\n[experiment]\neta = 0.5\n"
+                      "c_lower = -30\nc_upper = 30\nn_steps = 100\n"),
+    ], ids=["zero-sigma", "wide-small-set"])
+    def test_invalid_drift_or_wide_small_set_two(self, tmp_path, capsys,
+                                                 sub, text):
+        cfg = write_config(tmp_path / "c.ini", text)
+        assert cli.main([sub, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_report_and_resolved_config(self, tmp_path):

@@ -124,6 +124,78 @@ class TestKernelStep:
         assert np.max(np.abs(got.sup_tv - want.sup_tv)) <= 1e-12
 
 
+def _dense_reference(spec, eta, grid):
+    """The unbanded quadrature matrix, K[i, j] = p(x_j, y_i) * w_j."""
+    x = grid.nodes
+    return eg.transition_density(spec, eta, x[None, :], x[:, None]) * grid.weights
+
+
+def _band_bound(grid, sd, band_sd):
+    return 2.0 * (grid.spacing / sd * norm.pdf(band_sd) + norm.sf(band_sd))
+
+
+class TestBand:
+    @pytest.mark.parametrize("drift, eta", [("ou", 0.1), ("bp", 0.5)])
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_apply_kernel_matches_unbanded(self, request, monkeypatch,
+                                           drift, eta, limit):
+        import emergolab.kernel as ke
+        spec = request.getfixturevalue(drift)
+        if limit is not None:
+            monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", limit)
+        grid = eg.Grid(-12.0, 12.0, 1025)
+        xi = gaussian_on_grid(grid, 1.0, 0.5)
+        got = eg.apply_kernel(spec, eta, xi)
+        want = np.maximum(_dense_reference(spec, eta, grid) @ xi.density, 0.0)
+        tv = 0.5 * float(np.trapezoid(np.abs(got.density - want), dx=grid.spacing))
+        assert tv <= 1e-12
+
+    @pytest.mark.parametrize("band_sd", [None, 2.0])
+    def test_dropped_mass_is_certified(self, ou, monkeypatch, band_sd):
+        import emergolab.kernel as ke
+        if band_sd is not None:
+            # a narrow band makes the dropped mass visible; the uncached
+            # path keeps the narrow blocks out of the operator cache
+            monkeypatch.setattr(ke, "BAND_SD", band_sd)
+            monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", 1)
+        eta = 0.1
+        chain = ke.Chain(ou, eta, eta)
+        grid = eg.Grid(-12.0, 12.0, 1025)
+        bound = _band_bound(grid, chain.sd, ke.BAND_SD)
+        ref = _dense_reference(ou, eta, grid)
+        x = grid.nodes
+        outside = np.abs(x[:, None] - chain.mean(x)[None, :]) > ke.BAND_SD * chain.sd
+        # quadrature mass w_i * p(x_j, y_i) of each column outside the band
+        column_mass = grid.weights[:, None] * ref / grid.weights[None, :]
+        assert np.all(np.sum(np.where(outside, column_mass, 0.0), axis=0) <= bound)
+
+        xi = gaussian_on_grid(grid, 1.0, 0.5)
+        out = eg.apply_kernel(ou, eta, xi)
+        mass = float(np.sum(grid.weights * xi.density))
+        assert out.tail_bound >= xi.tail_bound + bound * mass
+        lost = float(grid.weights @ (ref @ xi.density - out.density))
+        assert lost <= out.tail_bound - xi.tail_bound + 1e-14  # 1e-14: rounding
+        if band_sd is not None:
+            assert lost > 1e-6
+
+    def test_cached_operator_is_banded(self, ou):
+        import emergolab.kernel as ke
+        grid = eg.default_grid(ou, 0.1, n_nodes=2049)
+        blocks = ke._kernel_matrix(ke.Chain(ou, 0.1, 0.1), grid)
+        assert sum(block.size for _, _, block in blocks) < 0.2 * grid.n_nodes ** 2
+
+    def test_tracer_contract(self):
+        # bench/tracer.py reads these names; a rename would break --trace 1
+        import inspect
+        import emergolab.kernel as ke
+        assert ke._kernel_matrix.cache_info().maxsize == 8
+        assert ke.DENSE_MATRIX_LIMIT == 8192
+        for name, arg in (("apply_kernel", "xi"), ("invariant_measure", "grid")):
+            fn = getattr(ke, name)
+            assert inspect.isfunction(fn) and fn.__module__ == "emergolab.kernel"
+            assert list(inspect.signature(fn).parameters)[2] == arg
+
+
 class TestInvariantMeasure:
     def test_fixed_point(self, ou, grid12):
         pi = eg.invariant_measure(ou, 0.1, grid12, tol=1e-9).measure
