@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,130 +28,132 @@ EXPERIMENTS = ("verify-assumptions", "constants", "invariant", "tv-decay",
                "uniform-sup", "split-sim", "atom-check", "return-times",
                "study")
 
-_KNOWN_KEYS = {
-    "drift": {"kind", "kappa", "a", "sigma", "l", "k1", "k2", "c_offset"},
-    "grid": {"lower", "upper", "n_nodes", "invariant_tol"},
-    "experiment": {"kind", "eta", "eta_list", "x0", "n_steps", "n_list",
-                   "x_grid_points", "x_grid_span", "c_lower", "c_upper",
-                   "k_list", "n_mc", "n_rep", "horizon", "beta", "seed"},
+
+class _Number(NamedTuple):
+    """Parser of a finite int or float in an interval written like
+    "(0.0, 1.0)" or "[16, inf)"; with many=True, of a comma-separated list."""
+
+    cast: type
+    interval: str
+    many: bool = False
+
+    def __call__(self, raw):
+        if self.many:
+            return [self._replace(many=False)(v) for v in str(raw).split(",")]
+        lo, hi = (float(b) for b in self.interval[1:-1].split(","))
+        try:
+            v = self.cast(raw)
+        except ValueError:
+            v = math.nan
+        if not ((lo < v if self.interval[0] == "(" else lo <= v)
+                and (v < hi if self.interval[-1] == ")" else v <= hi)):
+            raise ValueError(f"must be {'an int' if self.cast is int else 'a float'}"
+                             f" in {self.interval}")
+        return v
+
+
+def _drift_kind(raw: str) -> str:
+    if raw.lower() not in ("ou", "bounded"):
+        raise ValueError("CLI drifts are 'ou' or 'bounded'")
+    return raw.lower()
+
+
+# Every accepted key, with the parser that types it and checks its range.
+_SCHEMA = {
+    ("drift", "kind"): _drift_kind,
+    ("drift", "kappa"): _Number(float, "(0.0, inf)"),
+    ("drift", "a"): _Number(float, "(-inf, inf)"),
+    ("drift", "sigma"): _Number(float, "(0.0, inf)"),
+    ("drift", "l"): _Number(float, "(0.0, inf)"),
+    ("drift", "k1"): _Number(float, "(0.0, inf)"),
+    ("drift", "k2"): _Number(float, "[0.0, inf)"),
+    ("drift", "c_offset"): _Number(float, "[0.0, inf)"),
+    ("grid", "lower"): _Number(float, "(-inf, inf)"),
+    ("grid", "upper"): _Number(float, "(-inf, inf)"),
+    ("grid", "n_nodes"): _Number(int, "[16, inf)"),
+    ("grid", "invariant_tol"): _Number(float, "(0.0, inf)"),
+    ("experiment", "kind"): str,
+    ("experiment", "eta"): _Number(float, "(0.0, 1.0)"),
+    ("experiment", "eta_list"): _Number(float, "(0.0, 1.0)", many=True),
+    ("experiment", "x0"): _Number(float, "(-inf, inf)"),
+    ("experiment", "n_steps"): _Number(int, "[1, inf)"),
+    ("experiment", "n_list"): _Number(int, "[0, inf)", many=True),
+    ("experiment", "x_grid_points"): _Number(int, "[2, inf)"),
+    ("experiment", "x_grid_span"): _Number(float, "[0.0, inf)"),
+    ("experiment", "c_lower"): _Number(float, "(-inf, inf)"),
+    ("experiment", "c_upper"): _Number(float, "(-inf, inf)"),
+    ("experiment", "k_list"): _Number(int, "[1, inf)", many=True),
+    ("experiment", "n_mc"): _Number(int, "[1, inf)"),
+    ("experiment", "n_rep"): _Number(int, "[1, inf)"),
+    ("experiment", "horizon"): _Number(int, "[1, inf)"),
+    ("experiment", "beta"): _Number(float, "(1.0, inf)"),
+    ("experiment", "seed"): _Number(int, "[0, inf)"),
 }
 
 
-def _parse_float(raw: str, field: str, lo=None, hi=None, open_interval=False):
+def _typed(section: str, key: str, raw):
     try:
-        val = float(raw)
-    except ValueError:
-        raise ConfigError(f"{field}: {raw!r} is not a number") from None
-    if open_interval and lo is not None and hi is not None:
-        if not (lo < val < hi):
-            raise ConfigError(f"{field}={raw} violates the ({lo}, {hi}) constraint")
-    else:
-        if lo is not None and val < lo:
-            raise ConfigError(f"{field}={raw} must be >= {lo}")
-        if hi is not None and val > hi:
-            raise ConfigError(f"{field}={raw} must be <= {hi}")
-    return val
+        return _SCHEMA[section, key](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key} = {raw!r}: {exc}") from None
 
 
-def _parse_int(raw: str, field: str, lo=None):
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"{field}: {raw!r} is not an integer") from None
-    if lo is not None and val < lo:
-        raise ConfigError(f"{field}={raw} must be >= {lo}")
-    return val
-
-
-def _parse_list(raw: str, field: str, parse, **bounds) -> list:
-    """Comma-separated values, each parsed and bounded by parse."""
-    return [parse(v, field, **bounds) for v in raw.split(",")]
-
-
-def load_config(path: str) -> dict:
-    """Parse and validate a config file; unknown sections or keys reject."""
+def load_config(path: str) -> tuple[dict, dict]:
+    """Parse and validate a config file into (typed values, raw strings);
+    unknown sections or keys and values outside _SCHEMA reject."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    cfg = {"drift": {}, "grid": {}, "experiment": {}}
-    for section in parser.sections():
-        s = section.lower()
-        if s not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _KNOWN_KEYS[s]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            cfg[s][key] = value
-    return cfg
+    raw = {s: {} for s, _ in _SCHEMA}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file {path!r} not found or unreadable")
+        for section in parser.sections():
+            if section.lower() not in raw:
+                raise ConfigError(f"unknown section [{section}]")
+            for key, value in parser.items(section):
+                if (section.lower(), key) not in _SCHEMA:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                raw[section.lower()][key] = value
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
+    return {s: {k: _typed(s, k, v) for k, v in d.items()} for s, d in raw.items()}, raw
 
 
 def build_drift(cfg: dict) -> drifts.DriftSpec:
     d = cfg["drift"]
-    kind = d.get("kind", "ou").lower()
-    sigma = _parse_float(d.get("sigma", "1.0"), "drift.sigma")
-    kappa = _parse_float(d.get("kappa", "1.0"), "drift.kappa")
-    if kind not in ("ou", "bounded"):
-        raise ConfigError(f"drift.kind={kind!r}: CLI drifts are 'ou' or 'bounded'")
-    a = _parse_float(d.get("a", "0.5"), "drift.a") if kind == "bounded" else None
-    overrides = {}
-    for key, attr in (("l", "L"), ("k1", "K1"), ("k2", "K2"),
-                      ("c_offset", "c_offset")):
-        if key in d:
-            overrides[attr] = _parse_float(d[key], f"drift.{key}")
+    kw = {"kappa": d.get("kappa", 1.0), "sigma": d.get("sigma", 1.0)}
     try:
-        if kind == "ou":
-            spec = drifts.ornstein_uhlenbeck(kappa=kappa, sigma=sigma)
-        else:
-            spec = drifts.bounded_perturbation(kappa=kappa, a=a, sigma=sigma)
-        if overrides:
-            import dataclasses
-            spec = dataclasses.replace(spec, **overrides)
+        spec = (drifts.ornstein_uhlenbeck(**kw) if d.get("kind", "ou") == "ou"
+                else drifts.bounded_perturbation(a=d.get("a", 0.5), **kw))
+        spec = dataclasses.replace(spec, **{attr: d[key] for key, attr in (
+            ("l", "L"), ("k1", "K1"), ("k2", "K2"), ("c_offset", "c_offset"))
+            if key in d})
     except ValueError as exc:
         raise ConfigError(f"[drift]: {exc}") from None
     return spec
 
 
-def _resolve_eta(cfg: dict) -> float:
-    if "eta" not in cfg["experiment"]:
-        raise ConfigError("experiment.eta is required")
-    return _parse_float(cfg["experiment"]["eta"], "experiment.eta",
-                        0.0, 1.0, open_interval=True)
+def _required(cfg: dict, key: str):
+    if key not in cfg["experiment"]:
+        raise ConfigError(f"experiment.{key} is required")
+    return cfg["experiment"][key]
 
 
 def build_grid(cfg: dict, spec, eta) -> ke.Grid:
     g = cfg["grid"]
-    n_nodes = _parse_int(g.get("n_nodes", "4097"), "grid.n_nodes", lo=16)
-    if "lower" in g or "upper" in g:
-        if not ("lower" in g and "upper" in g):
-            raise ConfigError("grid.lower and grid.upper must be given together")
-        lower = _parse_float(g["lower"], "grid.lower")
-        upper = _parse_float(g["upper"], "grid.upper")
-        if not lower < upper:
-            raise ConfigError("grid.lower must be < grid.upper")
-        return ke.Grid(lower, upper, n_nodes)
-    return ke.default_grid(spec, eta, n_nodes=n_nodes)
+    if "lower" not in g and "upper" not in g:
+        return ke.default_grid(spec, eta, n_nodes=g.get("n_nodes", 4097))
+    if not g.get("lower", math.inf) < g.get("upper", -math.inf):
+        raise ConfigError("grid.lower and grid.upper must be given together, "
+                          "with lower < upper")
+    return ke.Grid(g["lower"], g["upper"], g.get("n_nodes", 4097))
 
 
-def _invariant_tol(cfg: dict) -> float:
-    return _parse_float(cfg["grid"].get("invariant_tol", "1e-9"),
-                        "grid.invariant_tol", lo=0.0)
-
-
-def _seed(cfg: dict, cli_seed) -> int:
-    if cli_seed is not None:
-        return int(cli_seed)
-    return _parse_int(cfg["experiment"].get("seed", "0"), "experiment.seed", lo=0)
-
-
-def _echo_config(cfg: dict, experiment: str, seed: int, out: Path) -> None:
+def _echo_config(raw: dict, experiment: str, seed: int, out: Path) -> None:
     parser = configparser.ConfigParser()
-    resolved = {k: dict(v) for k, v in cfg.items()}
-    resolved["experiment"]["kind"] = experiment
-    resolved["experiment"]["seed"] = str(seed)
-    for section, items in resolved.items():
-        if items:
-            parser[section] = {k: items[k] for k in sorted(items)}
+    resolved = dict(raw, experiment={**raw["experiment"], "kind": experiment,
+                                     "seed": str(seed)})
+    parser.read_dict({section: dict(sorted(items.items()))
+                      for section, items in resolved.items() if items})
     with open(out / "config.resolved.ini", "w") as fh:
         parser.write(fh)
 
@@ -189,8 +193,7 @@ def _add_constants(rep: Report, dc) -> None:
 
 
 def run_verify_assumptions(cfg, spec, out, seed, rep):
-    eta = _parse_float(cfg["experiment"].get("eta", "0.1"), "experiment.eta",
-                       0.0, 1.0, open_interval=True)
+    eta = cfg["experiment"].get("eta", 0.1)
     radius = abs(drifts.radius_of(spec, eta))
     span = max(10.0 * radius, 10.0)
     probes = np.linspace(-span, span, 4001)
@@ -203,7 +206,7 @@ def run_verify_assumptions(cfg, spec, out, seed, rep):
 
 
 def run_constants(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     dc = drifts.derive_constants(spec, eta)
     _add_constants(rep, dc)
     rep.check("beta_valid", dc.beta_valid)
@@ -217,9 +220,9 @@ def run_constants(cfg, spec, out, seed, rep):
 
 
 def run_invariant(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = _invariant_tol(cfg)
+    tol = cfg["grid"].get("invariant_tol", 1e-9)
     result = ke.invariant_measure(spec, eta, grid, tol=tol)
     pi = result.measure
     pi.write_csv(out / "invariant_density.csv")
@@ -233,11 +236,11 @@ def run_invariant(cfg, spec, out, seed, rep):
 
 
 def run_tv_decay(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = _invariant_tol(cfg)
-    x0 = _parse_float(cfg["experiment"].get("x0", "0.0"), "experiment.x0")
-    N = _parse_int(cfg["experiment"].get("n_steps", "30"), "experiment.n_steps", lo=1)
+    tol = cfg["grid"].get("invariant_tol", 1e-9)
+    x0 = cfg["experiment"].get("x0", 0.0)
+    N = cfg["experiment"].get("n_steps", 30)
     curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid, tol=tol)
     curve.write_csv(out / "curve_main.csv", experiment="tv-decay")
     rep.add("eta", eta)
@@ -254,18 +257,14 @@ def run_tv_decay(cfg, spec, out, seed, rep):
 
 
 def run_uniform_sup(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = _invariant_tol(cfg)
-    pts = _parse_int(cfg["experiment"].get("x_grid_points", "201"),
-                     "experiment.x_grid_points", lo=2)
+    tol = cfg["grid"].get("invariant_tol", 1e-9)
+    pts = cfg["experiment"].get("x_grid_points", 201)
     radius = drifts.radius_of(spec, eta)
     default_span = 5.0 * radius if radius > 0 else 10.0 * spec.sigma / math.sqrt(spec.K1)
-    span = _parse_float(cfg["experiment"].get("x_grid_span", repr(default_span)),
-                        "experiment.x_grid_span", lo=0.0)
-    span = min(span, 0.6 * grid.upper)
-    n_list = _parse_list(cfg["experiment"].get("n_list", "1,2,3,4,5,6,7,8,9,10"),
-                         "experiment.n_list", _parse_int, lo=0)
+    span = min(cfg["experiment"].get("x_grid_span", default_span), 0.6 * grid.upper)
+    n_list = cfg["experiment"].get("n_list", list(range(1, 11)))
     table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts),
                                  n_list, grid=grid, tol=tol)
     table.write_csv(out / "uniform_sup.csv")
@@ -276,10 +275,8 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
 
 
 def _smallset(cfg, spec, eta):
-    c_lo = _parse_float(cfg["experiment"].get("c_lower", "-1.0"),
-                        "experiment.c_lower")
-    c_hi = _parse_float(cfg["experiment"].get("c_upper", "1.0"),
-                        "experiment.c_upper")
+    c_lo = cfg["experiment"].get("c_lower", -1.0)
+    c_hi = cfg["experiment"].get("c_upper", 1.0)
     if not c_lo < c_hi:
         raise ConfigError("experiment.c_lower must be < experiment.c_upper")
     smallset = ke.minorization_epsilon(spec, eta, c_lo, c_hi)
@@ -291,13 +288,12 @@ def _smallset(cfg, spec, eta):
 
 
 def run_split_sim(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = _invariant_tol(cfg)
+    tol = cfg["grid"].get("invariant_tol", 1e-9)
     smallset = _smallset(cfg, spec, eta)
-    n_steps = _parse_int(cfg["experiment"].get("n_steps", "20000"),
-                         "experiment.n_steps", lo=1)
-    x0 = _parse_float(cfg["experiment"].get("x0", "0.0"), "experiment.x0")
+    n_steps = cfg["experiment"].get("n_steps", 20000)
+    x0 = cfg["experiment"].get("x0", 0.0)
     eps = splitting.resolve_split_epsilon(spec, eta, smallset)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     blocks = splitting.run_split(spec, eta, smallset, x0, n_steps, rng, eps=eps)
@@ -323,15 +319,12 @@ def run_split_sim(cfg, spec, out, seed, rep):
 
 
 def run_atom_check(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
     smallset = _smallset(cfg, spec, eta)
-    ks = _parse_list(cfg["experiment"].get("k_list", "1,2,3,5"),
-                     "experiment.k_list", _parse_int, lo=1)
-    n_mc = _parse_int(cfg["experiment"].get("n_mc", "20000"),
-                      "experiment.n_mc", lo=1)
-    checks = splitting.atom_return_check(spec, eta, smallset, ks, n_mc, grid,
-                                         seed=seed)
+    checks = splitting.atom_return_check(
+        spec, eta, smallset, cfg["experiment"].get("k_list", [1, 2, 3, 5]),
+        cfg["experiment"].get("n_mc", 20000), grid, seed=seed)
     with open(out / "atom_check.csv", "w") as fh:
         fh.write("k,empirical,exact,se\n")
         for c in checks:
@@ -346,19 +339,16 @@ def run_atom_check(cfg, spec, out, seed, rep):
 
 
 def run_return_times(cfg, spec, out, seed, rep):
-    eta = _resolve_eta(cfg)
+    eta = _required(cfg, "eta")
     dc = drifts.derive_constants(spec, eta)
     if not dc.beta_valid:
         raise ConfigError(
             f"lambda(eta)={dc.lambda_eta!r} not in (0,1); "
             f"return-time experiments need eta <= eta0={dc.eta0!r}")
-    x0 = _parse_float(cfg["experiment"].get("x0", "0.0"), "experiment.x0")
-    n_rep = _parse_int(cfg["experiment"].get("n_rep", "100000"),
-                       "experiment.n_rep", lo=1)
-    horizon = _parse_int(cfg["experiment"].get("horizon", "1000000"),
-                         "experiment.horizon", lo=1)
-    beta = _parse_float(cfg["experiment"].get("beta", repr(dc.beta_eta)),
-                        "experiment.beta", 1.0, math.inf, open_interval=True)
+    x0 = cfg["experiment"].get("x0", 0.0)
+    n_rep = cfg["experiment"].get("n_rep", 100000)
+    horizon = cfg["experiment"].get("horizon", 1000000)
+    beta = cfg["experiment"].get("beta", dc.beta_eta)
     D = (-dc.radius, dc.radius)
     x0s, sigmas, censored = simulate.return_times_ensemble(
         spec, eta, x0, D, horizon, n_rep, seed)
@@ -380,18 +370,11 @@ def run_return_times(cfg, spec, out, seed, rep):
 
 
 def run_study(cfg, spec, out, seed, rep):
-    raw = cfg["experiment"].get("eta_list")
-    if not raw:
-        raise ConfigError("experiment.eta_list is required for study runs")
-    eta_list = _parse_list(raw, "experiment.eta_list", _parse_float,
-                           lo=0.0, hi=1.0, open_interval=True)
-    x0 = _parse_float(cfg["experiment"].get("x0", "3.0"), "experiment.x0")
-    N = _parse_int(cfg["experiment"].get("n_steps", "40"),
-                   "experiment.n_steps", lo=1)
-    tol = _invariant_tol(cfg)
-    n_nodes = _parse_int(cfg["grid"].get("n_nodes", "4097"),
-                         "grid.n_nodes", lo=16)
-    rows = rates.step_size_study(spec, eta_list, x0, N, n_nodes=n_nodes, tol=tol)
+    rows = rates.step_size_study(spec, _required(cfg, "eta_list"),
+                                 cfg["experiment"].get("x0", 3.0),
+                                 cfg["experiment"].get("n_steps", 40),
+                                 n_nodes=cfg["grid"].get("n_nodes", 4097),
+                                 tol=cfg["grid"].get("invariant_tol", 1e-9))
     rates.write_study_csv(rows, out / "study.csv")
     for r in rows:
         r.curve.write_csv(out / f"curve_eta_{r.eta!r}.csv", experiment="study")
@@ -414,17 +397,17 @@ _RUNNERS = {
 
 def run(experiment: str, config_path: str, out_dir: str, seed=None) -> int:
     """Execute one experiment; returns the process exit status."""
-    cfg = load_config(config_path)
-    kind = cfg["experiment"].get("kind")
-    if kind and kind != experiment:
-        raise ConfigError(
-            f"config declares experiment.kind={kind!r} but the "
-            f"{experiment!r} subcommand was invoked")
+    cfg, raw = load_config(config_path)
+    kind = cfg["experiment"].get("kind") or experiment
+    if kind != experiment:
+        raise ConfigError(f"config declares experiment.kind={kind!r} but the "
+                          f"{experiment!r} subcommand was invoked")
     spec = build_drift(cfg)
-    resolved_seed = _seed(cfg, seed)
+    resolved_seed = (cfg["experiment"].get("seed", 0) if seed is None
+                     else _typed("experiment", "seed", seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, experiment, resolved_seed, out)
+    _echo_config(raw, experiment, resolved_seed, out)
     rep = Report()
     rep.add("experiment", experiment)
     rep.add("seed", resolved_seed)
@@ -479,7 +462,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
     p = sub.add_parser("emit-plotdata")
     p.add_argument("--out", required=True, help="completed run directory")
     args = parser.parse_args(argv)
@@ -493,7 +476,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (GridTooSmallError, ConvergenceError, ApplicabilityError,
-            MinorizationError) as exc:
+            MinorizationError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

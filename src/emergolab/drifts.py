@@ -234,10 +234,10 @@ def b_of(spec: DriftSpec, eta, variant: str = "k1l") -> float:
     return out if out.ndim else float(out)
 
 
-def radius_of(spec: DriftSpec, eta, variant: str = "k1l") -> float:
+def radius_of(spec: DriftSpec, eta) -> float:
     """Half-width f1(eta) = 2*b_eta/(K1*eta) of the return set D_eta."""
     eta = np.asarray(eta, dtype=float)
-    out = 2.0 * b_of(spec, eta, variant) / (spec.K1 * eta)
+    out = 2.0 * b_of(spec, eta) / (spec.K1 * eta)
     return out if out.ndim else float(out)
 
 
@@ -259,8 +259,7 @@ def eta_thresholds(spec: DriftSpec) -> tuple[float, float, float]:
     return eta1, eta2, min(eta1, eta2)
 
 
-def derive_constants(spec: DriftSpec, eta: float,
-                     b_eta_variant: str = "k1l") -> DerivedConstants:
+def derive_constants(spec: DriftSpec, eta: float) -> DerivedConstants:
     """Compute every derived scalar at step size eta.
 
     When lambda(eta) falls outside (0,1) the constants are still returned,
@@ -269,7 +268,7 @@ def derive_constants(spec: DriftSpec, eta: float,
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta={eta!r} outside (0, 1)")
     lam = lambda_of(spec, eta)
-    b = b_of(spec, eta, b_eta_variant)
+    b = b_of(spec, eta)
     beta_valid = 0.0 < lam < 1.0
     beta = 1.0 / lam if beta_valid else float("nan")
     eta1, eta2, eta0 = eta_thresholds(spec)
@@ -318,14 +317,14 @@ class DriftConditionReport:
     constants: DerivedConstants
 
 
-def verify_drift_condition(spec: DriftSpec, eta: float, x_grid,
-                           b_eta_variant: str = "k1l") -> DriftConditionReport:
+def verify_drift_condition(spec: DriftSpec, eta: float,
+                           x_grid) -> DriftConditionReport:
     """Check P V(x) <= lambda(eta) V(x) + b_eta 1_{|x|<=radius} pointwise.
 
     The indicator uses the closed set |x| <= radius.  The margin reported is
     min over x of rhs - lhs; negative margin means a violation.
     """
-    dc = derive_constants(spec, eta, b_eta_variant)
+    dc = derive_constants(spec, eta)
     if not (0.0 < dc.lambda_eta < 1.0):
         raise PreconditionError(
             f"lambda(eta)={dc.lambda_eta!r} not in (0,1); "

@@ -1,9 +1,12 @@
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
 from emergolab import cli
@@ -100,6 +103,7 @@ class TestExitCodes:
         ("atom-check", "k_list = 1,x"),
         ("atom-check", "k_list = 0,1"),
         ("return-times", "beta = 0.5"),
+        ("tv-decay", "x0 = nan"),
     ])
     def test_malformed_list_or_beta_two(self, tmp_path, capsys, sub, line):
         cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
@@ -112,13 +116,80 @@ class TestExitCodes:
         ("constants", "[drift]\nkind = ou\nsigma = 0\n[experiment]\neta = 0.1\n"),
         ("split-sim", "[drift]\nkind = ou\n[experiment]\neta = 0.5\n"
                       "c_lower = -30\nc_upper = 30\nn_steps = 100\n"),
-    ], ids=["zero-sigma", "wide-small-set"])
+        ("invariant", "[drift]\nkind = ou\n[grid]\ninvariant_tol = 0\n"
+                      "[experiment]\neta = 0.1\n"),
+        ("constants", "[drift]\nkind = ou\nsigma = inf\n[experiment]\neta = 0.1\n"),
+    ], ids=["zero-sigma", "wide-small-set", "zero-invariant-tol",
+            "infinite-sigma"])
     def test_invalid_drift_or_wide_small_set_two(self, tmp_path, capsys,
                                                  sub, text):
         cfg = write_config(tmp_path / "c.ini", text)
         assert cli.main([sub, "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, seed", [("split-sim", "-1"),
+                                           ("return-times", "-5")])
+    def test_negative_seed_flag_two(self, tmp_path, capsys, sub, seed):
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           "[experiment]\neta = 0.1\n")
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o"),
+                         "--seed", seed]) == 2
+        assert "experiment.seed" in capsys.readouterr().err
+
+    # The default grid is too coarse at these step sizes: the library's
+    # ValueError on the density's mass is a numerical failure, not a crash.
+    @pytest.mark.parametrize("sub, text", [
+        ("invariant", "[experiment]\neta = 0.001\n"),
+        ("study", "[grid]\nn_nodes = 257\n[experiment]\neta_list = 0.01\n"),
+    ], ids=["invariant-eta-0.001", "study-eta-0.01"])
+    def test_library_value_error_three(self, tmp_path, capsys, sub, text):
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n" + text)
+        assert cli.main([sub, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+def _within(value, rule):
+    """Whether a value returned by load_config satisfies its schema rule."""
+    if rule is str:
+        return isinstance(value, str)
+    if not isinstance(rule, cli._Number):
+        return value in ("ou", "bounded")
+    if rule.many:
+        return bool(value) and all(_within(v, rule._replace(many=False))
+                                   for v in value)
+    lo, hi = (float(b) for b in rule.interval[1:-1].split(","))
+    above = lo < value if rule.interval[0] == "(" else lo <= value
+    below = value < hi if rule.interval[-1] == ")" else value <= hi
+    return (type(value) is rule.cast and math.isfinite(value)
+            and above and below)
+
+
+_NUMBERS = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.floats()).map(repr)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(entry=st.sampled_from(sorted(cli._SCHEMA)),
+       value=st.one_of(
+           st.text(), _NUMBERS,
+           st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join),
+           st.sampled_from(["OU", "bounded", "nan", "-inf", "1e400", "1.0",
+                            " 16", "0", "1_000", "2,", "%", "\u0661"])))
+def test_load_config_types_or_rejects(entry, value):
+    """Any value of any key loads typed and in range, or is a ConfigError."""
+    section, key = entry
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"[{section}]\n{key} = {value}\n")
+        try:
+            cfg, raw = cli.load_config(path)
+        except ConfigError:
+            return
+    for s, items in cfg.items():
+        for k, v in items.items():
+            assert _within(v, cli._SCHEMA[s, k]), (s, k, raw[s][k], v)
 
 
 class TestArtifacts:
