@@ -59,6 +59,7 @@ def _drift_kind(raw: str) -> str:
 
 
 # Every accepted key, with the parser that types it and checks its range.
+# The counts are capped so that no single array of a run outgrows about 1 GB.
 _SCHEMA = {
     ("drift", "kind"): _drift_kind,
     ("drift", "kappa"): _Number(float, "(0.0, inf)"),
@@ -70,22 +71,22 @@ _SCHEMA = {
     ("drift", "c_offset"): _Number(float, "[0.0, inf)"),
     ("grid", "lower"): _Number(float, "(-inf, inf)"),
     ("grid", "upper"): _Number(float, "(-inf, inf)"),
-    ("grid", "n_nodes"): _Number(int, "[16, inf)"),
+    ("grid", "n_nodes"): _Number(int, "[16, 65537]"),
     ("grid", "invariant_tol"): _Number(float, "(0.0, inf)"),
     ("experiment", "kind"): str,
     ("experiment", "eta"): _Number(float, "(0.0, 1.0)"),
     ("experiment", "eta_list"): _Number(float, "(0.0, 1.0)", many=True),
     ("experiment", "x0"): _Number(float, "(-inf, inf)"),
-    ("experiment", "n_steps"): _Number(int, "[1, inf)"),
+    ("experiment", "n_steps"): _Number(int, "[1, 10000000]"),
     ("experiment", "n_list"): _Number(int, "[0, inf)", many=True),
-    ("experiment", "x_grid_points"): _Number(int, "[2, inf)"),
+    ("experiment", "x_grid_points"): _Number(int, "[2, 1000]"),
     ("experiment", "x_grid_span"): _Number(float, "[0.0, inf)"),
     ("experiment", "c_lower"): _Number(float, "(-inf, inf)"),
     ("experiment", "c_upper"): _Number(float, "(-inf, inf)"),
-    ("experiment", "k_list"): _Number(int, "[1, inf)", many=True),
-    ("experiment", "n_mc"): _Number(int, "[1, inf)"),
-    ("experiment", "n_rep"): _Number(int, "[1, inf)"),
-    ("experiment", "horizon"): _Number(int, "[1, inf)"),
+    ("experiment", "k_list"): _Number(int, "[1, 100]", many=True),
+    ("experiment", "n_mc"): _Number(int, "[1, 1000000]"),
+    ("experiment", "n_rep"): _Number(int, "[1, 1000000]"),
+    ("experiment", "horizon"): _Number(int, "[1, 1000000000]"),
     ("experiment", "beta"): _Number(float, "(1.0, inf)"),
     ("experiment", "seed"): _Number(int, "[0, inf)"),
 }
@@ -427,7 +428,7 @@ def emit_plotdata(run_dir: str) -> int:
     for name in curve_files:
         experiment, eta = "", ""
         with open(run_path / name) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if line.startswith("#"):
                     for tok in line[1:].split():
@@ -438,8 +439,13 @@ def emit_plotdata(run_dir: str) -> int:
                     continue
                 if line.startswith("n,") or not line:
                     continue
-                n, d_tv, env = line.split(",")
-                rows.append((experiment, eta, int(n), d_tv, env))
+                try:
+                    n, d_tv, env = line.split(",")
+                    rows.append((experiment, eta, int(n), d_tv, env))
+                except ValueError:
+                    raise ConfigError(
+                        f"{run_path / name}, line {lineno}: {line!r} is not "
+                        "an n,d_tv,envelope row with an integer n") from None
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     with open(run_path / "curves.csv", "w") as fh:
         fh.write("experiment,eta,n,d_tv,envelope\n")

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .drifts import DriftSpec
 from .errors import MinorizationError
@@ -21,6 +20,9 @@ from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, apply_kernel,
                      transition_density)
 
 N_BATCHES = 30
+# Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
+# half-width factor of the 95 % batch-means interval.  Change it with N_BATCHES.
+T_975 = 2.045229642132703
 
 
 @dataclass(frozen=True)
@@ -324,7 +326,7 @@ def regenerative_pi_estimate(blocks: RegenerationBlocks,
     sd = float(batch.std(ddof=1))
     if sd == 0.0:
         return RegenEstimate(ratio, ratio, ratio, blocks.n_blocks, nb)
-    half = float(stdtrit(nb - 1, 0.975)) * sd / math.sqrt(nb)
+    half = T_975 * sd / math.sqrt(nb)
     return RegenEstimate(ratio, ratio - half, ratio + half, blocks.n_blocks, nb)
 
 

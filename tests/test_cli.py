@@ -137,6 +137,33 @@ class TestExitCodes:
                          "--seed", seed]) == 2
         assert "experiment.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, section, key", [
+        ("return-times", "experiment", "n_rep"),
+        ("atom-check", "experiment", "n_mc"),
+        ("atom-check", "experiment", "k_list"),
+        ("split-sim", "experiment", "n_steps"),
+        ("return-times", "experiment", "horizon"),
+        ("invariant", "grid", "n_nodes"),
+        ("uniform-sup", "experiment", "x_grid_points"),
+    ])
+    def test_oversized_count_two(self, tmp_path, capsys, sub, section, key):
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           f"[{section}]\n{key} = {10 ** 15}\n"
+                           + ("[experiment]\n" if section != "experiment" else "")
+                           + "eta = 0.1\n")
+        out = tmp_path / "o"
+        assert cli.main([sub, "--config", cfg, "--out", str(out)]) == 2
+        assert f"{section}.{key} = '{10 ** 15}'" in capsys.readouterr().err
+        assert not out.exists()  # rejected at load, before the run starts
+
+    def test_count_caps_admit_defaults_and_bench_sizes(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", "[grid]\nn_nodes = 4097\n"
+                           "[experiment]\nn_rep = 100000\nn_mc = 200000\n"
+                           "k_list = 1,2,3,5,8\nn_steps = 30000\n"
+                           "horizon = 1000000\nx_grid_points = 201\n")
+        typed, _ = cli.load_config(cfg)
+        assert typed["experiment"]["horizon"] == 10 ** 6
+
     # The default grid is too coarse at these step sizes: the library's
     # ValueError on the density's mass is a numerical failure, not a crash.
     @pytest.mark.parametrize("sub, text", [
@@ -230,6 +257,15 @@ class TestArtifacts:
     def test_emit_plotdata_empty_dir(self, tmp_path, capsys):
         assert cli.main(["emit-plotdata", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("row", ["1,0.5", "one,0.5,"])
+    def test_emit_plotdata_malformed_row_two(self, tmp_path, capsys, row):
+        (tmp_path / "curve_x.csv").write_text(
+            f"# experiment=tv-decay eta=0.1\nn,d_tv,envelope\n0,1.0,\n{row}\n")
+        assert cli.main(["emit-plotdata", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "curve_x.csv, line 4" in err
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_env_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EMERGOLAB_OUT", str(tmp_path / "envroot"))
         monkeypatch.chdir(tmp_path)
@@ -258,6 +294,16 @@ def test_return_times_report_matches_exp_beta_sigma(tmp_path):
 
 def test_cli_import_skips_scipy_stats():
     code = "import sys, emergolab.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_skips_scipy():
+    code = "import sys, emergolab.cli; print('scipy' in sys.modules)"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

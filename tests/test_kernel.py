@@ -196,6 +196,50 @@ class TestBand:
             assert list(inspect.signature(fn).parameters)[2] == arg
 
 
+class TestOffGrid:
+    def test_upper_tail_matches_norm_sf(self):
+        import emergolab.kernel as ke
+        z = np.concatenate([np.linspace(-40.0, 40.0, 8001),
+                            [8.5, 26.0, 37.0, 37.5, 38.0, 38.5, 39.0]])
+        got = np.array([ke._upper_tail(float(t)) for t in z])
+        # relative agreement wherever the tail is a normal double; below the
+        # smallest one (z > 37.5) results are subnormal or 0 and hold few bits
+        np.testing.assert_allclose(got, norm.sf(z), rtol=1e-13,
+                                   atol=np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("limit", [None, 1])
+    def test_apply_kernel_off_grid_term(self, ou, monkeypatch, limit):
+        import emergolab.kernel as ke
+        if limit is not None:
+            monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", limit)
+        eta = 0.1
+        sd = math.sqrt(eta)
+        grid = eg.Grid(-5.5, 5.5, 513)
+        g = gaussian_on_grid(grid, 0.0, 1.0)
+        xi = eg.GridMeasure(grid, g.density / g.integral(), tail_bound=0.0)
+        mean = (1.0 - eta) * grid.nodes  # OU, kappa = 1
+        mass = grid.weights * xi.density
+        off_grid = float(np.sum(mass * (norm.sf(grid.upper, mean, sd)
+                                        + norm.cdf(grid.lower, mean, sd))))
+        band = _band_bound(grid, sd, ke.BAND_SD) * float(np.sum(mass))
+        assert off_grid > 1e-9  # the off-grid term dominates the band term
+        out = eg.apply_kernel(ou, eta, xi)
+        assert out.tail_bound - band == pytest.approx(off_grid, rel=1e-12)
+
+    def test_off_grid_vector_cached_per_operator(self, ou):
+        import emergolab.kernel as ke
+        grid = eg.Grid(-7.25, 7.25, 257)  # used by no other test
+        xi = gaussian_on_grid(grid, 0.0, 1.0)
+        before = ke._off_grid.cache_info()
+        eg.apply_kernel(ou, 0.1, xi)
+        first = ke._off_grid.cache_info()
+        eg.apply_kernel(ou, 0.1, xi)
+        second = ke._off_grid.cache_info()
+        assert second.maxsize == 8
+        assert first.misses == before.misses + 1
+        assert (second.misses, second.hits) == (first.misses, first.hits + 1)
+
+
 class TestInvariantMeasure:
     def test_fixed_point(self, ou, grid12):
         pi = eg.invariant_measure(ou, 0.1, grid12, tol=1e-9).measure

@@ -166,6 +166,11 @@ class TestRegenerativeEstimator:
         assert est.ci_low <= oracle <= est.ci_high
         assert est.n_blocks >= 1000
 
+    def test_t_quantile_constant(self):
+        from scipy.stats import t
+        from emergolab import splitting
+        assert splitting.T_975 == t.ppf(0.975, splitting.N_BATCHES - 1)
+
     def test_constant_function_degenerate(self, ou, smallset_ou):
         rng = np.random.default_rng(11)
         blocks = eg.run_split(ou, 0.5, smallset_ou, 0.0, 5000, rng)
