@@ -141,12 +141,13 @@ def _required(cfg: dict, key: str):
 
 def build_grid(cfg: dict, spec, eta) -> ke.Grid:
     g = cfg["grid"]
+    n_nodes = g.get("n_nodes", ke.Grid.n_nodes)
     if "lower" not in g and "upper" not in g:
-        return ke.default_grid(spec, eta, n_nodes=g.get("n_nodes", 4097))
+        return ke.default_grid(spec, eta, n_nodes=n_nodes)
     if not g.get("lower", math.inf) < g.get("upper", -math.inf):
         raise ConfigError("grid.lower and grid.upper must be given together, "
                           "with lower < upper")
-    return ke.Grid(g["lower"], g["upper"], g.get("n_nodes", 4097))
+    return ke.Grid(g["lower"], g["upper"], n_nodes)
 
 
 def _echo_config(raw: dict, experiment: str, seed: int, out: Path) -> None:
@@ -223,7 +224,7 @@ def run_constants(cfg, spec, out, seed, rep):
 def run_invariant(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", 1e-9)
+    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     result = ke.invariant_measure(spec, eta, grid, tol=tol)
     pi = result.measure
     pi.write_csv(out / "invariant_density.csv")
@@ -239,7 +240,7 @@ def run_invariant(cfg, spec, out, seed, rep):
 def run_tv_decay(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", 1e-9)
+    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     x0 = cfg["experiment"].get("x0", 0.0)
     N = cfg["experiment"].get("n_steps", 30)
     curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid, tol=tol)
@@ -260,7 +261,7 @@ def run_tv_decay(cfg, spec, out, seed, rep):
 def run_uniform_sup(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", 1e-9)
+    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     pts = cfg["experiment"].get("x_grid_points", 201)
     radius = drifts.radius_of(spec, eta)
     default_span = 5.0 * radius if radius > 0 else 10.0 * spec.sigma / math.sqrt(spec.K1)
@@ -291,7 +292,7 @@ def _smallset(cfg, spec, eta):
 def run_split_sim(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", 1e-9)
+    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     smallset = _smallset(cfg, spec, eta)
     n_steps = cfg["experiment"].get("n_steps", 20000)
     x0 = cfg["experiment"].get("x0", 0.0)
@@ -374,8 +375,8 @@ def run_study(cfg, spec, out, seed, rep):
     rows = rates.step_size_study(spec, _required(cfg, "eta_list"),
                                  cfg["experiment"].get("x0", 3.0),
                                  cfg["experiment"].get("n_steps", 40),
-                                 n_nodes=cfg["grid"].get("n_nodes", 4097),
-                                 tol=cfg["grid"].get("invariant_tol", 1e-9))
+                                 n_nodes=cfg["grid"].get("n_nodes", ke.Grid.n_nodes),
+                                 tol=cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL))
     rates.write_study_csv(rows, out / "study.csv")
     for r in rows:
         r.curve.write_csv(out / f"curve_eta_{r.eta!r}.csv", experiment="study")

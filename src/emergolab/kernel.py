@@ -94,7 +94,7 @@ class Grid:
         return w
 
 
-def default_grid(spec: DriftSpec, eta: float, n_nodes: int = 4097) -> Grid:
+def default_grid(spec: DriftSpec, eta: float, n_nodes: int = Grid.n_nodes) -> Grid:
     """Grid sized to cover both the return set and the stationary bulk."""
     radius = drifts.radius_of(spec, eta)
     std_est = spec.sigma / math.sqrt(spec.K1)
@@ -175,26 +175,19 @@ def _upper_tail(z: float) -> float:
     return 0.5 * math.erfc(z * math.sqrt(0.5))
 
 
-def gaussian_on_grid(grid: Grid, mean: float, variance: float) -> GridMeasure:
-    """Normal density sampled on the grid; tail bound is the exact outside mass.
-
-    On coarse grids the trapezoid integral can fall slightly short of the
-    exact inside mass; the tail bound absorbs that deficit so the measure
-    still validates.
-    """
-    sd = math.sqrt(variance)
-    z = (grid.nodes - mean) / sd
-    dens = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-    outside = (_upper_tail((grid.upper - mean) / sd)
-               + _upper_tail((mean - grid.lower) / sd))
-    total = float(np.trapezoid(dens, dx=grid.spacing))
-    tail = max(outside, 1.0 - total, 0.0)
-    return GridMeasure(grid, dens, tail_bound=float(tail))
+def _outside(grid: Grid, means: np.ndarray, sd: float) -> np.ndarray:
+    """Mass of N(m, sd^2) beyond [lower, upper] for each m in means, the
+    two sides' tails summed (not 1 - inside, which cancels to 0)."""
+    return np.array([_upper_tail((grid.upper - m) / sd) + _upper_tail((m - grid.lower) / sd)
+                     for m in means.tolist()])
 
 
-def _normal_pdf(d: np.ndarray, var: float) -> np.ndarray:
-    """N(0, var) density at d, computed in d's buffer so that building a
-    kernel block holds one array of its size at a time."""
+def _normal_pdf(d, var: float = 1.0):
+    """N(0, var) density at d, var = 1 giving phi: the package's one normal
+    density.  A float ndarray d is overwritten with the result (so a kernel
+    block holds one array of its size at a time); a scalar gives a float."""
+    if not isinstance(d, np.ndarray):
+        return math.exp(d * d / (-2.0 * var)) / math.sqrt(2.0 * math.pi * var)
     np.square(d, out=d)
     d /= -2.0 * var
     np.exp(d, out=d)
@@ -202,37 +195,48 @@ def _normal_pdf(d: np.ndarray, var: float) -> np.ndarray:
     return d
 
 
+def _start_laws(grid: Grid, means, var: float) -> tuple[np.ndarray, np.ndarray]:
+    """The laws N(m, var), m in means, as the columns of an (n_nodes, k)
+    array, and each column's tail bound: its exact outside mass, or the
+    trapezoid rule's shortfall from 1 where that is larger (coarse grids),
+    so that every column validates as a GridMeasure."""
+    means = np.asarray(means, dtype=float)
+    columns = _normal_pdf(grid.nodes[:, None] - means[None, :], var)
+    deficit = 1.0 - grid.weights @ columns
+    return columns, np.maximum(_outside(grid, means, math.sqrt(var)), deficit)
+
+
+def gaussian_on_grid(grid: Grid, mean: float, variance: float) -> GridMeasure:
+    """Normal density sampled on the grid; tail bound is the exact outside
+    mass, or the trapezoid deficit where larger (see _start_laws)."""
+    columns, tails = _start_laws(grid, [mean], variance)
+    return GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
+
+
 def transition_density(spec: DriftSpec, eta: float, x, y):
     """Kernel density p(x, y): normal in y with mean x + eta*g(x), var eta*sigma^2."""
     chain = Chain(spec, eta, eta)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = _normal_pdf(np.asarray(y - chain.mean(x)), chain.var)
-    return out if out.ndim else float(out)
-
-
-def _kernel_rows(chain: Chain, grid: Grid, mean: np.ndarray,
-                 lo: int, hi: int) -> tuple[int, int, np.ndarray]:
-    """Rows lo..hi-1 of K[i, j] = p(x_j, y_i) * w_j as (lo, jlo, block).
-
-    mean holds the node means.  block covers the columns jlo..jlo+c-1: the
-    span of the nodes whose mean lies within BAND_SD*sd of one of the rows,
-    so every entry of the band |y_i - mean_j| <= BAND_SD*sd is in it.
-    """
-    y = grid.nodes[lo:hi]
-    reach = BAND_SD * chain.sd
-    cols = np.flatnonzero((mean >= y[0] - reach) & (mean <= y[-1] + reach))
-    jlo, jhi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
-    block = _normal_pdf(y[:, None] - mean[None, jlo:jhi], chain.var)
-    block *= grid.weights[None, jlo:jhi]
-    return lo, jlo, block
+    return _normal_pdf(np.asarray(y, dtype=float) - chain.mean(x), chain.var)
 
 
 def _kernel_blocks(chain: Chain, grid: Grid):
-    """The banded quadrature matrix, 128 rows at a time."""
-    mean = chain.mean(grid.nodes)
+    """The banded quadrature matrix K[i, j] = p(x_j, y_i) * w_j, 128 rows at
+    a time, as (lo, jlo, block) for the rows lo..lo+127.
+
+    block covers the columns jlo..jlo+c-1: the span of the nodes whose mean
+    lies within BAND_SD*sd of one of its rows, so every entry of the band
+    |y_i - mean_j| <= BAND_SD*sd is in it.
+    """
+    nodes, w = grid.nodes, grid.weights
+    mean = chain.mean(nodes)
+    reach = BAND_SD * chain.sd
     for lo in range(0, grid.n_nodes, 128):
-        yield _kernel_rows(chain, grid, mean, lo, min(lo + 128, grid.n_nodes))
+        y = nodes[lo:lo + 128]
+        cols = np.flatnonzero((mean >= y[0] - reach) & (mean <= y[-1] + reach))
+        jlo, jhi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        block = _normal_pdf(y[:, None] - mean[None, jlo:jhi], chain.var)
+        block *= w[None, jlo:jhi]
+        yield lo, jlo, block
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,49 +261,50 @@ def _matvec(chain: Chain, grid: Grid, v: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _off_grid(chain: Chain, grid: Grid) -> np.ndarray:
-    """Gaussian mass that one step from each node puts beyond [lower, upper],
-    the two sides' tails summed (not 1 - inside, which cancels to 0)."""
-    sd = chain.sd
-    out = np.array([_upper_tail((grid.upper - m) / sd) + _upper_tail((m - grid.lower) / sd)
-                    for m in chain.mean(grid.nodes).tolist()])
+    """Gaussian mass that one step from each node puts beyond [lower, upper]."""
+    out = _outside(grid, chain.mean(grid.nodes), chain.sd)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
 
-def _leak(chain: Chain, grid: Grid, density: np.ndarray) -> tuple[float, float]:
-    """Certified mass that one step from density loses, (off grid, off band).
+def _leak(chain: Chain, grid: Grid, density: np.ndarray) -> tuple:
+    """Certified mass that one step from density loses, (off grid, off band),
+    per column when density is an (n, k) block.
 
     Off the grid: the exact Gaussian mass beyond [lower, upper] from each
     node.  Off the band: each column drops at most 2*(h/sd*phi(BAND_SD) +
     Phi(-BAND_SD)) of quadrature mass (trapezoid weights are <= h and the
     density decreases beyond the band), times the density's mass.
     """
-    band = 2.0 * (grid.spacing / chain.sd * math.exp(-0.5 * BAND_SD ** 2)
-                  / math.sqrt(2.0 * math.pi) + _upper_tail(BAND_SD))
-    mass = grid.weights * density
-    return float(np.sum(mass * _off_grid(chain, grid))), band * float(np.sum(mass))
+    band = 2.0 * (grid.spacing / chain.sd * _normal_pdf(BAND_SD) + _upper_tail(BAND_SD))
+    w = grid.weights
+    return (w * _off_grid(chain, grid)) @ density, band * (w @ density)
+
+
+def _step(chain: Chain, grid: Grid, density: np.ndarray, tail):
+    """One kernel step of a density or an (n, k) block of density columns:
+    returns the new density and tail, the tail (a float, or one per column)
+    plus each column's certified leakage and band term (see _leak).  A column
+    that leaks more than LEAK_TOL rejects the grid with suggested bounds."""
+    leak, band = _leak(chain, grid, density)
+    if np.max(leak) > LEAK_TOL:
+        mean, pad = chain.mean(grid.nodes), 10.0 * chain.sd
+        lo, hi = float(mean.min() - pad), float(mean.max() + pad)
+        raise GridTooSmallError(
+            f"one-step leakage {float(np.max(leak))!r} exceeds {LEAK_TOL!r}; "
+            f"grid should cover [{lo!r}, {hi!r}]",
+            suggested_lower=lo, suggested_upper=hi)
+    new = _matvec(chain, grid, density)
+    return np.maximum(new, 0.0, out=new), tail + leak + band
 
 
 def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure) -> GridMeasure:
-    """One adjoint kernel step (xi P)(y) = integral xi(x) p(x, y) dx.
-
-    The certified one-step leakage (density-weighted off-grid Gaussian mass)
-    and the bound on the mass the band drops are added to the tail bound; if
-    the leakage exceeds LEAK_TOL the grid is rejected with suggested bounds.
-    """
-    chain = Chain(spec, eta, eta)
-    grid = xi.grid
-    leak, band = _leak(chain, grid, xi.density)
-    if leak > LEAK_TOL:
-        mean = chain.mean(grid.nodes)
-        pad = 10.0 * chain.sd
-        lo, hi = float(mean.min() - pad), float(mean.max() + pad)
-        raise GridTooSmallError(
-            f"one-step leakage {leak!r} exceeds {LEAK_TOL!r}; "
-            f"grid should cover [{lo!r}, {hi!r}]",
-            suggested_lower=lo, suggested_upper=hi)
-    new = np.maximum(_matvec(chain, grid, xi.density), 0.0)
-    return GridMeasure(grid, new, tail_bound=xi.tail_bound + leak + band)
+    """One adjoint kernel step (xi P)(y) = integral xi(x) p(x, y) dx.  The
+    certified off-grid leakage and the mass the band drops are added to the
+    tail bound; a grid that leaks more than LEAK_TOL per step is rejected
+    with suggested bounds."""
+    density, tail = _step(Chain(spec, eta, eta), xi.grid, xi.density, xi.tail_bound)
+    return GridMeasure(xi.grid, density, tail_bound=float(tail))
 
 
 def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
@@ -359,8 +364,8 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
         increment = 0.5 * float(np.sum(w * np.abs(new - dens)))
         dens = new
         if increment < tol:
-            return InvariantResult(
-                GridMeasure(grid, dens, tail_bound=sum(_leak(chain, grid, dens))), it)
+            tail = float(sum(_leak(chain, grid, dens)))
+            return InvariantResult(GridMeasure(grid, dens, tail_bound=tail), it)
     raise ConvergenceError(
         f"power iteration did not reach tol={tol!r} in {max_iters} steps",
         last_increment=increment)
@@ -419,10 +424,6 @@ def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
     if not c_lower < c_upper:
         raise ValueError("degenerate interval")
     sd = chain.sd
-
-    def z2(x, y):
-        return ((y - chain.mean(x)) / sd) ** 2
-
     xlo, xhi = c_lower, c_upper
     ylo, yhi = c_lower, c_upper
     prev = None
@@ -430,7 +431,8 @@ def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
     for _ in range(60):
         xs = np.linspace(xlo, xhi, 65)
         ys = np.linspace(ylo, yhi, 65)
-        vals = z2(xs[:, None], ys[None, :])
+        zs = (ys[None, :] - chain.mean(xs[:, None])) / sd
+        vals = zs ** 2
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best = float(vals[i, j])
         if prev is not None and abs(best - prev) <= 1e-6 * max(1.0, abs(best)) / 10.0:
@@ -442,8 +444,7 @@ def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
         xhi = min(c_upper, xs[i] + 2 * dx)
         ylo = max(c_lower, ys[j] - 2 * dy)
         yhi = min(c_upper, ys[j] + 2 * dy)
-    phi_min = math.exp(-0.5 * best) / math.sqrt(2.0 * math.pi)
-    eps = (c_upper - c_lower) / sd * phi_min
+    eps = (c_upper - c_lower) / sd * _normal_pdf(float(zs[i, j]))
     if eps >= 1.0:
         warnings.warn(
             f"epsilon={eps!r} >= 1: the interval behaves as an atom; "
@@ -467,12 +468,9 @@ def _doeblin_mass(chain: Chain, i: float, s: float) -> float:
     Every row dominates the sub-probability density f(y) = N-density at the
     farther of the two shifted means i and s; m is its total mass.
     """
-    sd = chain.sd
-    y = np.linspace(i - 10.0 * sd, s + 10.0 * sd, 20001)
-    far = np.maximum((y - i) ** 2, (y - s) ** 2)
-    f = np.exp(-far / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))
-    m = float(np.trapezoid(f, y))
-    return min(m, 1.0)
+    y = np.linspace(i - 10.0 * chain.sd, s + 10.0 * chain.sd, 20001)
+    f = _normal_pdf(np.maximum(np.abs(y - i), np.abs(y - s)), chain.var)
+    return min(float(np.trapezoid(f, y)), 1.0)
 
 
 def _mean_range(chain: Chain) -> tuple[float, float]:

@@ -192,8 +192,10 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     uniformly ergodic chain whose one-step mean is the bounded map x + g(x)
     (noise variance eta*sigma^2), against that chain's invariant measure;
     the rigorous bound is then sup_x d_TV <= (1-m)^n and the finite x-grid
-    sup is a witness.  Without the minorization the table falls back to the
-    plain kernel and is exploratory (a warning is emitted, m is None).
+    sup is a witness.  On that path grid is not used: the grid is sized
+    from the mean range [inf, sup] of x + g(x).  Without the minorization
+    the table falls back to the plain kernel on grid (default_grid when
+    None) and is exploratory (a warning is emitted, m is None).
     """
     n_list = sorted(int(n) for n in n_list)
     if n_list[0] < 0:
@@ -218,14 +220,12 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     w = grid.weights
 
     # batched propagation: one column per starting point
-    columns = np.stack(
-        [ke.gaussian_on_grid(grid, chain.mean(float(x)), chain.var).density
-         for x in np.asarray(x_grid, dtype=float)],
-        axis=1)
+    columns, tails = ke._start_laws(grid, chain.mean(np.asarray(x_grid, dtype=float)),
+                                    chain.var)
     by_n = {0: (1.0, 0.0)}  # point mass against a density
     for n in range(1, max(n_list) + 1):
         if n > 1:
-            columns = ke._matvec(chain, grid, columns)
+            columns, tails = ke._step(chain, grid, columns, tails)
         if n in n_list:
             d = 0.5 * np.abs(columns - pi.density[:, None]).T @ w
             by_n[n] = (float(d.max()), float(d.max() - d.min()))
@@ -250,7 +250,7 @@ class StudyRow:
 
 
 def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
-                    n_nodes: int = 4097,
+                    n_nodes: int = Grid.n_nodes,
                     tol: float = ke.INVARIANT_TOL) -> list[StudyRow]:
     """Per-step and per-unit-time fitted rates across step sizes.
 

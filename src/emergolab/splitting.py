@@ -16,8 +16,8 @@ import numpy as np
 
 from .drifts import DriftSpec
 from .errors import MinorizationError
-from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, apply_kernel,
-                     transition_density)
+from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _normal_pdf,
+                     _start_laws, apply_kernel, transition_density)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
@@ -75,14 +75,13 @@ def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
     """
     mean = chain.mean(x)
     sd = chain.sd
-    norm = sd * math.sqrt(2.0 * math.pi)
     out = np.empty_like(mean)
     pending = np.arange(mean.size)
     while pending.size:
         z = rng.standard_normal(pending.size)
         y = mean[pending] + sd * z
-        p = np.exp(-0.5 * z * z) / norm
-        ratio = eps * np.asarray(smallset.nu_pdf(y)) / p
+        # eps*nu(y)/p(x, y), with p(x, y) = phi(z)/sd
+        ratio = eps * sd * np.asarray(smallset.nu_pdf(y)) / _normal_pdf(z)
         if np.any(ratio > 1.0 + 1e-12):
             raise MinorizationError(
                 "kernel density below eps*nu on the small set; "
@@ -239,12 +238,15 @@ class AtomReturnCheck:
 
 def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                  grid: Grid) -> GridMeasure:
-    """(nu P)(y) on the grid by direct quadrature over C."""
+    """(nu P)(y) on the grid: the one-step laws from 2001 nodes of C,
+    averaged by trapezoid quadrature over C."""
+    chain = Chain(spec, eta, eta)
     c = Grid(smallset.c_lower, smallset.c_upper, 2001)
-    p = transition_density(spec, eta, c.nodes[None, :], grid.nodes[:, None])
-    dens = (p @ c.weights) / smallset.length
+    laws, tails = _start_laws(grid, chain.mean(c.nodes), chain.var)
+    dens = (laws @ c.weights) / smallset.length
     mass = float(np.trapezoid(dens, dx=grid.spacing))
-    return GridMeasure(grid, dens, tail_bound=max(0.0, 1.0 - mass))
+    outside = float(tails @ c.weights) / smallset.length
+    return GridMeasure(grid, dens, tail_bound=max(1.0 - mass, outside))
 
 
 def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
@@ -266,12 +268,9 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     d0 = np.ones(n_mc, dtype=np.int8)
     xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng, eps=eps, d0=d0)
 
-    exact_by_k = {}
+    exact_by_k = {1: eps}
     measure = None
-    for k in range(1, max(ks) + 1):
-        if k == 1:
-            exact_by_k[1] = eps
-            continue
+    for k in range(2, max(ks) + 1):
         measure = _nu_one_step(spec, eta, smallset, grid) if measure is None \
             else apply_kernel(spec, eta, measure)
         exact_by_k[k] = eps * measure.prob_interval(smallset.c_lower,

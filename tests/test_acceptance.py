@@ -5,7 +5,6 @@ suite reads as a checklist under pytest -s.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ import emergolab as eg
 from emergolab import cli, empirical
 from emergolab.drifts import eta_thresholds, lambda_of, radius_of
 
-warnings.filterwarnings("ignore", message="lambda")
+pytestmark = pytest.mark.filterwarnings("ignore:lambda")
 
 
 def report(name, ok):

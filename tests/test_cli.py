@@ -97,6 +97,17 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 3
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["uniform-sup", "tv-decay"])
+    def test_leaking_grid_three(self, tmp_path, capsys, sub):
+        # every propagation checks the off-grid leakage, uniform-sup included
+        cfg = write_config(tmp_path / "c.ini",
+                           "[drift]\nkind = ou\nkappa = 0.5\n"
+                           "[grid]\nlower = -1\nupper = 1\nn_nodes = 513\n"
+                           "[experiment]\neta = 0.5\nn_list = 1,2,3\n")
+        assert cli.main([sub, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "leakage" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub, line", [
         ("uniform-sup", "n_list = 0,a"),
         ("uniform-sup", "n_list = -1,2"),

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 import emergolab as eg
@@ -238,6 +239,54 @@ class TestOffGrid:
         assert second.maxsize == 8
         assert first.misses == before.misses + 1
         assert (second.misses, second.hits) == (first.misses, first.hits + 1)
+
+
+class TestStartLaws:
+    def test_batched_columns_match_gaussian_on_grid(self, ou, grid12):
+        import emergolab.kernel as ke
+        chain = ke.Chain(ou, 0.1, 0.1)
+        # the last start sits near the edge, where the outside mass is large
+        means = chain.mean(np.array([-3.0, 0.0, 0.7, 5.0, 13.0]))
+        columns, tails = ke._start_laws(grid12, means, chain.var)
+        assert columns.shape == (grid12.n_nodes, means.size)
+        for k, m in enumerate(means):
+            one = gaussian_on_grid(grid12, m, chain.var)
+            np.testing.assert_allclose(columns[:, k], one.density, rtol=0, atol=1e-15)
+            assert tails[k] == pytest.approx(one.tail_bound, rel=1e-12, abs=1e-15)
+        assert tails[-1] > 0.1
+
+
+@st.composite
+def _kernel_and_start_law(draw):
+    if draw(st.booleans()):
+        spec = eg.ornstein_uhlenbeck(kappa=draw(st.floats(0.2, 2.0)))
+    else:
+        spec = eg.bounded_perturbation(
+            kappa=1.0, a=draw(st.floats(-0.9, 0.9, exclude_min=True,
+                                        exclude_max=True)))
+    eta = draw(st.floats(0.02, 0.9))
+    half = draw(st.floats(3.0, 15.0))
+    h_max = 0.5 * math.sqrt(eta) * spec.sigma
+    n_min = max(16, math.ceil(2.0 * half / h_max) + 1)
+    n_nodes = draw(st.integers(n_min, 2 * n_min))
+    grid = eg.Grid(-half, half, n_nodes)
+    m = draw(st.floats(-half / 2.0, half / 2.0))
+    sd = draw(st.floats(2.0 * grid.spacing, half / 2.0))
+    return spec, eta, gaussian_on_grid(grid, m, sd * sd)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_kernel_and_start_law())
+def test_apply_kernel_never_creates_mass(case):
+    # either the grid is rejected, or xi P is a valid measure with no more
+    # mass than xi
+    spec, eta, xi = case
+    try:
+        out = eg.apply_kernel(spec, eta, xi)
+    except GridTooSmallError:
+        return
+    assert out.integral() <= xi.integral() + 1e-12
+    assert out.tail_bound >= xi.tail_bound
 
 
 class TestInvariantMeasure:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import emergolab as eg
+from emergolab.errors import GridTooSmallError
 from emergolab.kernel import gaussian_on_grid
 from emergolab.rates import invariant_cached, write_study_csv
 
@@ -152,6 +153,25 @@ class TestUniformSup:
                                     grid=grid12)
         assert rep.m is None
         assert rep.envelope is None
+
+    def test_exploratory_leak_raises(self):
+        fast = eg.ornstein_uhlenbeck(kappa=2.0)
+        small = eg.Grid(-1.0, 1.0, 513)
+        with pytest.warns(UserWarning, match="exploratory"), \
+             pytest.raises(GridTooSmallError, match="leakage"):
+            eg.uniform_sup_tv(fast, 0.5, [0.0, 0.9], [1, 2, 3], grid=small)
+        with pytest.raises(GridTooSmallError, match="leakage"):
+            eg.tv_decay_curve(fast, 0.5, 0.9, 3, grid=small)
+
+    @pytest.mark.parametrize("x0", [0.0, 1.5])
+    def test_single_start_matches_decay_curve(self, grid12, x0):
+        # both tables propagate through the same kernel step
+        fast = eg.ornstein_uhlenbeck(kappa=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = eg.uniform_sup_tv(fast, 0.1, [x0], range(1, 21), grid=grid12)
+            curve = eg.tv_decay_curve(fast, 0.1, x0, 20, grid=grid12)
+        np.testing.assert_allclose(rep.sup_tv, curve.values, rtol=0, atol=1e-15)
 
     def test_csv(self, bp, tmp_path):
         rep = eg.uniform_sup_tv(bp, 0.5, np.linspace(-2, 2, 11), [1, 2])
