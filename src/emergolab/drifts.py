@@ -96,7 +96,19 @@ def custom(g: Callable[[float], float], sigma: float, L: float, K1: float,
 
 
 def eval_drift(spec: DriftSpec, x):
-    """Evaluate g at x (scalar or array)."""
+    """Evaluate g at x (scalar or array).
+
+    A Python float x of a built-in drift stays on Python floats, with the
+    same values as the array path (np.tanh, not math.tanh, which differs by
+    an ulp on about a quarter of inputs): one split chain calls this once
+    per step.
+    """
+    if type(x) is float and spec.kind in (OU, BOUNDED):
+        if not math.isfinite(x):
+            raise ValueError("drift argument must be finite")
+        if spec.kind == OU:
+            return -spec.kappa * x
+        return -spec.kappa * x + spec.a * float(np.tanh(x))
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("drift argument must be finite")

@@ -195,15 +195,21 @@ def _normal_pdf(d, var: float = 1.0):
     return d
 
 
-def _start_laws(grid: Grid, means, var: float) -> tuple[np.ndarray, np.ndarray]:
+def _start_laws(grid: Grid, means, var: float, chain: Chain | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The laws N(m, var), m in means, as the columns of an (n_nodes, k)
     array, and each column's tail bound: its exact outside mass, or the
     trapezoid rule's shortfall from 1 where that is larger (coarse grids),
-    so that every column validates as a GridMeasure."""
+    so that every column validates as a GridMeasure.  When the laws are the
+    first steps of chain, one whose outside mass exceeds LEAK_TOL rejects
+    the grid, as every later step does (_reject_leak)."""
     means = np.asarray(means, dtype=float)
     columns = _normal_pdf(grid.nodes[:, None] - means[None, :], var)
     deficit = 1.0 - grid.weights @ columns
-    return columns, np.maximum(_outside(grid, means, math.sqrt(var)), deficit)
+    outside = _outside(grid, means, math.sqrt(var))
+    if chain is not None:
+        _reject_leak(chain, grid, outside, means)
+    return columns, np.maximum(outside, deficit)
 
 
 def gaussian_on_grid(grid: Grid, mean: float, variance: float) -> GridMeasure:
@@ -281,19 +287,28 @@ def _leak(chain: Chain, grid: Grid, density: np.ndarray) -> tuple:
     return (w * _off_grid(chain, grid)) @ density, band * (w @ density)
 
 
-def _step(chain: Chain, grid: Grid, density: np.ndarray, tail):
-    """One kernel step of a density or an (n, k) block of density columns:
-    returns the new density and tail, the tail (a float, or one per column)
-    plus each column's certified leakage and band term (see _leak).  A column
-    that leaks more than LEAK_TOL rejects the grid with suggested bounds."""
-    leak, band = _leak(chain, grid, density)
+def _reject_leak(chain: Chain, grid: Grid, leak, starts=()) -> None:
+    """Raise GridTooSmallError when the off-grid mass of one step (a float,
+    or one per column) exceeds LEAK_TOL.  The suggested bounds reach 10 sd
+    beyond every node's one-step mean and every mean in starts (the centres
+    of first-step laws)."""
     if np.max(leak) > LEAK_TOL:
-        mean, pad = chain.mean(grid.nodes), 10.0 * chain.sd
+        mean = np.concatenate([chain.mean(grid.nodes), starts])
+        pad = 10.0 * chain.sd
         lo, hi = float(mean.min() - pad), float(mean.max() + pad)
         raise GridTooSmallError(
             f"one-step leakage {float(np.max(leak))!r} exceeds {LEAK_TOL!r}; "
             f"grid should cover [{lo!r}, {hi!r}]",
             suggested_lower=lo, suggested_upper=hi)
+
+
+def _step(chain: Chain, grid: Grid, density: np.ndarray, tail):
+    """One kernel step of a density or an (n, k) block of density columns:
+    returns the new density and tail, the tail (a float, or one per column)
+    plus each column's certified leakage and band term (see _leak).  A column
+    that leaks more than LEAK_TOL rejects the grid (_reject_leak)."""
+    leak, band = _leak(chain, grid, density)
+    _reject_leak(chain, grid, leak)
     new = _matvec(chain, grid, density)
     return np.maximum(new, 0.0, out=new), tail + leak + band
 
@@ -312,12 +327,14 @@ def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
     """The n-step distribution P^n(x0, .) on the grid.
 
     The first step is the exact Gaussian law of one step from x0, sampled on
-    the grid; remaining steps go through apply_kernel.
+    the grid; remaining steps go through apply_kernel.  Every step, the
+    first included, rejects a grid it leaks off by more than LEAK_TOL.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     chain = Chain(spec, eta, eta)
-    out = gaussian_on_grid(grid, chain.mean(x0), chain.var)
+    columns, tails = _start_laws(grid, [chain.mean(x0)], chain.var, chain)
+    out = GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
     for _ in range(n - 1):
         out = apply_kernel(spec, eta, out)
     return out
@@ -336,7 +353,8 @@ def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
 
     The iterate is renormalized to unit mass each step; the returned tail
     bound is the one-step leakage of the converged density plus the bound on
-    the mass the band drops.
+    the mass the band drops.  A converged density that leaks more than
+    LEAK_TOL rejects the grid.
     """
     lam = drifts.lambda_of(spec, eta)
     if not (0.0 < lam < 1.0):
@@ -364,8 +382,10 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
         increment = 0.5 * float(np.sum(w * np.abs(new - dens)))
         dens = new
         if increment < tol:
-            tail = float(sum(_leak(chain, grid, dens)))
-            return InvariantResult(GridMeasure(grid, dens, tail_bound=tail), it)
+            leak, band = _leak(chain, grid, dens)
+            _reject_leak(chain, grid, leak)
+            return InvariantResult(
+                GridMeasure(grid, dens, tail_bound=float(leak + band)), it)
     raise ConvergenceError(
         f"power iteration did not reach tol={tol!r} in {max_iters} steps",
         last_increment=increment)

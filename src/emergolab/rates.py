@@ -221,7 +221,7 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
 
     # batched propagation: one column per starting point
     columns, tails = ke._start_laws(grid, chain.mean(np.asarray(x_grid, dtype=float)),
-                                    chain.var)
+                                    chain.var, chain)
     by_n = {0: (1.0, 0.0)}  # point mass against a density
     for n in range(1, max(n_list) + 1):
         if n > 1:

@@ -65,6 +65,10 @@ def _sample_residual_many(spec: DriftSpec, eta: float, x: np.ndarray,
     return _residual_draws(Chain(spec, eta, eta), x, smallset, eps, rng)
 
 
+_EPS_TOO_LARGE = ("kernel density below eps*nu on the small set; "
+                  "eps is too large for this interval")
+
+
 def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
                     eps: float, rng) -> np.ndarray:
     """Vectorized rejection sampler for the residual kernel on C.
@@ -83,9 +87,7 @@ def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
         # eps*nu(y)/p(x, y), with p(x, y) = phi(z)/sd
         ratio = eps * sd * np.asarray(smallset.nu_pdf(y)) / _normal_pdf(z)
         if np.any(ratio > 1.0 + 1e-12):
-            raise MinorizationError(
-                "kernel density below eps*nu on the small set; "
-                "eps is too large for this interval")
+            raise MinorizationError(_EPS_TOO_LARGE)
         u = rng.uniform(size=pending.size)
         accept = u >= ratio
         out[pending[accept]] = y[accept]
@@ -125,12 +127,61 @@ def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
     return new
 
 
+def _residual_draw(chain: Chain, x: float, smallset: SmallSetSpec,
+                   eps: float, rng) -> float:
+    """_residual_draws for one Python float x, on floats."""
+    lo, hi = smallset.c_lower, smallset.c_upper
+    nu = 1.0 / smallset.length
+    mean, sd = chain.mean(x), chain.sd
+    while True:
+        z = rng.standard_normal()
+        y = mean + sd * z
+        ratio = eps * sd * (nu if lo <= y <= hi else 0.0) / _normal_pdf(z)
+        if ratio > 1.0 + 1e-12:
+            raise MinorizationError(_EPS_TOO_LARGE)
+        if rng.random() >= ratio:
+            return y
+
+
+def _split_path(chain: Chain, smallset: SmallSetSpec, eps: float, x: float,
+                d: int, n_steps: int, rng) -> tuple[list, list]:
+    """One split chain from (x, d) stepped on Python floats: the lists
+    x_0..x_n and d_0..d_n.
+
+    A single chain makes the array bookkeeping of split_ensemble cost more
+    than its arithmetic, so it gets this loop.  It draws the stream that
+    split_ensemble draws for one replicate, in the same order: an atom step
+    is one uniform on C, a residual proposal a normal then a uniform, an
+    off-C step one normal, and every step ends with its Bernoulli(eps) bit.
+    The residual ratio takes phi from libm exp, which can differ from
+    numpy's by an ulp; an acceptance could only differ if the uniform fell
+    in that ulp.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
+    lo, hi = smallset.c_lower, smallset.c_upper
+    xs, ds = [x], [d]
+    for _ in range(n_steps):
+        if not lo <= x <= hi:
+            x = chain.step(x, rng.standard_normal())
+        elif d:
+            x = rng.uniform(lo, hi)
+        else:
+            x = _residual_draw(chain, x, smallset, eps, rng)
+        d = int(rng.random() < eps)
+        xs.append(x)
+        ds.append(d)
+    return xs, ds
+
+
 def step_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                state: SplitState, rng, eps: Optional[float] = None) -> SplitState:
     """One transition of the split kernel from (x, d)."""
-    xs, ds = split_ensemble(spec, eta, smallset, [state.x], 1, rng, eps=eps,
-                            d0=[state.d])
-    return SplitState(float(xs[1, 0]), int(ds[1, 0]))
+    if eps is None:
+        eps = resolve_split_epsilon(spec, eta, smallset)
+    xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, float(state.x),
+                         state.d, 1, rng)
+    return SplitState(xs[1], ds[1])
 
 
 @dataclass
@@ -184,18 +235,17 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
               ) -> RegenerationBlocks:
     """Simulate one split-chain trajectory of n_steps transitions.
 
-    A one-replicate split_ensemble run.  x0 may be a float or a GridMeasure
+    Steps on Python floats (_split_path) and draws the same stream as a
+    one-replicate split_ensemble run.  x0 may be a float or a GridMeasure
     (one draw); d0 defaults to a Bernoulli(eps) draw, matching an initial
     law xi (x) b_eps.
     """
     if eps is None:
         eps = resolve_split_epsilon(spec, eta, smallset)
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    x = x0.sample(1, rng) if isinstance(x0, GridMeasure) else [float(x0)]
-    xs, ds = split_ensemble(spec, eta, smallset, x, n_steps, rng, eps=eps,
-                            d0=None if d0 is None else [int(d0)])
-    xs, ds = xs[:, 0], ds[:, 0]
+    x = float(x0.sample(1, rng)[0]) if isinstance(x0, GridMeasure) else float(x0)
+    d = int(rng.random() < eps) if d0 is None else int(d0)
+    xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, x, d, n_steps, rng)
+    xs, ds = np.array(xs), np.array(ds, dtype=np.int8)
     in_c = np.asarray(smallset.contains(xs))
     visits = np.flatnonzero(in_c & (ds == 1))
     return RegenerationBlocks(xs=xs, ds=ds, in_c=in_c,
@@ -242,7 +292,7 @@ def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     averaged by trapezoid quadrature over C."""
     chain = Chain(spec, eta, eta)
     c = Grid(smallset.c_lower, smallset.c_upper, 2001)
-    laws, tails = _start_laws(grid, chain.mean(c.nodes), chain.var)
+    laws, tails = _start_laws(grid, chain.mean(c.nodes), chain.var, chain)
     dens = (laws @ c.weights) / smallset.length
     mass = float(np.trapezoid(dens, dx=grid.spacing))
     outside = float(tails @ c.weights) / smallset.length

@@ -108,6 +108,25 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 3
         assert "leakage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["invariant", "tv-decay"])
+    def test_leaking_first_step_three(self, tmp_path, capsys, sub):
+        # one step, or the invariant density itself, leaks 0.157 off the grid
+        cfg = write_config(tmp_path / "c.ini",
+                           "[drift]\nkind = ou\nkappa = 2\n"
+                           "[grid]\nlower = -1\nupper = 1\nn_nodes = 513\n"
+                           "[experiment]\neta = 0.5\nx0 = 0.9\nn_steps = 1\n")
+        assert cli.main([sub, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "leakage" in capsys.readouterr().err
+
+    def test_explosive_split_chain_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.ini",
+                           "[drift]\nkind = ou\nkappa = 5\n"
+                           "[experiment]\neta = 0.9\nx0 = 3\nn_steps = 2000\n")
+        assert cli.main(["split-sim", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "drift argument must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub, line", [
         ("uniform-sup", "n_list = 0,a"),
         ("uniform-sup", "n_list = -1,2"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
 from emergolab.drifts import b_of, eta_thresholds, lambda_of, radius_of
@@ -161,3 +162,38 @@ class TestDriftCondition:
     def test_lyapunov(self):
         assert eg.lyapunov(3.0) == 10.0
         assert np.allclose(eg.lyapunov(np.array([0.0, 2.0])), [1.0, 5.0])
+
+
+@st.composite
+def _drift(draw):
+    kind = draw(st.sampled_from(["ou", "bounded", "custom"]))
+    kappa = draw(st.floats(0.2, 5.0))
+    if kind == "ou":
+        return eg.ornstein_uhlenbeck(kappa=kappa)
+    if kind == "bounded":
+        return eg.bounded_perturbation(
+            kappa=kappa, a=draw(st.floats(-kappa, kappa, exclude_max=True)))
+    return eg.drifts.custom(lambda x: -kappa * x + math.sin(x), sigma=1.0,
+                            L=kappa + 1.0, K1=kappa)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(spec=_drift(), x=st.floats(-1e100, 1e100))
+def test_eval_drift_float_matches_array(spec, x):
+    # one split chain evaluates g on Python floats; the values must be the
+    # array path's, bit for bit (signed zeros included)
+    one = eg.drifts.eval_drift(spec, x)
+    assert type(one) is float
+    ref = eg.drifts.eval_drift(spec, np.array([x]))[0]
+    assert np.float64(one).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    eg.ornstein_uhlenbeck(kappa=2.0),
+    eg.bounded_perturbation(kappa=1.0, a=0.5),
+    eg.drifts.custom(math.sin, sigma=1.0, L=1.0, K1=1.0),
+], ids=["ou", "bounded", "custom"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_eval_drift_float_rejects_nonfinite(spec, x):
+    with pytest.raises(ValueError, match="drift argument must be finite"):
+        eg.drifts.eval_drift(spec, x)

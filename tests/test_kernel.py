@@ -256,6 +256,53 @@ class TestStartLaws:
         assert tails[-1] > 0.1
 
 
+class TestFirstStepLeak:
+    """The first step and the converged invariant density reject a grid
+    that leaks more than LEAK_TOL, as every later step does."""
+
+    fast = eg.ornstein_uhlenbeck(kappa=2.0)
+    small = eg.Grid(-1.0, 1.0, 513)   # N(0, 0.5) puts 0.157 outside
+
+    def test_start_law_itself_unchecked(self):
+        law = gaussian_on_grid(self.small, 0.0, 0.5)
+        assert law.tail_bound == pytest.approx(0.157, abs=1e-3)
+
+    def test_n_step_from_point_first_step(self):
+        with pytest.raises(GridTooSmallError, match="leakage") as err:
+            eg.n_step_from_point(self.fast, 0.5, 0.9, 1, self.small)
+        assert err.value.suggested_lower < -1.0 < 1.0 < err.value.suggested_upper
+
+    @pytest.mark.filterwarnings("ignore:lambda")
+    def test_invariant_measure_converged_density(self):
+        with pytest.raises(GridTooSmallError, match="leakage"):
+            eg.invariant_measure(self.fast, 0.5, self.small)
+
+    @pytest.mark.filterwarnings("ignore:lambda")
+    def test_one_step_tables(self):
+        with pytest.warns(UserWarning, match="exploratory"), \
+             pytest.raises(GridTooSmallError, match="leakage"):
+            eg.uniform_sup_tv(self.fast, 0.5, [0.0, 0.9], [1], grid=self.small)
+        with pytest.raises(GridTooSmallError, match="leakage"):
+            eg.tv_decay_curve(self.fast, 0.5, 0.9, 1, grid=self.small)
+
+    def test_start_columns_on_a_holding_grid(self, grid12):
+        # pi fits on grid12; one step from 14 (mean 11.2, sd 0.32) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(GridTooSmallError, match="leakage"):
+                eg.uniform_sup_tv(self.fast, 0.1, [0.0, 14.0], [1], grid=grid12)
+        with pytest.raises(GridTooSmallError, match="leakage") as err:
+            eg.tv_decay_curve(self.fast, 0.1, 14.0, 1, grid=grid12)
+        # the suggested grid holds that first step
+        wider = eg.Grid(err.value.suggested_lower, err.value.suggested_upper, 4097)
+        assert eg.n_step_from_point(self.fast, 0.1, 14.0, 1, wider).tail_bound < 1e-8
+
+    def test_nu_one_step(self, ou, smallset_ou):
+        from emergolab.splitting import _nu_one_step
+        with pytest.raises(GridTooSmallError, match="leakage"):
+            _nu_one_step(ou, 0.5, smallset_ou, eg.Grid(-2.0, 2.0, 513))
+
+
 @st.composite
 def _kernel_and_start_law(draw):
     if draw(st.booleans()):

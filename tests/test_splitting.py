@@ -194,3 +194,87 @@ class TestAtomReturnTail:
         # return-time tail must decay: fitted survival slope is negative
         assert fit.slope < 0
         assert 0.0 < fit.decay_factor < 1.0
+
+
+def _split_case(kind, eta):
+    spec = eg.ornstein_uhlenbeck(kappa=1.0) if kind == "ou" \
+        else eg.bounded_perturbation(kappa=1.0, a=0.5)
+    return spec, eg.minorization_epsilon(spec, eta, -1.0, 1.0)
+
+
+class TestScalarLoop:
+    """run_split and step_split step one chain on Python floats; they must
+    draw the stream of a one-replicate split_ensemble run, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    @pytest.mark.parametrize("eta", [0.5, 0.1])
+    @pytest.mark.parametrize("start", ["point", "measure"])
+    @pytest.mark.parametrize("d0", [None, 0, 1])
+    def test_run_split_matches_ensemble(self, kind, eta, start, d0):
+        spec, smallset = _split_case(kind, eta)
+        x0 = 0.4 if start == "point" else \
+            eg.gaussian_on_grid(eg.Grid(-6.0, 6.0, 257), 0.5, 1.0)
+        seed = 17 + 2 * (d0 or 0) + (start == "measure")
+        scalar, lockstep = np.random.default_rng(seed), np.random.default_rng(seed)
+        blocks = eg.run_split(spec, eta, smallset, x0, 2000, scalar, d0=d0)
+        x = x0.sample(1, lockstep) if start == "measure" else [x0]
+        xs, ds = eg.split_ensemble(spec, eta, smallset, x, 2000, lockstep,
+                                   d0=None if d0 is None else [d0])
+        assert np.array_equal(blocks.xs, xs[:, 0])
+        assert np.array_equal(blocks.ds, ds[:, 0])
+        assert blocks.ds.dtype == ds.dtype
+        assert scalar.bit_generator.state == lockstep.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    @pytest.mark.parametrize("eta", [0.5, 0.1])
+    def test_chained_step_split_matches_ensemble(self, kind, eta):
+        spec, smallset = _split_case(kind, eta)
+        scalar, lockstep = np.random.default_rng(23), np.random.default_rng(23)
+        state = eg.SplitState(-0.2, 1)
+        path = [state]
+        for _ in range(50):
+            path.append(eg.step_split(spec, eta, smallset, path[-1], scalar))
+        xs, ds = eg.split_ensemble(spec, eta, smallset, [state.x], 50,
+                                   lockstep, d0=[state.d])
+        assert [s.x for s in path] == xs[:, 0].tolist()
+        assert [s.d for s in path] == ds[:, 0].tolist()
+        assert all(type(s.x) is float for s in path[1:])
+        assert scalar.bit_generator.state == lockstep.bit_generator.state
+
+    def test_one_chain_avoids_the_lockstep_loop(self, ou, smallset_ou,
+                                                monkeypatch):
+        from emergolab import splitting
+
+        def lockstep(*args, **kwargs):
+            raise AssertionError("one chain went through the lockstep loop")
+        monkeypatch.setattr(splitting, "split_ensemble", lockstep)
+        monkeypatch.setattr(splitting, "_advance_x", lockstep)
+        rng = np.random.default_rng(0)
+        assert eg.run_split(ou, 0.5, smallset_ou, 0.0, 300, rng).xs.size == 301
+        assert eg.step_split(ou, 0.5, smallset_ou, eg.SplitState(0.0, 0),
+                             rng).d in (0, 1)
+
+    def test_too_large_eps_raises_like_lockstep(self, ou, smallset_ou):
+        for run in (lambda rng: eg.run_split(ou, 0.5, smallset_ou, 0.0, 2000,
+                                             rng, eps=0.95),
+                    lambda rng: eg.split_ensemble(ou, 0.5, smallset_ou, [0.0],
+                                                  2000, rng, eps=0.95)):
+            with pytest.raises(MinorizationError):
+                run(np.random.default_rng(1))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
+    def test_eps_outside_unit_interval(self, ou, smallset_ou, eps):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match="eps"):
+            eg.run_split(ou, 0.5, smallset_ou, 0.0, 10, rng, eps=eps)
+        with pytest.raises(ValueError, match="eps"):
+            eg.step_split(ou, 0.5, smallset_ou, eg.SplitState(0.0, 0), rng,
+                          eps=eps)
+
+    def test_explosive_chain_names_the_drift_argument(self):
+        # mean -3.5*x: |x| overflows to inf, and the next step must stop
+        fast = eg.ornstein_uhlenbeck(kappa=5.0)
+        smallset = eg.minorization_epsilon(fast, 0.9, -1.0, 1.0)
+        with pytest.raises(ValueError, match="drift argument must be finite"):
+            eg.run_split(fast, 0.9, smallset, 3.0, 2000,
+                         np.random.default_rng(3))
