@@ -271,8 +271,9 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
                                  n_list, grid=grid, tol=tol)
     table.write_csv(out / "uniform_sup.csv")
     rep.add("m", table.m)
-    if table.m is not None:
+    if table.m:  # an m that underflows to 0 bounds nothing and has no rate
         rep.add("doeblin_delta", ke.doeblin_rate(table.m))
+    if table.m is not None:
         rep.check("doeblin_envelope", table.envelope_ok)
 
 

@@ -433,43 +433,20 @@ class SmallSetSpec:
 
 def minorization_epsilon(spec: DriftSpec, eta: float, c_lower: float,
                          c_upper: float) -> SmallSetSpec:
-    """Minorization constant of a compact interval C.
+    """Minorization constant of a compact interval C, in closed form.
 
-    epsilon = Leb(C)/(sqrt(eta)*sigma) * inf over C^2 of the standard normal
-    pdf at (y - x - eta*g(x))/(sqrt(eta)*sigma).  The infimum is located by
-    nested grid refinement (not assumed at a corner) until stable to a
-    relative 1e-6.
+    epsilon = Leb(C)/sd * phi(z), z = max(sup mean - c_lower, c_upper - inf
+    mean)/sd being the largest |y - mean(x)|/sd on C^2.  The mean's extremes
+    come from one scan of C at 20001 nodes, ends included: exact for a
+    monotone mean, within h^2*sup|mean''|/8 (h = Leb(C)/20000) otherwise.
     """
     chain = Chain(spec, eta, eta)
     if not c_lower < c_upper:
         raise ValueError("degenerate interval")
-    sd = chain.sd
-    xlo, xhi = c_lower, c_upper
-    ylo, yhi = c_lower, c_upper
-    prev = None
-    best = None
-    for _ in range(60):
-        xs = np.linspace(xlo, xhi, 65)
-        ys = np.linspace(ylo, yhi, 65)
-        zs = (ys[None, :] - chain.mean(xs[:, None])) / sd
-        vals = zs ** 2
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        best = float(vals[i, j])
-        if prev is not None and abs(best - prev) <= 1e-6 * max(1.0, abs(best)) / 10.0:
-            break
-        prev = best
-        dx = (xhi - xlo) / 64
-        dy = (yhi - ylo) / 64
-        xlo = max(c_lower, xs[i] - 2 * dx)
-        xhi = min(c_upper, xs[i] + 2 * dx)
-        ylo = max(c_lower, ys[j] - 2 * dy)
-        yhi = min(c_upper, ys[j] + 2 * dy)
-    eps = (c_upper - c_lower) / sd * _normal_pdf(float(zs[i, j]))
-    if eps >= 1.0:
-        warnings.warn(
-            f"epsilon={eps!r} >= 1: the interval behaves as an atom; "
-            "clamping to 1", stacklevel=2)
-        eps = 1.0
+    mean = chain.mean(np.linspace(c_lower, c_upper, 20001))
+    z = max(float(mean.max()) - c_lower, c_upper - float(mean.min())) / chain.sd
+    # z >= Leb(C)/(2*sd) gives epsilon <= 2*phi(1) < 0.484
+    eps = (c_upper - c_lower) / chain.sd * _normal_pdf(z)
     return SmallSetSpec(c_lower, c_upper, eps)
 
 
@@ -485,12 +462,10 @@ def whole_space_minorization(spec: DriftSpec, eta: float) -> float:
 def _doeblin_mass(chain: Chain, i: float, s: float) -> float:
     """Doeblin mass m of a chain whose one-step mean ranges over [i, s].
 
-    Every row dominates the sub-probability density f(y) = N-density at the
-    farther of the two shifted means i and s; m is its total mass.
+    Every row dominates min(N(i, var), N(s, var)), the overlap of the laws
+    at the two extreme means; its mass is 2*Phi(-(s - i)/(2*sd)).
     """
-    y = np.linspace(i - 10.0 * chain.sd, s + 10.0 * chain.sd, 20001)
-    f = _normal_pdf(np.maximum(np.abs(y - i), np.abs(y - s)), chain.var)
-    return min(float(np.trapezoid(f, y)), 1.0)
+    return 2.0 * _upper_tail((s - i) / (2.0 * chain.sd))
 
 
 def _mean_range(chain: Chain) -> tuple[float, float]:

@@ -255,7 +255,8 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
     """Per-step and per-unit-time fitted rates across step sizes.
 
     The table juxtaposes delta_hat(eta); no equality claim across eta is
-    made.  Rows where the curve floors immediately carry delta_hat None.
+    made.  Rows where the curve floors immediately carry delta_hat None,
+    and rows with no Doeblin mass, or one underflowed to 0, no envelope_rate.
     """
     rows = []
     for eta in eta_list:
@@ -271,10 +272,9 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
             per_unit = None
         try:
             m = ke.whole_space_minorization(spec, eta)
-            env = ke.doeblin_rate(m)
         except ApplicabilityError:
             m = None
-            env = None
+        env = ke.doeblin_rate(m) if m else None
         rows.append(StudyRow(eta=eta, delta_hat=delta_hat,
                              delta_per_unit_time=per_unit, m=m,
                              envelope_rate=env, curve=curve))

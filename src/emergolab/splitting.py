@@ -17,7 +17,7 @@ import numpy as np
 from .drifts import DriftSpec
 from .errors import MinorizationError
 from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _normal_pdf,
-                     _start_laws, apply_kernel, transition_density)
+                     _start_laws, apply_kernel, minorization_epsilon)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
@@ -41,13 +41,13 @@ def resolve_split_epsilon(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
 
     The default halves the minorization constant so that C is a
     (1, 2*eps*nu)-small set verbatim.  With use_full_epsilon the sharper
-    constant is used, which is only valid when p >= 2*eps*nu on C^2;
-    that stronger domination is checked on a grid and rejected otherwise.
+    constant is used; it needs p >= 2*eps*nu on C^2, so it is rejected unless
+    the exact minorization_epsilon of C reaches 2*eps - 1e-12*Leb(C).
     """
     if use_full_epsilon:
-        xs = np.linspace(smallset.c_lower, smallset.c_upper, 101)
-        p = transition_density(spec, eta, xs[:, None], xs[None, :])
-        if np.min(p) < 2.0 * smallset.epsilon / smallset.length - 1e-12:
+        exact = minorization_epsilon(spec, eta, smallset.c_lower,
+                                     smallset.c_upper).epsilon
+        if exact < 2.0 * smallset.epsilon - 1e-12 * smallset.length:
             raise MinorizationError(
                 "p < 2*eps*nu somewhere on C^2: the full minorization "
                 "constant cannot drive the splitting for this set")
@@ -230,6 +230,12 @@ class RegenerationBlocks:
                 fh.write(f"{j},{int(ln)},{float(s)!r}\n")
 
 
+def _initial_bits(d0) -> np.ndarray:
+    if not np.all(np.isin(d0, (0, 1))):
+        raise ValueError(f"d0={d0!r}: every initial bit must be 0 or 1")
+    return np.asarray(d0, dtype=np.int8)
+
+
 def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: int,
               rng, eps: Optional[float] = None, d0: Optional[int] = None
               ) -> RegenerationBlocks:
@@ -243,7 +249,7 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
     if eps is None:
         eps = resolve_split_epsilon(spec, eta, smallset)
     x = float(x0.sample(1, rng)[0]) if isinstance(x0, GridMeasure) else float(x0)
-    d = int(rng.random() < eps) if d0 is None else int(d0)
+    d = int(rng.random() < eps) if d0 is None else int(_initial_bits(d0))
     xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, x, d, n_steps, rng)
     xs, ds = np.array(xs), np.array(ds, dtype=np.int8)
     in_c = np.asarray(smallset.contains(xs))
@@ -269,7 +275,7 @@ def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     ds = np.empty((n_steps + 1, n), dtype=np.int8)
     xs[0] = x0
     ds[0] = (rng.uniform(size=n) < eps).astype(np.int8) if d0 is None \
-        else np.asarray(d0, dtype=np.int8)
+        else _initial_bits(d0)
     chain = Chain(spec, eta, eta)
     for t in range(1, n_steps + 1):
         xs[t] = _advance_x(chain, smallset, eps, xs[t - 1], ds[t - 1], rng)

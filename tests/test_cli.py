@@ -127,6 +127,22 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 3
         assert "drift argument must be finite" in capsys.readouterr().err
 
+    def test_underflowed_doeblin_mass_reports(self, tmp_path):
+        # bounded drift at eta = 1e-4: m = 2*Phi(-50) underflows to 0, a
+        # vacuous envelope; the report is written without a rate line
+        cfg = write_config(tmp_path / "c.ini",
+                           "[drift]\nkind = bounded\nkappa = 1\na = 0.5\n"
+                           "[experiment]\neta = 0.0001\nn_list = 1,2,3\n"
+                           "x_grid_points = 11\nx_grid_span = 2\n")
+        assert cli.main(["uniform-sup", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        assert "m=0.0" in report
+        assert "check:doeblin_envelope=PASS" in report
+        assert not any(line.startswith("doeblin_delta") for line in report)
+        header = (tmp_path / "o" / "uniform_sup.csv").read_text().splitlines()[0]
+        assert header == "# experiment=uniform-sup m=0.0"
+
     @pytest.mark.parametrize("sub, line", [
         ("uniform-sup", "n_list = 0,a"),
         ("uniform-sup", "n_list = -1,2"),

@@ -437,6 +437,51 @@ class TestWholeSpaceMinorization:
             eg.doeblin_rate(0.0)
 
 
+def _wiggly():
+    # mean x + eta*g(x) = (1 - eta)*x + 1.5*eta*sin(4x): not monotone on C
+    return eg.custom(lambda x: -x + 1.5 * math.sin(4.0 * x), sigma=1.0,
+                     L=7.0, K1=1.0)
+
+
+class TestClosedFormConstants:
+    @pytest.mark.parametrize("eta", [0.5, 0.1, 0.02, 0.005])
+    def test_doeblin_mass_is_gaussian_overlap(self, bp, eta):
+        # x + g(x) = 0.5*tanh(x) ranges over [-0.5, 0.5]
+        want = 2.0 * norm.sf(1.0 / (2.0 * math.sqrt(eta)))
+        got = eg.whole_space_minorization(bp, eta)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("c_lower, c_upper", [(-1.0, 1.0), (-0.3, 0.8)])
+    def test_non_monotone_mean_matches_brute_force(self, c_lower, c_upper):
+        spec, eta = _wiggly(), 0.5
+        eps = eg.minorization_epsilon(spec, eta, c_lower, c_upper).epsilon
+        xs = np.linspace(c_lower, c_upper, 30001)[:, None]
+        ys = np.linspace(c_lower, c_upper, 101)[None, :]
+        p_min = float(np.min(eg.transition_density(spec, eta, xs, ys)))
+        assert eps == pytest.approx(p_min * (c_upper - c_lower), rel=1e-6)
+
+    def test_non_monotone_mean_dominates_random_pairs(self):
+        spec, eta = _wiggly(), 0.5
+        smallset = eg.minorization_epsilon(spec, eta, -1.0, 1.0)
+        rng = np.random.default_rng(4)
+        x, y = rng.uniform(-1.0, 1.0, (2, 20000))
+        p = eg.transition_density(spec, eta, x, y)
+        # the scan of the mean is accurate to well within a relative 1e-6
+        assert np.all(p >= smallset.epsilon * smallset.nu_pdf(y) * (1.0 - 1e-6))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(["ou", "bounded", "wiggly"]), st.floats(1e-3, 0.99),
+       st.floats(-5.0, 5.0), st.floats(1e-6, 10.0))
+def test_epsilon_below_two_phi_one(kind, eta, c_lower, length):
+    # z >= Leb(C)/(2 sd) caps epsilon at 2*phi(1) = 0.4839...
+    spec = {"ou": eg.ornstein_uhlenbeck(kappa=1.0),
+            "bounded": eg.bounded_perturbation(kappa=1.0, a=0.5),
+            "wiggly": _wiggly()}[kind]
+    eps = eg.minorization_epsilon(spec, eta, c_lower, c_lower + length).epsilon
+    assert 0.0 <= eps < 0.49
+
+
 class TestDefaultGrid:
     def test_covers_return_set(self, ou):
         g = eg.default_grid(ou, 0.1)

@@ -198,6 +198,18 @@ class TestStepSizeStudy:
         assert rows[0].delta_hat is None
         assert rows[0].delta_per_unit_time is None
 
+    def test_underflowed_doeblin_mass_has_no_rate(self, ou, monkeypatch):
+        # at small eta the bounded drift's m underflows to 0: a vacuous
+        # bound, not a failure
+        monkeypatch.setattr(eg.kernel, "whole_space_minorization",
+                            lambda spec, eta: 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = eg.step_size_study(ou, [0.5], 3.0, 10, n_nodes=1025)
+        assert rows[0].m == 0.0
+        assert rows[0].envelope_rate is None
+        assert rows[0].delta_hat is not None
+
     def test_csv_deterministic(self, ou, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

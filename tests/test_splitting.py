@@ -25,6 +25,35 @@ class TestSplitEpsilon:
         assert eps == pytest.approx(0.02)
 
 
+class TestFullEpsilonThreshold:
+    # accepted iff the exact constant reaches 2*eps - 1e-12*Leb(C)
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    def test_either_side_of_threshold(self, kind):
+        spec, exact = _split_case(kind, 0.5)
+        exact = exact.epsilon
+        inside = eg.SmallSetSpec(-1.0, 1.0, exact / 2.0 + 0.5e-12)
+        assert eg.resolve_split_epsilon(spec, 0.5, inside,
+                                        use_full_epsilon=True) == inside.epsilon
+        outside = eg.SmallSetSpec(-1.0, 1.0, exact / 2.0 + 2e-12)
+        with pytest.raises(MinorizationError):
+            eg.resolve_split_epsilon(spec, 0.5, outside, use_full_epsilon=True)
+
+
+class TestInitialBits:
+    @pytest.mark.parametrize("d0", [[2], [1, 2], [-1], [0.5], [256]])
+    def test_split_ensemble_rejects_bad_bits(self, ou, smallset_ou, d0):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="d0"):
+            eg.split_ensemble(ou, 0.5, smallset_ou, [0.2] * len(d0), 3, rng,
+                              d0=d0)
+
+    @pytest.mark.parametrize("d0", [2, -1, 0.5])
+    def test_run_split_rejects_bad_bit(self, ou, smallset_ou, d0):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="d0"):
+            eg.run_split(ou, 0.5, smallset_ou, 0.2, 3, rng, d0=d0)
+
+
 class TestSamplers:
     def test_nu_uniform_on_c(self, smallset_ou):
         rng = np.random.default_rng(0)
