@@ -354,16 +354,42 @@ def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
     The iterate is renormalized to unit mass each step; the returned tail
     bound is the one-step leakage of the converged density plus the bound on
     the mass the band drops.  A converged density that leaks more than
-    LEAK_TOL rejects the grid.
+    LEAK_TOL rejects the grid.  The default start and max_iters go through
+    the solve cache (_invariant).
     """
+    _warn_lambda(spec, eta)
+    chain = Chain(spec, eta, eta)
+    if seed_measure is None and max_iters == MAX_ITERS:
+        return _invariant(chain, grid, tol)
+    return _power_iteration(chain, grid, tol, max_iters, seed_measure)
+
+
+def _warn_lambda(spec: DriftSpec, eta: float) -> None:
     lam = drifts.lambda_of(spec, eta)
     if not (0.0 < lam < 1.0):
         warnings.warn(
             f"lambda(eta)={lam!r} outside (0,1); the drift-condition "
             "guarantee does not apply, power iteration may still converge",
-            stacklevel=2)
-    return _power_iteration(Chain(spec, eta, eta), grid, tol, max_iters,
-                            seed_measure)
+            stacklevel=3)  # at the public solver's caller
+
+
+def _invariant(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
+    """The default-start solve, cached with its failures (_solved): a hit
+    returns the same result (density read-only) or raises the same error."""
+    out = _solved(chain, grid, tol)
+    if isinstance(out, Exception):
+        raise out.with_traceback(None)  # not the last caller's frames
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _solved(chain: Chain, grid: Grid, tol: float):
+    try:
+        out = _power_iteration(chain, grid, tol)
+    except (GridTooSmallError, ConvergenceError) as err:
+        return err
+    out.measure.density.flags.writeable = False  # shared by every caller
+    return out
 
 
 def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
@@ -392,10 +418,11 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
 
 
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:
-    """Half the integrated absolute density difference."""
+    """Half the integrated absolute density difference, at most 1."""
     if a.grid != b.grid:
         raise ValueError("measures live on different grids")
-    return 0.5 * float(np.trapezoid(np.abs(a.density - b.density), dx=a.grid.spacing))
+    d = 0.5 * float(np.trapezoid(np.abs(a.density - b.density), dx=a.grid.spacing))
+    return min(d, 1.0)  # the trapezoid rule can round past the TV range
 
 
 def tv_uncertainty(a: GridMeasure, b: GridMeasure) -> float:

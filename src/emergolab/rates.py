@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,16 +17,10 @@ from .kernel import Grid, GridMeasure
 
 def invariant_cached(spec: DriftSpec, eta: float, grid: Grid,
                      tol: float = ke.INVARIANT_TOL) -> GridMeasure:
-    """Memoized invariant measure shared by all curves at the same eta."""
-    return _invariant(ke.Chain(spec, eta, eta), grid, tol)
-
-
-@functools.lru_cache(maxsize=8)
-def _invariant(chain: ke.Chain, grid: Grid, tol: float) -> GridMeasure:
-    if chain.h == chain.eta:
-        # the Euler-Maruyama chain keeps the public solver and its warning
-        return ke.invariant_measure(chain.spec, chain.eta, grid, tol=tol).measure
-    return ke._power_iteration(chain, grid, tol).measure
+    """The EM chain's invariant measure from the solve cache it shares with
+    kernel.invariant_measure; warns about lambda(eta) as that does."""
+    ke._warn_lambda(spec, eta)
+    return ke._invariant(ke.Chain(spec, eta, eta), grid, tol).measure
 
 
 @dataclass
@@ -214,9 +207,7 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     else:
         m = ke._doeblin_mass(chain, lo, hi)
         grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pi = _invariant(chain, grid, tol)
+    pi = ke._invariant(chain, grid, tol).measure
     w = grid.weights
 
     # batched propagation: one column per starting point
@@ -227,7 +218,7 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         if n > 1:
             columns, tails = ke._step(chain, grid, columns, tails)
         if n in n_list:
-            d = 0.5 * np.abs(columns - pi.density[:, None]).T @ w
+            d = np.minimum(0.5 * np.abs(columns - pi.density[:, None]).T @ w, 1.0)
             by_n[n] = (float(d.max()), float(d.max() - d.min()))
     sup_tv, spread = np.array([by_n[n] for n in n_list]).T
     envelope = None

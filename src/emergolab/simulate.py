@@ -2,7 +2,7 @@
 
 Path ensembles, first return times to intervals, and the exponential return
 moment E_x[beta^sigma_D].  Randomness comes from numpy's SeedSequence
-spawning, so per-path streams are independent and bit-reproducible
+spawning, so the streams of path chunks are independent and bit-reproducible
 regardless of scheduling.
 """
 
@@ -18,6 +18,7 @@ from .drifts import DriftSpec
 from .kernel import Chain, GridMeasure
 
 Initial = Union[float, GridMeasure]
+PATH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -50,24 +51,22 @@ def _initial_states(x0: Initial, n: int, rng) -> np.ndarray:
 def sample_paths(spec: DriftSpec, config: PathConfig, n_paths: int) -> np.ndarray:
     """Ensemble of trajectories, shape (n_paths, n_steps + 1).
 
-    Path i uses its own generator spawned from config.seed, so any subset of
-    paths can be regenerated independently and the ensemble is identical no
-    matter how replicates are scheduled.
+    Initial states and noise come from two streams spawned from config.seed;
+    each chunk of PATH_CHUNK paths takes its noise, row by row, from its own
+    child of the noise stream.  So the first k paths of any ensemble equal a
+    k-path ensemble, and a chunk can be regenerated from its stream alone.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(n_paths + 1)
-    init_rng = np.random.default_rng(children[n_paths])
-    noise = np.empty((n_paths, config.n_steps))
-    for i in range(n_paths):
-        noise[i] = np.random.default_rng(children[i]).standard_normal(config.n_steps)
+    init_ss, noise_ss = np.random.SeedSequence(config.seed).spawn(2)
     paths = np.empty((n_paths, config.n_steps + 1))
-    paths[:, 0] = _initial_states(config.x0, n_paths, init_rng)
-    x = paths[:, 0].copy()
-    for k in range(config.n_steps):
-        x = em_step(spec, config.eta, x, noise[:, k])
-        paths[:, k + 1] = x
+    paths[:, 0] = _initial_states(config.x0, n_paths, np.random.default_rng(init_ss))
+    for c, ss in enumerate(noise_ss.spawn(-(-n_paths // PATH_CHUNK))):
+        rows = paths[c * PATH_CHUNK:(c + 1) * PATH_CHUNK, 1:]
+        rows[...] = np.random.default_rng(ss).standard_normal(rows.shape)
+    chain = Chain(spec, config.eta, config.eta)
+    for k in range(config.n_steps):  # column k + 1 holds step k's noise
+        paths[:, k + 1] = chain.step(paths[:, k], paths[:, k + 1])
     return paths
 
 

@@ -25,6 +25,23 @@ def smallset_ou(ou):
     return eg.minorization_epsilon(ou, 0.5, -1.0, 1.0)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Empties the invariant-solve cache and records every power iteration
+    run from then on (its positional arguments, one tuple per solve)."""
+    import emergolab.kernel as ke
+    ke._solved.cache_clear()
+    calls = []
+    real = ke._power_iteration
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ke, "_power_iteration", counting)
+    return calls
+
+
 def gaussian_tv(m1, v1, m2, v2, half_width=20.0, n=200001):
     """Independent numeric integration of the TV distance of two normals."""
     x = np.linspace(-half_width, half_width, n)

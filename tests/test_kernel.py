@@ -106,6 +106,7 @@ class TestKernelStep:
         import emergolab.kernel as ke
         grid = eg.Grid(-10.0, 10.0, 513)
         want = eg.invariant_measure(ou, 0.2, grid)
+        ke._solved.cache_clear()  # solve again, not a cache hit
         monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", 1)
         got = eg.invariant_measure(ou, 0.2, grid)
         assert got.iterations == want.iterations
@@ -115,11 +116,10 @@ class TestKernelStep:
 
     def test_matrix_free_uniform_sup_agrees_with_dense(self, bp, monkeypatch):
         import emergolab.kernel as ke
-        from emergolab import rates
         xs = np.linspace(-4.0, 4.0, 9)
-        rates._invariant.cache_clear()
+        ke._solved.cache_clear()
         want = eg.uniform_sup_tv(bp, 0.5, xs, [1, 2, 4])
-        rates._invariant.cache_clear()
+        ke._solved.cache_clear()
         monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", 1)
         got = eg.uniform_sup_tv(bp, 0.5, xs, [1, 2, 4])
         assert np.max(np.abs(got.sup_tv - want.sup_tv)) <= 1e-12
@@ -348,8 +348,22 @@ class TestInvariantMeasure:
         assert eg.tv_distance(res1.measure, res2.measure) <= 1e-8
 
     def test_warns_outside_validity(self, ou, grid12):
-        with pytest.warns(UserWarning, match="outside"):
-            eg.invariant_measure(ou, 0.5, grid12)
+        # on every call, a cache hit included
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="outside"):
+                eg.invariant_measure(ou, 0.5, grid12)
+
+    def test_default_solve_is_cached_and_read_only(self, ou, grid12, solves):
+        import emergolab.kernel as ke
+        first = eg.invariant_measure(ou, 0.1, grid12)
+        assert eg.invariant_measure(ou, 0.1, grid12) is first
+        assert len(solves) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            first.measure.density[0] = 1.0
+        # an explicit budget or start solves afresh
+        eg.invariant_measure(ou, 0.1, grid12, max_iters=ke.MAX_ITERS - 1)
+        eg.invariant_measure(ou, 0.1, grid12, seed_measure=first.measure)
+        assert len(solves) == 3
 
     def test_budget_exhaustion(self, ou, grid12):
         from emergolab.errors import ConvergenceError
@@ -359,6 +373,17 @@ class TestInvariantMeasure:
 
 
 class TestTvDistance:
+    def test_clipped_at_one(self):
+        # two disjoint hat densities, each integrating to 1 + 5e-9 (within
+        # Q_TOL): the trapezoid gives 1 + 5e-9, a TV distance is at most 1
+        grid = eg.Grid(0.0, 1.0, 17)
+        hats = []
+        for i in (3, 12):
+            d = np.zeros(17)
+            d[i] = (1.0 + 5e-9) / grid.spacing
+            hats.append(eg.GridMeasure(grid, d))
+        assert eg.tv_distance(*hats) == 1.0
+
     def test_metric_properties(self, grid12):
         rng = np.random.default_rng(1)
         ms = [gaussian_on_grid(grid12, rng.uniform(-2, 2), rng.uniform(0.5, 2))

@@ -27,6 +27,12 @@ def curve_x3(ou, grid12):
 
 
 class TestDecayCurve:
+    def test_shares_the_solve_of_invariant_measure(self, ou, grid12, solves):
+        pi = eg.invariant_measure(ou, 0.2, grid12).measure
+        eg.tv_decay_curve(ou, 0.2, 1.0, 5, grid=grid12)
+        assert invariant_cached(ou, 0.2, grid12) is pi
+        assert len(solves) == 1
+
     def test_monotone(self, curve_x3):
         assert np.all(np.diff(curve_x3.values) <= 1e-8)
 
@@ -154,14 +160,24 @@ class TestUniformSup:
         assert rep.m is None
         assert rep.envelope is None
 
-    def test_exploratory_leak_raises(self):
+    def test_exploratory_leak_raises(self, solves):
+        # the second table re-raises the cached error without solving again
         fast = eg.ornstein_uhlenbeck(kappa=2.0)
         small = eg.Grid(-1.0, 1.0, 513)
         with pytest.warns(UserWarning, match="exploratory"), \
              pytest.raises(GridTooSmallError, match="leakage"):
             eg.uniform_sup_tv(fast, 0.5, [0.0, 0.9], [1, 2, 3], grid=small)
-        with pytest.raises(GridTooSmallError, match="leakage"):
+        with pytest.warns(UserWarning, match="lambda"), \
+             pytest.raises(GridTooSmallError, match="leakage"):
             eg.tv_decay_curve(fast, 0.5, 0.9, 3, grid=small)
+        assert len(solves) == 1
+
+    def test_sup_tv_clipped_at_one(self, bp):
+        # m underflows to 0 at eta = 1e-4; the trapezoid of |column - pi|
+        # read 1.0000000000000007 at n = 1 and 2 before the clip
+        rep = eg.uniform_sup_tv(bp, 1e-4, np.linspace(-2, 2, 11), [1, 2, 3])
+        assert np.all(rep.sup_tv <= 1.0)
+        assert rep.sup_tv[0] == 1.0
 
     @pytest.mark.parametrize("x0", [0.0, 1.5])
     def test_single_start_matches_decay_curve(self, grid12, x0):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import emergolab as eg
-from emergolab.simulate import write_paths_csv, write_return_times_csv
+from emergolab.kernel import Chain, gaussian_on_grid
+from emergolab.simulate import (PATH_CHUNK, write_paths_csv,
+                                write_return_times_csv)
 
 
 class TestSamplePaths:
@@ -26,16 +28,54 @@ class TestSamplePaths:
         assert not np.array_equal(a, b)
 
     def test_path_subsets_stable_under_ensemble_size(self, ou):
-        # per-path generators: the first 10 paths of a 50-path ensemble
-        # coincide with a 10-path ensemble at the same seed
+        # chunk streams filled row by row: the first 10 paths of a 50-path
+        # ensemble coincide with a 10-path ensemble at the same seed
         cfg = eg.PathConfig(eta=0.1, n_steps=20, seed=3, x0=0.0)
         small = eg.sample_paths(ou, cfg, 10)
         big = eg.sample_paths(ou, cfg, 50)
         assert np.array_equal(big[:10], small)
 
+    def test_subsets_stable_with_measure_start(self, ou, grid12):
+        xi = gaussian_on_grid(grid12, 0.0, 1.0)
+        cfg = eg.PathConfig(eta=0.1, n_steps=5, seed=3, x0=xi)
+        small = eg.sample_paths(ou, cfg, 10)
+        big = eg.sample_paths(ou, cfg, PATH_CHUNK + 10)
+        assert np.array_equal(big[:10], small)
+
+    def test_chunk_regenerated_from_its_own_stream(self, ou):
+        eta, n, seed, x0 = 0.1, 20, 6, 1.5
+        paths = eg.sample_paths(ou, eg.PathConfig(eta, n, seed, x0),
+                                PATH_CHUNK + 3)
+        # chunk c's stream is child c of the seed's second (noise) child
+        stream = np.random.SeedSequence(seed, spawn_key=(1, 1))
+        noise = np.random.default_rng(stream).standard_normal(n)
+        chain = Chain(ou, eta, eta)
+        x = np.array([x0])
+        want = [x0]
+        for z in noise:
+            x = chain.step(x, z)
+            want.append(float(x[0]))
+        assert np.array_equal(paths[PATH_CHUNK], want)
+        assert not np.array_equal(paths[PATH_CHUNK], paths[0])
+
+    def test_generators_per_chunk(self, ou, monkeypatch):
+        # seeding cost: one generator per chunk plus one for initial states
+        made = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        n = 10_000
+        eg.sample_paths(ou, eg.PathConfig(0.1, 2, 0, 0.0), n)
+        assert len(made) <= math.ceil(n / PATH_CHUNK) + 1
+
     def test_ar1_moments(self, ou):
         # OU EM chain is AR(1): mean rho^n x0, var eta sigma^2 (1-rho^{2n})/(1-rho^2)
         eta, x0, n, n_paths = 0.2, 3.0, 30, 20000
+        assert n_paths > PATH_CHUNK  # the moments pool many chunk streams
         paths = eg.sample_paths(ou, eg.PathConfig(eta, n, 11, x0), n_paths)
         rho = 1 - eta
         for k in (1, 10, 30):
@@ -54,7 +94,6 @@ class TestSamplePaths:
         assert abs(r) < 4.0 / math.sqrt(inc0.size)
 
     def test_measure_initial_states(self, ou, grid12):
-        from emergolab.kernel import gaussian_on_grid
         xi = gaussian_on_grid(grid12, 0.0, 1.0)
         paths = eg.sample_paths(ou, eg.PathConfig(0.1, 1, 9, xi), 5000)
         assert abs(paths[:, 0].mean()) < 4.0 / math.sqrt(5000)
