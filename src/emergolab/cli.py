@@ -31,7 +31,8 @@ EXPERIMENTS = ("verify-assumptions", "constants", "invariant", "tv-decay",
 
 class _Number(NamedTuple):
     """Parser of a finite int or float in an interval written like
-    "(0.0, 1.0)" or "[16, inf)"; with many=True, of a comma-separated list."""
+    "(0.0, 1.0)" or "[16, inf)"; with many=True, of a comma-separated list
+    in which no value repeats."""
 
     cast: type
     interval: str
@@ -39,7 +40,12 @@ class _Number(NamedTuple):
 
     def __call__(self, raw):
         if self.many:
-            return [self._replace(many=False)(v) for v in str(raw).split(",")]
+            vals = [self._replace(many=False)(v) for v in str(raw).split(",")]
+            repeats = [v for i, v in enumerate(vals) if v in vals[:i]]
+            if repeats:
+                raise ValueError(f"must list each value once, but "
+                                 f"{repeats[0]!r} repeats")
+            return vals
         lo, hi = (float(b) for b in self.interval[1:-1].split(","))
         try:
             v = self.cast(raw)
@@ -355,10 +361,8 @@ def run_return_times(cfg, spec, out, seed, rep):
     D = (-dc.radius, dc.radius)
     x0s, sigmas, censored = simulate.return_times_ensemble(
         spec, eta, x0, D, horizon, n_rep, seed)
-    samples = [simulate.ReturnTimeSample(float(a), D[0], D[1], int(s),
-                                         bool(c), horizon)
-               for a, s, c in zip(x0s, sigmas, censored)]
-    simulate.write_return_times_csv(samples, out / "return_times.csv")
+    simulate.write_return_times_csv(x0s, sigmas, censored,
+                                    out / "return_times.csv")
     est = simulate._exp_moment(sigmas, censored, beta, horizon)
     bound = drifts.lyapunov(x0) + dc.b_eta * dc.beta_eta
     _add_constants(rep, dc)
@@ -409,7 +413,11 @@ def run(experiment: str, config_path: str, out_dir: str, seed=None) -> int:
     resolved_seed = (cfg["experiment"].get("seed", 0) if seed is None
                      else _typed("experiment", "seed", seed))
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir!r}: cannot create the output "
+                          f"directory: {exc.strerror or exc}") from None
     _echo_config(raw, experiment, resolved_seed, out)
     rep = Report()
     rep.add("experiment", experiment)

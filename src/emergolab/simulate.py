@@ -181,16 +181,22 @@ def _exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
 
 def write_paths_csv(paths: np.ndarray, path) -> None:
     """Serialize a path ensemble as replicate,step,x rows."""
+    n_paths, n_cols = np.shape(paths)
+    rows = zip(np.repeat(np.arange(n_paths), n_cols).tolist(),
+               np.tile(np.arange(n_cols), n_paths).tolist(),
+               np.asarray(paths, dtype=float).ravel().tolist())
     with open(path, "w") as fh:
         fh.write("replicate,step,x\n")
-        for r in range(paths.shape[0]):
-            for k in range(paths.shape[1]):
-                fh.write(f"{r},{k},{float(paths[r, k])!r}\n")
+        fh.write("".join([f"{r},{k},{x!r}\n" for r, k, x in rows]))
 
 
-def write_return_times_csv(samples, path) -> None:
-    """Serialize return-time samples as replicate,x0,sigma,censored rows."""
+def write_return_times_csv(x0s: np.ndarray, sigmas: np.ndarray,
+                           censored: np.ndarray, path) -> None:
+    """Serialize the (x0s, sigmas, censored) arrays of return_times_ensemble
+    as replicate,x0,sigma,censored rows."""
+    rows = zip(range(len(x0s)), np.asarray(x0s, dtype=float).tolist(),
+               np.asarray(sigmas).astype(int).tolist(),
+               np.asarray(censored).astype(int).tolist())
     with open(path, "w") as fh:
         fh.write("replicate,x0,sigma,censored\n")
-        for r, s in enumerate(samples):
-            fh.write(f"{r},{float(s.x0)!r},{int(s.sigma)},{int(s.censored)}\n")
+        fh.write("".join([f"{r},{x!r},{s},{c}\n" for r, x, s, c in rows]))

@@ -214,20 +214,23 @@ class RegenerationBlocks:
     def write_trace_csv(self, path) -> None:
         atom = np.zeros(self.xs.size, dtype=int)
         atom[self.atom_visit_times] = 1
+        rows = zip(range(self.xs.size),
+                   np.asarray(self.xs, dtype=float).tolist(),
+                   self.ds.astype(int).tolist(),
+                   self.in_c.astype(int).tolist(), atom.tolist())
         with open(path, "w") as fh:
             fh.write("step,x,d,in_C,atom_visit\n")
-            for t in range(self.xs.size):
-                fh.write(f"{t},{float(self.xs[t])!r},{int(self.ds[t])},"
-                         f"{int(self.in_c[t])},{atom[t]}\n")
+            fh.write("".join([f"{t},{x!r},{d},{c},{a}\n"
+                              for t, x, d, c, a in rows]))
 
     def write_blocks_csv(self, path, values: Optional[np.ndarray] = None) -> None:
-        lengths = self.block_lengths()
         sums = self.block_sums(values if values is not None
                                else np.ones_like(self.xs))
+        rows = zip(range(sums.size), self.block_lengths().tolist(),
+                   sums.tolist())
         with open(path, "w") as fh:
             fh.write("block,length,sum\n")
-            for j, (ln, s) in enumerate(zip(lengths, sums)):
-                fh.write(f"{j},{int(ln)},{float(s)!r}\n")
+            fh.write("".join([f"{j},{n},{s!r}\n" for j, n, s in rows]))
 
 
 def _initial_bits(d0) -> np.ndarray:
@@ -323,6 +326,11 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     x0 = sample_nu(smallset, rng, size=n_mc)
     d0 = np.ones(n_mc, dtype=np.int8)
     xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng, eps=eps, d0=d0)
+    # Reduce the ensemble to its atom-hit fractions and free it before the
+    # quadrature below builds its kernel matrix.
+    p_hats = {k: float(np.mean(np.asarray(smallset.contains(xs[k]))
+                               & (ds[k] == 1))) for k in ks}
+    del xs, ds
 
     exact_by_k = {1: eps}
     measure = None
@@ -334,10 +342,8 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
 
     out = []
     for k in ks:
-        hits = np.asarray(smallset.contains(xs[k])) & (ds[k] == 1)
-        p_hat = float(hits.mean())
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n_mc)
-        out.append(AtomReturnCheck(k, p_hat, exact_by_k[k], se, n_mc))
+        se = math.sqrt(max(p_hats[k] * (1.0 - p_hats[k]), 1e-300) / n_mc)
+        out.append(AtomReturnCheck(k, p_hats[k], exact_by_k[k], se, n_mc))
     return out
 
 

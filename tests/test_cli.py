@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
-from emergolab import cli
+from emergolab import cli, simulate
 from emergolab.errors import ConfigError
 
 
@@ -28,6 +28,17 @@ sigma = 1.0
 eta = 0.5
 x0 = 3.0
 n_steps = 12
+"""
+
+# Starts far outside D = [-11.6, 11.6], so return times vary.
+RT_CFG = """
+[drift]
+kind = ou
+
+[experiment]
+eta = 0.1
+x0 = 40.0
+n_rep = 50
 """
 
 
@@ -157,6 +168,39 @@ class TestExitCodes:
         assert cli.main([sub, "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, key, line", [
+        ("atom-check", "experiment.k_list", "eta = 0.5\nk_list = 2,2,3"),
+        ("uniform-sup", "experiment.n_list", "eta = 0.5\nn_list = 1,1,2"),
+        ("study", "experiment.eta_list", "eta_list = 0.5,0.50"),
+    ], ids=["k_list", "n_list", "eta_list"])
+    def test_repeated_list_entry_two(self, tmp_path, capsys, sub, key, line):
+        # a repeat would write a row, a check line or a curve file twice
+        cfg = write_config(tmp_path / "c.ini",
+                           f"[drift]\nkind = ou\n[experiment]\n{line}\n")
+        out = tmp_path / "o"
+        assert cli.main([sub, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "repeats" in err
+        assert not out.exists()
+
+    def test_list_parser_rejects_repeats_only(self):
+        parse = cli._Number(float, "(0.0, 1.0)", many=True)
+        assert parse("0.5,0.25,0.125") == [0.5, 0.25, 0.125]
+        with pytest.raises(ValueError, match="0.25 repeats"):
+            parse("0.5,0.25,0.125,0.25")
+
+    @pytest.mark.parametrize("sub_path", ["", "sub"], ids=["file", "below-file"])
+    def test_out_is_a_file_two(self, tmp_path, capsys, sub_path):
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           "[experiment]\neta = 0.1\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / sub_path if sub_path else blocker
+        assert cli.main(["constants", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(out) in err
+        assert blocker.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("sub, text", [
         ("constants", "[drift]\nkind = ou\nsigma = 0\n[experiment]\neta = 0.1\n"),
@@ -338,6 +382,19 @@ def test_return_times_report_matches_exp_beta_sigma(tmp_path):
     assert len((out / "return_times.csv").read_text().splitlines()) == 201
 
 
+def test_return_times_writes_columns(tmp_path, monkeypatch):
+    # return_times.csv comes straight from the ensemble's arrays: no
+    # per-replicate ReturnTimeSample is built on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("return-times built a ReturnTimeSample")
+    monkeypatch.setattr(simulate, "ReturnTimeSample", refuse)
+    cfg = write_config(tmp_path / "c.ini", RT_CFG)
+    out = tmp_path / "o"
+    assert cli.main(["return-times", "--config", cfg, "--out", str(out),
+                     "--seed", "3"]) == 0
+    assert len((out / "return_times.csv").read_text().splitlines()) == 51
+
+
 def test_cli_import_skips_scipy_stats():
     code = "import sys, emergolab.cli; print('scipy.stats' in sys.modules)"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -360,18 +417,20 @@ def test_cli_import_skips_scipy():
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "c.ini", OU_CFG + "\nn_rep = 50\n")
-        outs = []
-        for name, workers in (("a", "1"), ("b", "8")):
-            out = tmp_path / name
-            assert cli.main(["split-sim", "--config", cfg, "--out", str(out),
-                             "--seed", "9"]) == 0
-            outs.append(out)
-        for fname in ("trace.csv", "blocks.csv", "report.txt",
-                      "config.resolved.ini"):
-            a = (outs[0] / fname).read_bytes()
-            b = (outs[1] / fname).read_bytes()
-            assert a == b, fname
+        runs = (("split-sim", OU_CFG, ("trace.csv", "blocks.csv")),
+                ("return-times", RT_CFG, ("return_times.csv",)),
+                ("atom-check", OU_CFG + "n_mc = 2000\nk_list = 1,2\n",
+                 ("atom_check.csv",)))
+        for sub, text, artifacts in runs:
+            cfg = write_config(tmp_path / f"{sub}.ini", text)
+            outs = [tmp_path / f"{sub}-{name}" for name in "ab"]
+            for out in outs:
+                assert cli.main([sub, "--config", cfg, "--out", str(out),
+                                 "--seed", "9"]) == 0
+            for fname in artifacts + ("report.txt", "config.resolved.ini"):
+                a = (outs[0] / fname).read_bytes()
+                b = (outs[1] / fname).read_bytes()
+                assert a == b, (sub, fname)
 
     def test_seed_changes_trace(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", OU_CFG)

@@ -179,10 +179,62 @@ class TestCsvWriters:
         assert "np.float64" not in lines[1]
 
     def test_return_times_csv(self, ou, tmp_path):
-        rng = np.random.default_rng(0)
-        samples = [eg.return_time(ou, 0.1, 15.0, (-11.6, 11.6), 100, rng)
-                   for _ in range(3)]
-        write_return_times_csv(samples, tmp_path / "r.csv")
+        x0s, sigmas, censored = eg.return_times_ensemble(
+            ou, 0.1, 15.0, (-11.6, 11.6), 100, 3, seed=0)
+        write_return_times_csv(x0s, sigmas, censored, tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "replicate,x0,sigma,censored"
         assert len(lines) == 4
+
+
+# Floats whose repr is easy to get wrong: signed zero, the least subnormal,
+# exponent notation at both ends, and a value with no exact binary form.
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 0.1, 1e22]
+
+
+def _paths_rows(paths):
+    """The per-element loop write_paths_csv replaced: the byte reference."""
+    return "replicate,step,x\n" + "".join(
+        f"{r},{k},{float(paths[r, k])!r}\n"
+        for r in range(paths.shape[0]) for k in range(paths.shape[1]))
+
+
+def _return_times_rows(x0s, sigmas, censored):
+    """The per-replicate loop write_return_times_csv replaced."""
+    return "replicate,x0,sigma,censored\n" + "".join(
+        f"{r},{float(x)!r},{int(s)},{int(c)}\n"
+        for r, (x, s, c) in enumerate(zip(x0s, sigmas, censored)))
+
+
+class TestColumnarWriters:
+    """The writers format whole columns; their bytes must equal the
+    per-row loops they replaced."""
+
+    def test_paths_edge_values(self, tmp_path):
+        paths = np.array([EDGE_FLOATS, [-x for x in EDGE_FLOATS]])
+        write_paths_csv(paths, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text() == _paths_rows(paths)
+
+    def test_paths_ensemble(self, ou, tmp_path):
+        paths = eg.sample_paths(ou, eg.PathConfig(0.1, 7, 3, 2.0), 5)
+        write_paths_csv(paths, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_text() == _paths_rows(paths)
+
+    def test_return_times_edge_values(self, tmp_path):
+        horizon = 10 ** 9
+        x0s = np.array(EDGE_FLOATS)
+        sigmas = np.array([1, 2, 17, horizon - 1, horizon], dtype=np.int64)
+        censored = np.array([False, False, False, False, True])
+        write_return_times_csv(x0s, sigmas, censored, tmp_path / "r.csv")
+        assert ((tmp_path / "r.csv").read_text()
+                == _return_times_rows(x0s, sigmas, censored))
+        assert (tmp_path / "r.csv").read_text().endswith(
+            f"4,1e+22,{horizon},1\n")
+
+    def test_return_times_ensemble(self, ou, tmp_path):
+        # starts far from D, so sigma varies and some replicates censor
+        ens = eg.return_times_ensemble(ou, 0.1, 40.0, (-11.6, 11.6), 12,
+                                       200, seed=4)
+        assert 0 < ens[2].sum() < 200
+        write_return_times_csv(*ens, tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text() == _return_times_rows(*ens)

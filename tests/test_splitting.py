@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +165,55 @@ class TestRunSplit:
         assert "np.float64" not in tl[1] + bl[min(1, len(bl) - 1)]
 
 
+
+def _trace_rows(blocks):
+    """The per-step loop write_trace_csv replaced: the byte reference."""
+    atom = np.zeros(blocks.xs.size, dtype=int)
+    atom[blocks.atom_visit_times] = 1
+    return "step,x,d,in_C,atom_visit\n" + "".join(
+        f"{t},{float(blocks.xs[t])!r},{int(blocks.ds[t])},"
+        f"{int(blocks.in_c[t])},{atom[t]}\n" for t in range(blocks.xs.size))
+
+
+def _blocks_rows(blocks, values):
+    """The per-block loop write_blocks_csv replaced."""
+    sums = blocks.block_sums(values)
+    return "block,length,sum\n" + "".join(
+        f"{j},{int(ln)},{float(s)!r}\n"
+        for j, (ln, s) in enumerate(zip(blocks.block_lengths(), sums)))
+
+
+class TestColumnarWriters:
+    """trace.csv and blocks.csv are formatted from whole columns; their
+    bytes must equal the per-row loops they replaced."""
+
+    def test_edge_values(self, tmp_path):
+        # -0.0, the least subnormal, exponent notation and an inexact 0.1
+        xs = np.array([-0.0, 5e-324, 1e-05, 0.1, 1e22, -0.5])
+        ds = np.array([1, 0, 1, 0, 1, 1], dtype=np.int8)
+        in_c = np.array([True, False, True, True, True, False])
+        blocks = eg.RegenerationBlocks(
+            xs=xs, ds=ds, in_c=in_c,
+            atom_visit_times=np.flatnonzero(in_c & (ds == 1)), eps=0.1)
+        blocks.write_trace_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == _trace_rows(blocks)
+        assert (tmp_path / "t.csv").read_text().splitlines()[1] == "0,-0.0,1,1,1"
+        for values in (None, xs):
+            blocks.write_blocks_csv(tmp_path / "b.csv", values=values)
+            expect = _blocks_rows(blocks, np.ones_like(xs) if values is None
+                                  else values)
+            assert (tmp_path / "b.csv").read_text() == expect
+
+    def test_split_trajectory(self, ou, smallset_ou, tmp_path):
+        blocks = eg.run_split(ou, 0.5, smallset_ou, 0.0, 3000,
+                              np.random.default_rng(14))
+        assert blocks.n_blocks > 30
+        blocks.write_trace_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == _trace_rows(blocks)
+        vals = blocks.in_c.astype(float)
+        blocks.write_blocks_csv(tmp_path / "b.csv", values=vals)
+        assert (tmp_path / "b.csv").read_text() == _blocks_rows(blocks, vals)
+
 class TestAtomReturn:
     def test_k1_exact_epsilon(self, ou, smallset_ou, grid12):
         checks = eg.atom_return_check(ou, 0.5, smallset_ou, [1], 5000,
@@ -176,6 +226,30 @@ class TestAtomReturn:
                                       grid12, seed=7)
         for c in checks:
             assert abs(c.empirical - c.exact) <= 3 * c.se
+
+    def test_ensemble_freed_before_quadrature(self, ou, smallset_ou, grid12,
+                                              monkeypatch):
+        # the (k_max + 1) x n_mc ensemble must not be held while nu P is
+        # built, which is the largest allocation of the check
+        from emergolab import splitting
+        held = []
+        ensemble, nu_one_step = splitting.split_ensemble, splitting._nu_one_step
+
+        def keep_refs(*args, **kwargs):
+            xs, ds = ensemble(*args, **kwargs)
+            held.extend([weakref.ref(xs), weakref.ref(ds)])
+            return xs, ds
+
+        def check_freed(*args, **kwargs):
+            assert held and all(ref() is None for ref in held)
+            return nu_one_step(*args, **kwargs)
+        monkeypatch.setattr(splitting, "split_ensemble", keep_refs)
+        monkeypatch.setattr(splitting, "_nu_one_step", check_freed)
+        checks = eg.atom_return_check(ou, 0.5, smallset_ou, [1, 3], 2000,
+                                      grid12, seed=2)
+        monkeypatch.undo()
+        assert checks == eg.atom_return_check(ou, 0.5, smallset_ou, [1, 3],
+                                              2000, grid12, seed=2)
 
 
 class TestRegenerativeEstimator:
