@@ -5,9 +5,9 @@ from .drifts import (DriftSpec, DerivedConstants, AssumptionReport,
                      eval_drift, check_assumptions, derive_constants,
                      closed_form_PV, verify_drift_condition, lyapunov)
 from .kernel import (Grid, GridMeasure, SmallSetSpec, default_grid,
-                     gaussian_on_grid, transition_density, apply_kernel,
-                     n_step_from_point, invariant_measure, tv_distance,
-                     tv_uncertainty, minorization_epsilon,
+                     resolution_grid, gaussian_on_grid, transition_density,
+                     apply_kernel, n_step_from_point, invariant_measure,
+                     tv_distance, tv_uncertainty, minorization_epsilon,
                      whole_space_minorization, doeblin_rate)
 from .simulate import (PathConfig, ReturnTimeSample, ExpMomentEstimate,
                        em_step, sample_paths, return_time,

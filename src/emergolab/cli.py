@@ -156,6 +156,20 @@ def build_grid(cfg: dict, spec, eta) -> ke.Grid:
     return ke.Grid(g["lower"], g["upper"], n_nodes)
 
 
+def _atom_grid(cfg: dict, spec, eta) -> ke.Grid:
+    """The grid of the atom checks: the user's when [grid] places one, else
+    the resolution-sized grid, whose one-step masses need no more nodes."""
+    if cfg["grid"].keys() & {"lower", "upper", "n_nodes"}:
+        return build_grid(cfg, spec, eta)
+    return ke.resolution_grid(spec, eta)
+
+
+def _add_grid(rep, grid: ke.Grid) -> None:
+    rep.add("grid_lower", grid.lower)
+    rep.add("grid_upper", grid.upper)
+    rep.add("grid_nodes", grid.n_nodes)
+
+
 def _echo_config(raw: dict, experiment: str, seed: int, out: Path) -> None:
     parser = configparser.ConfigParser()
     resolved = dict(raw, experiment={**raw["experiment"], "kind": experiment,
@@ -298,7 +312,7 @@ def _smallset(cfg, spec, eta):
 
 def run_split_sim(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
-    grid = build_grid(cfg, spec, eta)
+    grid = _atom_grid(cfg, spec, eta)
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     smallset = _smallset(cfg, spec, eta)
     n_steps = cfg["experiment"].get("n_steps", 20000)
@@ -311,6 +325,7 @@ def run_split_sim(cfg, spec, out, seed, rep):
     blocks.write_blocks_csv(out / "blocks.csv", values=in_c_vals)
     rep.add("epsilon_minorization", smallset.epsilon)
     rep.add("epsilon_split", eps)
+    _add_grid(rep, grid)
     rep.add("n_blocks", blocks.n_blocks)
     d_freq = float(blocks.ds[1:].mean())
     rep.add("d_frequency", d_freq)
@@ -319,7 +334,8 @@ def run_split_sim(cfg, spec, out, seed, rep):
     if blocks.n_blocks >= 30:
         est = splitting.regenerative_pi_estimate(blocks, values=in_c_vals)
         pi = rates.invariant_cached(spec, eta, grid, tol)
-        oracle = pi.prob_interval(smallset.c_lower, smallset.c_upper)
+        oracle = ke._step_mass(ke.Chain(spec, eta, eta), grid, pi.density,
+                               smallset.c_lower, smallset.c_upper)
         rep.add("pi_C_regenerative", est.value)
         rep.add("pi_C_regenerative_ci", f"[{est.ci_low!r},{est.ci_high!r}]")
         rep.add("pi_C_quadrature", oracle)
@@ -329,7 +345,7 @@ def run_split_sim(cfg, spec, out, seed, rep):
 
 def run_atom_check(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
-    grid = build_grid(cfg, spec, eta)
+    grid = _atom_grid(cfg, spec, eta)
     smallset = _smallset(cfg, spec, eta)
     checks = splitting.atom_return_check(
         spec, eta, smallset, cfg["experiment"].get("k_list", [1, 2, 3, 5]),
@@ -340,6 +356,7 @@ def run_atom_check(cfg, spec, out, seed, rep):
             fh.write(f"{c.k},{float(c.empirical)!r},{float(c.exact)!r},"
                      f"{float(c.se)!r}\n")
     rep.add("epsilon_split", splitting.resolve_split_epsilon(spec, eta, smallset))
+    _add_grid(rep, grid)
     for c in checks:
         rep.add(f"k{c.k}_empirical", c.empirical)
         rep.add(f"k{c.k}_exact", c.exact)
@@ -413,17 +430,18 @@ def run(experiment: str, config_path: str, out_dir: str, seed=None) -> int:
     resolved_seed = (cfg["experiment"].get("seed", 0) if seed is None
                      else _typed("experiment", "seed", seed))
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out_dir!r}: cannot create the output "
-                          f"directory: {exc.strerror or exc}") from None
-    _echo_config(raw, experiment, resolved_seed, out)
     rep = Report()
     rep.add("experiment", experiment)
     rep.add("seed", resolved_seed)
-    _RUNNERS[experiment](cfg, spec, out, resolved_seed, rep)
-    rep.write(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _echo_config(raw, experiment, resolved_seed, out)
+        _RUNNERS[experiment](cfg, spec, out, resolved_seed, rep)
+        rep.write(out)
+    except OSError as exc:  # the runners compute in memory and write to out
+        path = f" {exc.filename!r}" if exc.filename else ""
+        raise ConfigError(f"--out {out_dir!r}: cannot write{path}: "
+                          f"{exc.strerror or exc}") from None
     return 0 if rep.all_ok else 1
 
 

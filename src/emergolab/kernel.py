@@ -97,9 +97,29 @@ class Grid:
 def default_grid(spec: DriftSpec, eta: float, n_nodes: int = Grid.n_nodes) -> Grid:
     """Grid sized to cover both the return set and the stationary bulk."""
     radius = drifts.radius_of(spec, eta)
-    std_est = spec.sigma / math.sqrt(spec.K1)
-    half = max(4.0 * radius, 10.0 * std_est)
+    half = max(4.0 * radius, _bulk_half_width(spec))
     return Grid(-half, half, n_nodes)
+
+
+def _bulk_half_width(spec: DriftSpec) -> float:
+    """Half-width 10 sigma/sqrt(K1) that both grids give the stationary bulk."""
+    return 10.0 * (spec.sigma / math.sqrt(spec.K1))
+
+
+def _resolved_nodes(width: float, sd: float) -> int:
+    """The fewest nodes (and at least a Grid's 16) that put a span of width
+    at spacing sd/2 or finer."""
+    return max(math.ceil(width / (0.5 * sd)) + 1, 16)
+
+
+def resolution_grid(spec: DriftSpec, eta: float) -> Grid:
+    """Grid on the stationary bulk +-10 sigma/sqrt(K1), its spacing at most
+    half the kernel sd: the trapezoid rule on such a grid integrates one
+    kernel step to within 2*exp(-8*pi^2), so the node count follows the
+    kernel, not a fixed default.  A bulk the bound misjudges still meets
+    the leakage check (_reject_leak)."""
+    half = _bulk_half_width(spec)
+    return Grid(-half, half, _resolved_nodes(2.0 * half, Chain(spec, eta, eta).sd))
 
 
 @dataclass
@@ -175,11 +195,15 @@ def _upper_tail(z: float) -> float:
     return 0.5 * math.erfc(z * math.sqrt(0.5))
 
 
+def _upper_tails(z: np.ndarray) -> np.ndarray:
+    """_upper_tail of every entry of z."""
+    return np.array([_upper_tail(v) for v in z.tolist()])
+
+
 def _outside(grid: Grid, means: np.ndarray, sd: float) -> np.ndarray:
     """Mass of N(m, sd^2) beyond [lower, upper] for each m in means, the
     two sides' tails summed (not 1 - inside, which cancels to 0)."""
-    return np.array([_upper_tail((grid.upper - m) / sd) + _upper_tail((m - grid.lower) / sd)
-                     for m in means.tolist()])
+    return _upper_tails((grid.upper - means) / sd) + _upper_tails((means - grid.lower) / sd)
 
 
 def _normal_pdf(d, var: float = 1.0):
@@ -202,12 +226,14 @@ def _start_laws(grid: Grid, means, var: float, chain: Chain | None = None
     trapezoid rule's shortfall from 1 where that is larger (coarse grids),
     so that every column validates as a GridMeasure.  When the laws are the
     first steps of chain, one whose outside mass exceeds LEAK_TOL rejects
-    the grid, as every later step does (_reject_leak)."""
+    the grid, as every later step does (_reject_leak), and so does a grid
+    too coarse for chain's kernel (_reject_coarse)."""
     means = np.asarray(means, dtype=float)
     columns = _normal_pdf(grid.nodes[:, None] - means[None, :], var)
     deficit = 1.0 - grid.weights @ columns
     outside = _outside(grid, means, math.sqrt(var))
     if chain is not None:
+        _reject_coarse(chain, grid)
         _reject_leak(chain, grid, outside, means)
     return columns, np.maximum(outside, deficit)
 
@@ -302,15 +328,44 @@ def _reject_leak(chain: Chain, grid: Grid, leak, starts=()) -> None:
             suggested_lower=lo, suggested_upper=hi)
 
 
+def _reject_coarse(chain: Chain, grid: Grid) -> None:
+    """Raise GridTooSmallError when the grid spacing exceeds the kernel sd.
+    Beyond it the trapezoid rule's error on one step, about
+    2*exp(-2*pi^2*(sd/h)^2), is no longer negligible and yet passes every
+    mass check; the message names the n_nodes that gives h <= sd/2."""
+    if grid.spacing > chain.sd:
+        n = _resolved_nodes(grid.upper - grid.lower, chain.sd)
+        raise GridTooSmallError(
+            f"grid spacing {grid.spacing!r} exceeds the kernel sd {chain.sd!r}; "
+            f"n_nodes = {n} on [{grid.lower!r}, {grid.upper!r}] resolves it",
+            suggested_lower=grid.lower, suggested_upper=grid.upper)
+
+
 def _step(chain: Chain, grid: Grid, density: np.ndarray, tail):
     """One kernel step of a density or an (n, k) block of density columns:
     returns the new density and tail, the tail (a float, or one per column)
     plus each column's certified leakage and band term (see _leak).  A column
-    that leaks more than LEAK_TOL rejects the grid (_reject_leak)."""
+    that leaks more than LEAK_TOL rejects the grid (_reject_leak), as does a
+    grid too coarse for the kernel (_reject_coarse)."""
+    _reject_coarse(chain, grid)
     leak, band = _leak(chain, grid, density)
     _reject_leak(chain, grid, leak)
     new = _matvec(chain, grid, density)
     return np.maximum(new, 0.0, out=new), tail + leak + band
+
+
+def _step_mass(chain: Chain, grid: Grid, density: np.ndarray, a: float,
+               b: float) -> float:
+    """Mass that one step from a node density puts in [a, b], exactly in y:
+    sum_j w_j xi_j (Q((a - m_j)/sd) - Q((b - m_j)/sd)), m_j the one-step
+    mean at node j and Q the normal upper tail (Nystrom).  No interpolant
+    between nodes enters, so for an invariant density (pi = pi P) it is
+    pi([a, b]) to the trapezoid rule's accuracy on a smooth integrand."""
+    if b < a:
+        raise ValueError("need a <= b")
+    mean = chain.mean(grid.nodes)
+    prob = _upper_tails((a - mean) / chain.sd) - _upper_tails((b - mean) / chain.sd)
+    return float((grid.weights * density) @ prob)
 
 
 def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure) -> GridMeasure:
@@ -397,6 +452,7 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
                      seed_measure: GridMeasure | None = None) -> InvariantResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _reject_coarse(chain, grid)
     if seed_measure is None:
         seed_measure = gaussian_on_grid(grid, 0.0, 1.0)
     w = grid.weights
@@ -415,6 +471,17 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
     raise ConvergenceError(
         f"power iteration did not reach tol={tol!r} in {max_iters} steps",
         last_increment=increment)
+
+
+def _distinct(values, name: str) -> list:
+    """values as a list, or a ValueError naming the first entry that repeats
+    (a repeat would give a result row twice)."""
+    values = list(values)
+    repeats = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeats:
+        raise ValueError(f"{name} must list each value once, but "
+                         f"{repeats[0]!r} repeats")
+    return values
 
 
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:

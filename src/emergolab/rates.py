@@ -188,9 +188,10 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     sup is a witness.  On that path grid is not used: the grid is sized
     from the mean range [inf, sup] of x + g(x).  Without the minorization
     the table falls back to the plain kernel on grid (default_grid when
-    None) and is exploratory (a warning is emitted, m is None).
+    None) and is exploratory (a warning is emitted, m is None).  An n listed
+    twice raises ValueError.
     """
-    n_list = sorted(int(n) for n in n_list)
+    n_list = sorted(ke._distinct((int(n) for n in n_list), "n_list"))
     if n_list[0] < 0:
         raise ValueError("n must be >= 0")
     chain = ke.Chain(spec, eta, 1.0)
@@ -248,9 +249,10 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
     The table juxtaposes delta_hat(eta); no equality claim across eta is
     made.  Rows where the curve floors immediately carry delta_hat None,
     and rows with no Doeblin mass, or one underflowed to 0, no envelope_rate.
+    An eta listed twice raises ValueError.
     """
     rows = []
-    for eta in eta_list:
+    for eta in ke._distinct(eta_list, "eta_list"):
         grid = initial.grid if isinstance(initial, GridMeasure) \
             else ke.default_grid(spec, eta, n_nodes=n_nodes)
         curve = tv_decay_curve(spec, eta, initial, N, grid=grid, tol=tol)

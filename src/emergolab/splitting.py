@@ -16,8 +16,9 @@ import numpy as np
 
 from .drifts import DriftSpec
 from .errors import MinorizationError
-from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _normal_pdf,
-                     _start_laws, apply_kernel, minorization_epsilon)
+from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _distinct,
+                     _normal_pdf, _start_laws, _step_mass, apply_kernel,
+                     minorization_epsilon)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
@@ -295,12 +296,17 @@ class AtomReturnCheck:
     n_mc: int
 
 
+def _c_grid(smallset: SmallSetSpec) -> Grid:
+    """The 2001 trapezoid nodes over C that average over nu."""
+    return Grid(smallset.c_lower, smallset.c_upper, 2001)
+
+
 def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                  grid: Grid) -> GridMeasure:
-    """(nu P)(y) on the grid: the one-step laws from 2001 nodes of C,
-    averaged by trapezoid quadrature over C."""
+    """(nu P)(y) on the grid: the one-step laws from the nodes of C
+    (_c_grid), averaged by trapezoid quadrature over C."""
     chain = Chain(spec, eta, eta)
-    c = Grid(smallset.c_lower, smallset.c_upper, 2001)
+    c = _c_grid(smallset)
     laws, tails = _start_laws(grid, chain.mean(c.nodes), chain.var, chain)
     dens = (laws @ c.weights) / smallset.length
     mass = float(np.trapezoid(dens, dx=grid.spacing))
@@ -315,9 +321,12 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
 
     Empirical: n_mc split chains started at the atom (x ~ nu, d = 1); the
     statistic at k is the fraction sitting in C x {1} after exactly k steps.
-    Exact: quadrature through the kernel engine; k = 1 is eps * nu(C) = eps.
+    Exact: k = 1 is eps * nu(C) = eps; every other k takes (nu P^{k-2})
+    one exact step into C (kernel._step_mass), k = 2 straight from the
+    nodes of C and k >= 3 from nu P^{k-2} on grid.  A k listed twice
+    raises ValueError.
     """
-    ks = sorted(int(k) for k in ks)
+    ks = sorted(_distinct((int(k) for k in ks), "ks"))
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
     if eps is None:
@@ -332,13 +341,15 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                                & (ds[k] == 1))) for k in ks}
     del xs, ds
 
-    exact_by_k = {1: eps}
+    chain, c = Chain(spec, eta, eta), _c_grid(smallset)
+    lo, hi = smallset.c_lower, smallset.c_upper
+    nu = np.full(c.n_nodes, 1.0 / smallset.length)
+    exact_by_k = {1: eps, 2: eps * _step_mass(chain, c, nu, lo, hi)}
     measure = None
-    for k in range(2, max(ks) + 1):
+    for k in range(3, max(ks) + 1):
         measure = _nu_one_step(spec, eta, smallset, grid) if measure is None \
             else apply_kernel(spec, eta, measure)
-        exact_by_k[k] = eps * measure.prob_interval(smallset.c_lower,
-                                                    smallset.c_upper)
+        exact_by_k[k] = eps * _step_mass(chain, grid, measure.density, lo, hi)
 
     out = []
     for k in ks:

@@ -190,6 +190,30 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="0.25 repeats"):
             parse("0.5,0.25,0.125,0.25")
 
+    @pytest.mark.parametrize("sub", ["invariant", "tv-decay", "split-sim",
+                                     "atom-check"])
+    def test_coarse_grid_three(self, tmp_path, capsys, sub):
+        # h/sd = 1.25/0.707: the resolution guard rejects the grid and names
+        # the n_nodes that resolves the kernel
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           "[grid]\nlower = -10\nupper = 10\nn_nodes = 17\n"
+                           "[experiment]\neta = 0.5\nn_steps = 3000\n"
+                           "k_list = 1,3\nn_mc = 100\n")
+        assert cli.main([sub, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "n_nodes = 58" in err
+
+    def test_unwritable_artifact_two(self, tmp_path, capsys, monkeypatch):
+        # a directory where report.txt goes: a config error, not a traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o5" / "report.txt").mkdir(parents=True)
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           "[experiment]\neta = 0.1\n")
+        assert cli.main(["constants", "--config", cfg, "--out", "o5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out 'o5'") and "report.txt" in err
+
     @pytest.mark.parametrize("sub_path", ["", "sub"], ids=["file", "below-file"])
     def test_out_is_a_file_two(self, tmp_path, capsys, sub_path):
         cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
@@ -362,6 +386,40 @@ class TestArtifacts:
         cfg = write_config(tmp_path / "c.ini", OU_CFG.replace("0.5", "0.1"))
         assert cli.main(["constants", "--config", cfg]) == 0
         assert (tmp_path / "envroot" / "constants" / "report.txt").exists()
+
+
+def _report(out):
+    return dict(line.split("=", 1) for line in
+                (out / "report.txt").read_text().splitlines())
+
+
+def test_split_sim_pi_c_on_the_resolution_grid(tmp_path):
+    # OU at eta = 0.5: pi = N(0, 2/3), so pi([-1, 1]) = erf(sqrt(3)/2)
+    cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                       "[experiment]\neta = 0.5\nn_steps = 3000\n")
+    assert cli.main(["split-sim", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "4"]) == 0
+    values = _report(tmp_path / "o")
+    assert float(values["pi_C_quadrature"]) == pytest.approx(
+        math.erf(math.sqrt(3.0) / 2.0), abs=1e-8)
+    grid = eg.resolution_grid(eg.ornstein_uhlenbeck(), 0.5)
+    assert (values["grid_lower"], values["grid_upper"], values["grid_nodes"]) \
+        == ("-10.0", "10.0", str(grid.n_nodes))
+
+
+@pytest.mark.parametrize("grid, expect", [
+    ("", ("-10.0", "10.0", "58")),
+    ("[grid]\nn_nodes = 513\n", ("-10.0", "10.0", "513")),
+    ("[grid]\nlower = -8\nupper = 9\n", ("-8.0", "9.0", "4097")),
+], ids=["resolved", "user-nodes", "user-bounds"])
+def test_atom_check_reports_its_grid(tmp_path, grid, expect):
+    cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n" + grid
+                       + "[experiment]\neta = 0.5\nk_list = 1,3\nn_mc = 2000\n")
+    assert cli.main(["atom-check", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "4"]) == 0
+    values = _report(tmp_path / "o")
+    assert (values["grid_lower"], values["grid_upper"], values["grid_nodes"]) \
+        == expect
 
 
 def test_return_times_report_matches_exp_beta_sigma(tmp_path):

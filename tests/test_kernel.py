@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 import emergolab as eg
+from emergolab import kernel as ke
 from emergolab.errors import ApplicabilityError, GridTooSmallError
 from emergolab.kernel import gaussian_on_grid
 
@@ -513,3 +514,67 @@ class TestDefaultGrid:
         r = eg.drifts.radius_of(ou, 0.1)
         assert g.upper >= 4 * r
         assert g.lower == -g.upper
+
+
+class TestResolutionGrid:
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.1, 0.005])
+    def test_covers_bulk_at_half_sd(self, ou, bp, kind, eta):
+        spec = {"ou": ou, "bounded": bp}[kind]
+        g = eg.resolution_grid(spec, eta)
+        half = 10.0 * spec.sigma / math.sqrt(spec.K1)
+        assert (g.lower, g.upper) == (-half, half)
+        assert g.spacing <= 0.5 * math.sqrt(eta) * spec.sigma
+        # and no finer than needed: one node fewer breaks the rule
+        assert 2 * half / (g.n_nodes - 2) > 0.5 * math.sqrt(eta) * spec.sigma
+
+    @pytest.mark.parametrize("eta", [0.5, 0.1, 0.02, 0.005])
+    def test_one_step_mass_matches_ar1(self, ou, eta):
+        # pi = pi P, so one exact step from the nodes gives pi(C) with no
+        # interpolant; the AR(1) law is N(0, eta/(1 - (1 - eta)^2))
+        g = eg.resolution_grid(ou, eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pi = eg.invariant_measure(ou, eta, g).measure
+        got = ke._step_mass(ke.Chain(ou, eta, eta), g, pi.density, -1.0, 1.0)
+        sd = math.sqrt(eta / (1.0 - (1.0 - eta) ** 2))
+        assert got == pytest.approx(norm.cdf(1.0 / sd) - norm.cdf(-1.0 / sd),
+                                    abs=1e-6)
+
+    def test_step_mass_of_a_point_law(self, ou):
+        # one OU step at eta = 0.5 takes N(0.15, 0.5) to N(0.075, 0.125 + 0.5)
+        g = eg.resolution_grid(ou, 0.5)
+        x = gaussian_on_grid(g, 0.15, 0.5)
+        got = ke._step_mass(ke.Chain(ou, 0.5, 0.5), g, x.density, 0.2, 1.7)
+        law = norm(0.075, math.sqrt(0.125 + 0.5))
+        assert got == pytest.approx(law.cdf(1.7) - law.cdf(0.2), abs=1e-12)
+        with pytest.raises(ValueError):
+            ke._step_mass(ke.Chain(ou, 0.5, 0.5), g, x.density, 1.0, 0.0)
+
+
+class TestCoarseGridRejected:
+    # h/sd = 2 passes every mass check and gives TV errors near 8e-3
+    coarse = eg.Grid(-10.0, 10.0, 33)    # h = 0.625, sd = sqrt(0.1)
+
+    @pytest.mark.parametrize("entry", ["start-law", "step", "invariant"])
+    def test_names_a_sufficient_n_nodes(self, ou, entry):
+        fine = eg.resolution_grid(ou, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(GridTooSmallError, match="n_nodes") as err:
+                if entry == "start-law":
+                    eg.n_step_from_point(ou, 0.1, 0.0, 1, self.coarse)
+                elif entry == "step":
+                    eg.apply_kernel(ou, 0.1, gaussian_on_grid(self.coarse, 0.0, 1.0))
+                else:
+                    eg.invariant_measure(ou, 0.1, self.coarse)
+        n = int(str(err.value).split("n_nodes = ")[1].split()[0])
+        assert n == fine.n_nodes
+        resolved = eg.Grid(self.coarse.lower, self.coarse.upper, n)
+        assert resolved.spacing <= 0.5 * math.sqrt(0.1)
+        assert eg.n_step_from_point(ou, 0.1, 0.0, 2, resolved).tail_bound < 1e-8
+
+    def test_spacing_at_sd_accepted(self, ou):
+        at_sd = eg.Grid(-10.0, 10.0, 2 + math.ceil(20.0 / math.sqrt(0.1)))
+        assert at_sd.spacing <= math.sqrt(0.1)
+        eg.n_step_from_point(ou, 0.1, 0.0, 2, at_sd)

@@ -172,6 +172,10 @@ class TestUniformSup:
             eg.tv_decay_curve(fast, 0.5, 0.9, 3, grid=small)
         assert len(solves) == 1
 
+    def test_repeated_n_rejected(self, bp):
+        with pytest.raises(ValueError, match="n_list .* 1 repeats"):
+            eg.uniform_sup_tv(bp, 0.5, [0.0], [1, 1])
+
     def test_sup_tv_clipped_at_one(self, bp):
         # m underflows to 0 at eta = 1e-4; the trapezoid of |column - pi|
         # read 1.0000000000000007 at n = 1 and 2 before the clip
@@ -206,6 +210,11 @@ class TestStepSizeStudy:
         for row in rows:
             assert row.delta_hat == pytest.approx(1 / (1 - row.eta), rel=0.1)
             assert row.m == pytest.approx(1.0, abs=1e-9)
+
+    def test_repeated_eta_rejected(self, ou, solves):
+        with pytest.raises(ValueError, match="eta_list .* 0.5 repeats"):
+            eg.step_size_study(ou, [0.5, 0.2, 0.5], 3.0, 10, n_nodes=257)
+        assert not solves  # rejected before the first row is computed
 
     def test_stationary_rows_undefined(self, ou, grid12, pi_ou_05):
         with warnings.catch_warnings():

@@ -3,7 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.integrate import quad
+from scipy.stats import kstest, norm
 
 import emergolab as eg
 from emergolab.errors import MinorizationError
@@ -226,6 +227,20 @@ class TestAtomReturn:
                                       grid12, seed=7)
         for c in checks:
             assert abs(c.empirical - c.exact) <= 3 * c.se
+
+    def test_k2_matches_adaptive_quadrature(self, ou, smallset_ou, grid12):
+        # eps/|C| * int_C P(x, C) dx, P(x, .) = N(x/2, 1/2) at eta = 0.5
+        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        sd = math.sqrt(0.5)
+        mass, _ = quad(lambda x: norm.cdf((1.0 - 0.5 * x) / sd)
+                       - norm.cdf((-1.0 - 0.5 * x) / sd), -1.0, 1.0,
+                       epsabs=1e-13, epsrel=1e-13)
+        checks = eg.atom_return_check(ou, 0.5, smallset_ou, [2], 100, grid12)
+        assert checks[0].exact == pytest.approx(eps * mass / 2.0, abs=1e-8)
+
+    def test_repeated_k_rejected(self, ou, smallset_ou, grid12):
+        with pytest.raises(ValueError, match="ks .* 2 repeats"):
+            eg.atom_return_check(ou, 0.5, smallset_ou, [2, 2], 100, grid12)
 
     def test_ensemble_freed_before_quadrature(self, ou, smallset_ou, grid12,
                                               monkeypatch):
