@@ -40,12 +40,8 @@ class _Number(NamedTuple):
 
     def __call__(self, raw):
         if self.many:
-            vals = [self._replace(many=False)(v) for v in str(raw).split(",")]
-            repeats = [v for i, v in enumerate(vals) if v in vals[:i]]
-            if repeats:
-                raise ValueError(f"must list each value once, but "
-                                 f"{repeats[0]!r} repeats")
-            return vals
+            return ke._distinct((self._replace(many=False)(v)
+                                 for v in str(raw).split(",")), "it")
         lo, hi = (float(b) for b in self.interval[1:-1].split(","))
         try:
             v = self.cast(raw)
@@ -156,10 +152,15 @@ def build_grid(cfg: dict, spec, eta) -> ke.Grid:
     return ke.Grid(g["lower"], g["upper"], n_nodes)
 
 
+def _places_grid(cfg: dict) -> bool:
+    """Whether [grid] sets lower, upper or n_nodes."""
+    return bool(cfg["grid"].keys() & {"lower", "upper", "n_nodes"})
+
+
 def _atom_grid(cfg: dict, spec, eta) -> ke.Grid:
     """The grid of the atom checks: the user's when [grid] places one, else
     the resolution-sized grid, whose one-step masses need no more nodes."""
-    if cfg["grid"].keys() & {"lower", "upper", "n_nodes"}:
+    if _places_grid(cfg):
         return build_grid(cfg, spec, eta)
     return ke.resolution_grid(spec, eta)
 
@@ -287,8 +288,9 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
     default_span = 5.0 * radius if radius > 0 else 10.0 * spec.sigma / math.sqrt(spec.K1)
     span = min(cfg["experiment"].get("x_grid_span", default_span), 0.6 * grid.upper)
     n_list = cfg["experiment"].get("n_list", list(range(1, 11)))
-    table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts),
-                                 n_list, grid=grid, tol=tol)
+    # without [grid] the Doeblin path sizes its grid from the mean range
+    table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts), n_list,
+                                 grid=grid if _places_grid(cfg) else None, tol=tol)
     table.write_csv(out / "uniform_sup.csv")
     rep.add("m", table.m)
     if table.m:  # an m that underflows to 0 bounds nothing and has no rate

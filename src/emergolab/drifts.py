@@ -58,9 +58,6 @@ class DriftSpec:
     def g0(self) -> float:
         return float(eval_drift(self, 0.0))
 
-    def g(self, x):
-        return eval_drift(self, x)
-
 
 def ornstein_uhlenbeck(kappa: float = 1.0, sigma: float = 1.0) -> DriftSpec:
     """Linear drift g(x) = -kappa*x with its exact constants."""
@@ -229,19 +226,12 @@ def lambda_of(spec: DriftSpec, eta) -> float:
     return out if out.ndim else float(out)
 
 
-def b_of(spec: DriftSpec, eta, variant: str = "k1l") -> float:
-    """Drift-condition offset b_eta.
-
-    The default "k1l" variant is
-    b = K1*L/2 - 2*L^2*eta^2 + 2*g(0)^2*eta^2 + eta*sigma^2 + 2*c*eta.
-    The "k1" variant replaces the leading K1*L/2 with K1/2 for sensitivity
-    studies of the dimensionally odd first term.
+def b_of(spec: DriftSpec, eta) -> float:
+    """Drift-condition offset
+    b_eta = K1*L/2 - 2*L^2*eta^2 + 2*g(0)^2*eta^2 + eta*sigma^2 + 2*c*eta.
     """
-    if variant not in ("k1l", "k1"):
-        raise ValueError("variant must be 'k1l' or 'k1'")
     eta = np.asarray(eta, dtype=float)
-    lead = 0.5 * spec.K1 * spec.L if variant == "k1l" else 0.5 * spec.K1
-    out = (lead - 2.0 * spec.L ** 2 * eta ** 2 + 2.0 * spec.g0 ** 2 * eta ** 2
+    out = (0.5 * spec.K1 * spec.L - 2.0 * spec.L ** 2 * eta ** 2 + 2.0 * spec.g0 ** 2 * eta ** 2
            + eta * spec.sigma ** 2 + 2.0 * spec.c_offset * eta)
     return out if out.ndim else float(out)
 

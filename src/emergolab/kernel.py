@@ -155,13 +155,6 @@ class GridMeasure:
         return float(np.trapezoid((self.grid.nodes - m) ** 2 * self.density,
                               dx=self.grid.spacing))
 
-    def prob_interval(self, a: float, b: float) -> float:
-        """Exact integral of the piecewise-linear density over [a, b]."""
-        if b < a:
-            raise ValueError("need a <= b")
-        lo, hi = self.cdf_at([a, b])
-        return float(hi - lo)
-
     def cdf_at(self, points) -> np.ndarray:
         """CDF of the tabulated density at arbitrary points."""
         x, d, h = self.grid.nodes, self.density, self.grid.spacing
@@ -402,21 +395,17 @@ class InvariantResult:
 
 
 def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
-                      tol: float = INVARIANT_TOL, max_iters: int = MAX_ITERS,
-                      seed_measure: GridMeasure | None = None) -> InvariantResult:
-    """Invariant density by power iteration, to TV increment below tol.
+                      tol: float = INVARIANT_TOL) -> InvariantResult:
+    """Invariant density by power iteration from N(0, 1), to TV increment
+    below tol.
 
     The iterate is renormalized to unit mass each step; the returned tail
     bound is the one-step leakage of the converged density plus the bound on
     the mass the band drops.  A converged density that leaks more than
-    LEAK_TOL rejects the grid.  The default start and max_iters go through
-    the solve cache (_invariant).
+    LEAK_TOL rejects the grid.  Solves go through the cache (_invariant).
     """
     _warn_lambda(spec, eta)
-    chain = Chain(spec, eta, eta)
-    if seed_measure is None and max_iters == MAX_ITERS:
-        return _invariant(chain, grid, tol)
-    return _power_iteration(chain, grid, tol, max_iters, seed_measure)
+    return _invariant(Chain(spec, eta, eta), grid, tol)
 
 
 def _warn_lambda(spec: DriftSpec, eta: float) -> None:
@@ -429,8 +418,8 @@ def _warn_lambda(spec: DriftSpec, eta: float) -> None:
 
 
 def _invariant(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
-    """The default-start solve, cached with its failures (_solved): a hit
-    returns the same result (density read-only) or raises the same error."""
+    """The solve, cached with its failures (_solved): a hit returns the same
+    result (density read-only) or raises the same error."""
     out = _solved(chain, grid, tol)
     if isinstance(out, Exception):
         raise out.with_traceback(None)  # not the last caller's frames
@@ -447,18 +436,15 @@ def _solved(chain: Chain, grid: Grid, tol: float):
     return out
 
 
-def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
-                     max_iters: int = MAX_ITERS,
-                     seed_measure: GridMeasure | None = None) -> InvariantResult:
+def _power_iteration(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
     if tol <= 0:
         raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
-    if seed_measure is None:
-        seed_measure = gaussian_on_grid(grid, 0.0, 1.0)
     w = grid.weights
-    dens = seed_measure.density / float(np.sum(w * seed_measure.density))
+    dens = gaussian_on_grid(grid, 0.0, 1.0).density
+    dens = dens / float(np.sum(w * dens))
     increment = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         new = np.maximum(_matvec(chain, grid, dens), 0.0)
         new /= float(np.sum(w * new))
         increment = 0.5 * float(np.sum(w * np.abs(new - dens)))
@@ -469,7 +455,7 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float = INVARIANT_TOL,
             return InvariantResult(
                 GridMeasure(grid, dens, tail_bound=float(leak + band)), it)
     raise ConvergenceError(
-        f"power iteration did not reach tol={tol!r} in {max_iters} steps",
+        f"power iteration did not reach tol={tol!r} in {MAX_ITERS} steps",
         last_increment=increment)
 
 

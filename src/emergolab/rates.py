@@ -185,11 +185,11 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     uniformly ergodic chain whose one-step mean is the bounded map x + g(x)
     (noise variance eta*sigma^2), against that chain's invariant measure;
     the rigorous bound is then sup_x d_TV <= (1-m)^n and the finite x-grid
-    sup is a witness.  On that path grid is not used: the grid is sized
-    from the mean range [inf, sup] of x + g(x).  Without the minorization
-    the table falls back to the plain kernel on grid (default_grid when
-    None) and is exploratory (a warning is emitted, m is None).  An n listed
-    twice raises ValueError.
+    sup is a witness.  On that path a grid of None is sized from the mean
+    range [inf, sup] of x + g(x).  Without the minorization the table falls
+    back to the plain kernel on grid (default_grid when None) and is
+    exploratory (a warning is emitted, m is None).  An n listed twice
+    raises ValueError.
     """
     n_list = sorted(ke._distinct((int(n) for n in n_list), "n_list"))
     if n_list[0] < 0:
@@ -207,7 +207,8 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
             grid = ke.default_grid(spec, eta)
     else:
         m = ke._doeblin_mass(chain, lo, hi)
-        grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
+        if grid is None:
+            grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
     pi = ke._invariant(chain, grid, tol).measure
     w = grid.weights
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,11 +61,6 @@ def sample_nu(smallset: SmallSetSpec, rng, size=None):
     return rng.uniform(smallset.c_lower, smallset.c_upper, size=size)
 
 
-def _sample_residual_many(spec: DriftSpec, eta: float, x: np.ndarray,
-                          smallset: SmallSetSpec, eps: float, rng) -> np.ndarray:
-    return _residual_draws(Chain(spec, eta, eta), x, smallset, eps, rng)
-
-
 _EPS_TOO_LARGE = ("kernel density below eps*nu on the small set; "
                   "eps is too large for this interval")
 
@@ -103,8 +98,8 @@ def sample_residual(spec: DriftSpec, eta: float, x: float,
         raise ValueError("residual kernel is only defined for x in C")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    return float(_sample_residual_many(
-        spec, eta, np.array([float(x)]), smallset, eps, rng)[0])
+    return float(_residual_draws(
+        Chain(spec, eta, eta), np.array([float(x)]), smallset, eps, rng)[0])
 
 
 def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
@@ -368,25 +363,18 @@ class RegenEstimate:
 
 
 def regenerative_pi_estimate(blocks: RegenerationBlocks,
-                             test_function: Optional[Callable] = None,
-                             values: Optional[np.ndarray] = None
-                             ) -> RegenEstimate:
+                             values: np.ndarray) -> RegenEstimate:
     """Ratio estimator sum(block sums)/sum(block lengths) with batch CI.
 
-    values (per-step numbers aligned with the trace) may be passed instead
-    of a function of x, e.g. the d-bits.  Needs at least N_BATCHES complete
+    values are per-step numbers aligned with the trace, e.g. f(xs) for a
+    test function f, or the d-bits.  Needs at least N_BATCHES complete
     blocks, one per batch of the CI.
     """
     if blocks.n_blocks < N_BATCHES:
         raise ValueError(
             f"only {blocks.n_blocks} complete blocks; need >= {N_BATCHES} "
             "(run a longer trajectory)")
-    if values is None:
-        if test_function is None:
-            raise ValueError("pass test_function or values")
-        values = np.asarray(test_function(blocks.xs), dtype=float)
-    else:
-        values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     sums = blocks.block_sums(values)
     lengths = blocks.block_lengths().astype(float)
     ratio = float(sums.sum() / lengths.sum())

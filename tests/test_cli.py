@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -355,6 +357,26 @@ class TestArtifacts:
                   "--out", str(out2)])
         assert ((out1 / "curve_main.csv").read_bytes()
                 == (out2 / "curve_main.csv").read_bytes())
+
+    def test_uniform_sup_honours_grid(self, tmp_path):
+        # [grid] sets the Doeblin path's grid; the trapezoid rule on the kink
+        # of |P^n(x, .) - pi| errs by O(h^2), 2e-4 at 257 nodes
+        tables = {}
+        for n in (257, 1025):
+            cfg = write_config(tmp_path / f"c{n}.ini",
+                               "[drift]\nkind = bounded\nkappa = 1\na = 0.5\n"
+                               f"[grid]\nn_nodes = {n}\n"
+                               "[experiment]\neta = 0.5\nn_list = 1,2,3\n"
+                               "x_grid_points = 11\n")
+            out = tmp_path / f"o{n}"
+            assert cli.main(["uniform-sup", "--config", cfg,
+                             "--out", str(out)]) == 0
+            tables[n] = (out / "uniform_sup.csv").read_bytes()
+        assert tables[257] != tables[1025]
+        rows = [np.loadtxt(io.BytesIO(t), delimiter=",", skiprows=2)
+                for t in tables.values()]
+        np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-3)
+        assert np.array_equal(rows[0][:, 3], rows[1][:, 3])  # m does not depend on the grid
 
     def test_emit_plotdata(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", OU_CFG)

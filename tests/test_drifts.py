@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
-from emergolab.drifts import b_of, eta_thresholds, lambda_of, radius_of
+from emergolab.drifts import eta_thresholds, eval_drift, lambda_of, radius_of
 from emergolab.errors import PreconditionError
 
 
@@ -29,11 +29,11 @@ class TestDriftSpecs:
     def test_eval_vectorized(self, bp):
         xs = np.array([-2.0, 0.0, 3.0])
         expect = -xs + 0.5 * np.tanh(xs)
-        assert np.allclose(bp.g(xs), expect)
+        assert np.allclose(eval_drift(bp, xs), expect)
 
     def test_eval_rejects_nonfinite(self, ou):
         with pytest.raises(ValueError):
-            ou.g(float("nan"))
+            eval_drift(ou, float("nan"))
 
     def test_custom_requires_callable(self):
         with pytest.raises(ValueError):
@@ -93,14 +93,6 @@ class TestDerivedConstants:
         assert dc.lambda_eta == pytest.approx(1.25)
         assert not dc.beta_valid
         assert math.isnan(dc.beta_eta)
-
-    def test_b_variant(self, ou):
-        # for L = 1 both variants coincide; for L != 1 they differ
-        assert b_of(ou, 0.1, "k1l") == b_of(ou, 0.1, "k1")
-        fast = eg.ornstein_uhlenbeck(kappa=2.0)
-        assert b_of(fast, 0.01, "k1l") != b_of(fast, 0.01, "k1")
-        with pytest.raises(ValueError):
-            b_of(ou, 0.1, "other")
 
     def test_eta2_branch_large_g0(self):
         # g(0)^2 > L^2 activates the finite eta2 branch

@@ -22,9 +22,10 @@ class TestGridMeasure:
         assert m.mean() == pytest.approx(0.0, abs=1e-10)
         assert m.variance() == pytest.approx(1.0, abs=1e-6)
 
-    def test_prob_interval_matches_cdf(self, grid12):
+    def test_interval_mass_matches_cdf(self, grid12):
         m = gaussian_on_grid(grid12, 0.5, 2.0)
-        got = m.prob_interval(-1.0, 1.0)
+        lo, hi = m.cdf_at([-1.0, 1.0])
+        got = hi - lo
         want = norm.cdf(1.0, 0.5, math.sqrt(2)) - norm.cdf(-1.0, 0.5, math.sqrt(2))
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -196,6 +197,10 @@ class TestBand:
             fn = getattr(ke, name)
             assert inspect.isfunction(fn) and fn.__module__ == "emergolab.kernel"
             assert list(inspect.signature(fn).parameters)[2] == arg
+        # its spans give rates.invariant_cached_calls and the cache hit ratio
+        import emergolab.rates as ra
+        fn = ra.invariant_cached
+        assert inspect.isfunction(fn) and fn.__module__ == "emergolab.rates"
 
 
 class TestOffGrid:
@@ -342,10 +347,18 @@ class TestInvariantMeasure:
         pi = eg.invariant_measure(ou, 0.1, grid12, tol=1e-9).measure
         assert eg.tv_distance(pi, eg.apply_kernel(ou, 0.1, pi)) <= 1e-8
 
-    def test_seed_independence(self, ou, grid12):
+    def test_seed_independence(self, ou, grid12, monkeypatch):
+        # uniqueness: a power iteration started from N(3, 0.25) instead of
+        # N(0, 1) reaches the same invariant measure
         res1 = eg.invariant_measure(ou, 0.1, grid12)
-        alt = gaussian_on_grid(grid12, 3.0, 0.25)
-        res2 = eg.invariant_measure(ou, 0.1, grid12, seed_measure=alt)
+        monkeypatch.setattr(ke, "gaussian_on_grid",
+                            lambda grid, mean, var: gaussian_on_grid(grid, 3.0, 0.25))
+        ke._solved.cache_clear()
+        try:
+            res2 = eg.invariant_measure(ou, 0.1, grid12)
+        finally:
+            ke._solved.cache_clear()  # keep the odd start out of the cache
+        assert res2 is not res1
         assert eg.tv_distance(res1.measure, res2.measure) <= 1e-8
 
     def test_warns_outside_validity(self, ou, grid12):
@@ -355,21 +368,24 @@ class TestInvariantMeasure:
                 eg.invariant_measure(ou, 0.5, grid12)
 
     def test_default_solve_is_cached_and_read_only(self, ou, grid12, solves):
-        import emergolab.kernel as ke
         first = eg.invariant_measure(ou, 0.1, grid12)
         assert eg.invariant_measure(ou, 0.1, grid12) is first
         assert len(solves) == 1
         with pytest.raises(ValueError, match="read-only"):
             first.measure.density[0] = 1.0
-        # an explicit budget or start solves afresh
-        eg.invariant_measure(ou, 0.1, grid12, max_iters=ke.MAX_ITERS - 1)
-        eg.invariant_measure(ou, 0.1, grid12, seed_measure=first.measure)
-        assert len(solves) == 3
+        # the cache keys on tol, too
+        eg.invariant_measure(ou, 0.1, grid12, tol=1e-8)
+        assert len(solves) == 2
 
-    def test_budget_exhaustion(self, ou, grid12):
+    def test_budget_exhaustion(self, ou, grid12, solves, monkeypatch):
+        # the budget is read when the solve runs
         from emergolab.errors import ConvergenceError
-        with pytest.raises(ConvergenceError) as err:
-            eg.invariant_measure(ou, 0.1, grid12, tol=1e-16, max_iters=5)
+        monkeypatch.setattr(ke, "MAX_ITERS", 5)
+        try:
+            with pytest.raises(ConvergenceError, match="in 5 steps") as err:
+                eg.invariant_measure(ou, 0.1, grid12)
+        finally:
+            ke._solved.cache_clear()  # keep the cut-short failure out
         assert err.value.last_increment > 0
 
 

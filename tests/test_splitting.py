@@ -8,7 +8,8 @@ from scipy.stats import kstest, norm
 
 import emergolab as eg
 from emergolab.errors import MinorizationError
-from emergolab.splitting import _sample_residual_many
+from emergolab.kernel import Chain
+from emergolab.splitting import _residual_draws
 
 
 class TestSplitEpsilon:
@@ -75,7 +76,8 @@ class TestSamplers:
         rng = np.random.default_rng(1)
         eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
         n = 100000
-        res = _sample_residual_many(ou, 0.5, np.full(n, 0.8), smallset_ou, eps, rng)
+        res = _residual_draws(Chain(ou, 0.5, 0.5), np.full(n, 0.8), smallset_ou,
+                              eps, rng)
         nu = eg.sample_nu(smallset_ou, rng, size=n)
         mix = np.where(rng.random(n) < eps, nu, res)
         one_step_mean = 0.4
@@ -85,8 +87,8 @@ class TestSamplers:
     def test_wrong_eps_detected(self, ou, smallset_ou):
         rng = np.random.default_rng(2)
         with pytest.raises(MinorizationError):
-            _sample_residual_many(ou, 0.5, np.zeros(1000), smallset_ou,
-                                  0.9, rng)
+            _residual_draws(Chain(ou, 0.5, 0.5), np.zeros(1000), smallset_ou,
+                            0.9, rng)
 
 
 class TestSplitStep:
@@ -294,13 +296,6 @@ class TestRegenerativeEstimator:
         blocks = eg.run_split(ou, 0.5, smallset_ou, 0.0, 5000, rng)
         est = eg.regenerative_pi_estimate(blocks, values=np.ones(blocks.xs.size))
         assert est.value == pytest.approx(1.0)
-
-    def test_test_function_interface(self, ou, smallset_ou):
-        rng = np.random.default_rng(12)
-        blocks = eg.run_split(ou, 0.5, smallset_ou, 0.0, 8000, rng)
-        a = eg.regenerative_pi_estimate(blocks, test_function=lambda x: x ** 2)
-        b = eg.regenerative_pi_estimate(blocks, values=blocks.xs ** 2)
-        assert a.value == pytest.approx(b.value)
 
 
 class TestAtomReturnTail:
