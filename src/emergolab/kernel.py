@@ -396,8 +396,8 @@ class InvariantResult:
 
 def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
                       tol: float = INVARIANT_TOL) -> InvariantResult:
-    """Invariant density by power iteration from N(0, 1), to TV increment
-    below tol.
+    """Invariant density by power iteration from N(0, 1), to an estimated
+    TV error below tol (see _power_iteration).
 
     The iterate is renormalized to unit mass each step; the returned tail
     bound is the one-step leakage of the converged density plus the bound on
@@ -437,6 +437,9 @@ def _solved(chain: Chain, grid: Grid, tol: float):
 
 
 def _power_iteration(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
+    """Power iteration from N(0, 1) until the TV distance still to go, read
+    off the last two increments as a geometric tail, is below tol; the
+    increment alone would stop short by a factor 1/(1 - lambda2)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
@@ -447,9 +450,11 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
     for it in range(1, MAX_ITERS + 1):
         new = np.maximum(_matvec(chain, grid, dens), 0.0)
         new /= float(np.sum(w * new))
-        increment = 0.5 * float(np.sum(w * np.abs(new - dens)))
+        last, increment = increment, 0.5 * float(np.sum(w * np.abs(new - dens)))
         dens = new
-        if increment < tol:
+        # increments that shrink by r per step leave increment*r/(1-r) to go
+        r = increment / last
+        if increment == 0.0 or (0.0 < r < 1.0 and increment * r / (1.0 - r) < tol):
             leak, band = _leak(chain, grid, dens)
             _reject_leak(chain, grid, leak)
             return InvariantResult(
