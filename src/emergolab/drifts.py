@@ -231,8 +231,9 @@ def b_of(spec: DriftSpec, eta) -> float:
     b_eta = K1*L/2 - 2*L^2*eta^2 + 2*g(0)^2*eta^2 + eta*sigma^2 + 2*c*eta.
     """
     eta = np.asarray(eta, dtype=float)
-    out = (0.5 * spec.K1 * spec.L - 2.0 * spec.L ** 2 * eta ** 2 + 2.0 * spec.g0 ** 2 * eta ** 2
-           + eta * spec.sigma ** 2 + 2.0 * spec.c_offset * eta)
+    out = (0.5 * spec.K1 * spec.L - 2.0 * spec.L ** 2 * eta ** 2
+           + 2.0 * spec.g0 ** 2 * eta ** 2 + eta * spec.sigma ** 2
+           + 2.0 * spec.c_offset * eta)
     return out if out.ndim else float(out)
 
 

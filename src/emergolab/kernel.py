@@ -452,9 +452,11 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
         new /= float(np.sum(w * new))
         last, increment = increment, 0.5 * float(np.sum(w * np.abs(new - dens)))
         dens = new
-        # increments that shrink by r per step leave increment*r/(1-r) to go
+        # increments that shrink by r per step leave increment*r/(1-r) to go;
+        # an iterate can also repeat exactly (OU's chain with mean 0 does)
         r = increment / last
-        if increment == 0.0 or (0.0 < r < 1.0 and increment * r / (1.0 - r) < tol):
+        if increment == 0.0 or (0.0 < r < 1.0
+                                and increment * r / (1.0 - r) < tol):
             leak, band = _leak(chain, grid, dens)
             _reject_leak(chain, grid, leak)
             return InvariantResult(

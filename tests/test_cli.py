@@ -376,7 +376,8 @@ class TestArtifacts:
         rows = [np.loadtxt(io.BytesIO(t), delimiter=",", skiprows=2)
                 for t in tables.values()]
         np.testing.assert_allclose(rows[0], rows[1], rtol=0, atol=1e-3)
-        assert np.array_equal(rows[0][:, 3], rows[1][:, 3])  # m does not depend on the grid
+        # the envelope (1 - m)^n does not depend on the grid
+        assert np.array_equal(rows[0][:, 3], rows[1][:, 3])
 
     def test_emit_plotdata(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", OU_CFG)

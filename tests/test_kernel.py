@@ -377,10 +377,11 @@ class TestInvariantMeasure:
         eg.invariant_measure(ou, 0.1, grid12, tol=1e-8)
         assert len(solves) == 2
 
-    def test_budget_exhaustion(self, ou, grid12, solves, monkeypatch):
-        # the budget is read when the solve runs
+    def test_budget_exhaustion(self, ou, grid12, monkeypatch):
+        # the budget is read when the solve runs, not when it is defined
         from emergolab.errors import ConvergenceError
         monkeypatch.setattr(ke, "MAX_ITERS", 5)
+        ke._solved.cache_clear()
         try:
             with pytest.raises(ConvergenceError, match="in 5 steps") as err:
                 eg.invariant_measure(ou, 0.1, grid12)
