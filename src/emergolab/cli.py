@@ -250,6 +250,7 @@ def run_invariant(cfg, spec, out, seed, rep):
     pi = result.measure
     pi.write_csv(out / "invariant_density.csv")
     rep.add("iterations", result.iterations)
+    rep.add("solve_nodes", result.solve_nodes)
     rep.add("mean", pi.mean())
     rep.add("variance", pi.variance())
     rep.add("tail_bound", pi.tail_bound)
@@ -293,6 +294,7 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
                                  grid=grid if _places_grid(cfg) else None, tol=tol)
     table.write_csv(out / "uniform_sup.csv")
     rep.add("m", table.m)
+    rep.add("solve_nodes", table.solve_nodes)
     if table.m:  # an m that underflows to 0 bounds nothing and has no rate
         rep.add("doeblin_delta", ke.doeblin_rate(table.m))
     if table.m is not None:

@@ -2,13 +2,21 @@
 
 Densities live on a uniform grid and are integrated by the trapezoid rule.
 The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by :class:`Chain`;
-it acts on densities through a row-stochastic quadrature matrix.  Only its
-band |y_i - mean(x_j)| <= BAND_SD*sd is built, as dense blocks of 128 rows
-(cached for grids up to DENSE_MATRIX_LIMIT nodes, built one at a time beyond
-that).  All results carry an additive, conservative bound on the probability
-mass that has leaked off the grid, plus a bound on the quadrature mass the
-band drops (below 2e-16 per unit mass and step when the spacing is at most
-sd).
+it acts on densities through a quadrature matrix K[i, j] = p(x_j, y_i) w_j
+from the nodes x_j of one grid to the nodes y_i of a read-out grid (the
+same grid by default).  Only its band |y_i - mean(x_j)| <= BAND_SD*sd is
+built, as dense blocks of 128 rows (cached for grids up to
+DENSE_MATRIX_LIMIT nodes, built one at a time beyond that).
+
+Solves and propagation run on two grids of one interval: the power
+iteration and every step but the last run on _coarse, the grid at spacing
+sd/2, where the trapezoid rule integrates a kernel step to about
+2*exp(-8*pi^2); each reported law is then read on the requested nodes by
+one more step (Nystrom; pi = pi P for the invariant measure).  A grid no
+finer than sd/2 is its own coarse grid.  All results carry an additive,
+conservative bound on the probability mass that has leaked off the grid,
+plus a bound on the quadrature mass the band drops (below 2e-16 per unit
+mass and step when the spacing is at most sd).
 """
 
 from __future__ import annotations
@@ -173,12 +181,12 @@ class GridMeasure:
         return np.interp(u, cdf, self.grid.nodes)
 
     def write_csv(self, path) -> None:
+        rows = zip(self.grid.nodes.tolist(), self.density.tolist())
         with open(path, "w") as fh:
             fh.write(f"# lower={self.grid.lower!r} upper={self.grid.upper!r} "
                      f"n={self.grid.n_nodes} tail_bound={self.tail_bound!r}\n")
             fh.write("x,density\n")
-            for x, d in zip(self.grid.nodes, self.density):
-                fh.write(f"{float(x)!r},{float(d)!r}\n")
+            fh.write("".join([f"{x!r},{d!r}\n" for x, d in rows]))
 
 
 def _upper_tail(z: float) -> float:
@@ -244,19 +252,21 @@ def transition_density(spec: DriftSpec, eta: float, x, y):
     return _normal_pdf(np.asarray(y, dtype=float) - chain.mean(x), chain.var)
 
 
-def _kernel_blocks(chain: Chain, grid: Grid):
-    """The banded quadrature matrix K[i, j] = p(x_j, y_i) * w_j, 128 rows at
-    a time, as (lo, jlo, block) for the rows lo..lo+127.
+def _kernel_blocks(chain: Chain, grid: Grid, rows: Grid | None = None):
+    """The banded quadrature matrix K[i, j] = p(x_j, y_i) * w_j, x_j and w_j
+    the nodes and weights of grid, y_i the nodes of rows (grid when None),
+    128 rows at a time, as (lo, jlo, block) for the rows lo..lo+127.
 
     block covers the columns jlo..jlo+c-1: the span of the nodes whose mean
     lies within BAND_SD*sd of one of its rows, so every entry of the band
     |y_i - mean_j| <= BAND_SD*sd is in it.
     """
-    nodes, w = grid.nodes, grid.weights
-    mean = chain.mean(nodes)
+    w = grid.weights
+    mean = chain.mean(grid.nodes)
+    ys = (grid if rows is None else rows).nodes
     reach = BAND_SD * chain.sd
-    for lo in range(0, grid.n_nodes, 128):
-        y = nodes[lo:lo + 128]
+    for lo in range(0, ys.size, 128):
+        y = ys[lo:lo + 128]
         cols = np.flatnonzero((mean >= y[0] - reach) & (mean <= y[-1] + reach))
         jlo, jhi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
         block = _normal_pdf(y[:, None] - mean[None, jlo:jhi], chain.var)
@@ -265,22 +275,26 @@ def _kernel_blocks(chain: Chain, grid: Grid):
 
 
 @functools.lru_cache(maxsize=8)
-def _kernel_matrix(chain: Chain, grid: Grid) -> tuple:
+def _kernel_matrix(chain: Chain, grid: Grid, rows: Grid | None = None) -> tuple:
     """The blocks of the banded quadrature matrix, held for reuse."""
-    return tuple(_kernel_blocks(chain, grid))
+    return tuple(_kernel_blocks(chain, grid, rows))
 
 
-def _matvec(chain: Chain, grid: Grid, v: np.ndarray) -> np.ndarray:
-    """K @ v over the band: cached blocks up to DENSE_MATRIX_LIMIT nodes,
-    else the same blocks built one at a time, so K is never held whole."""
-    if grid.n_nodes <= DENSE_MATRIX_LIMIT:
-        blocks = _kernel_matrix(chain, grid)
+def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
+            rows: Grid | None = None) -> np.ndarray:
+    """K @ v over the band, v on grid and the result on rows (grid when
+    None): cached blocks while both grids have up to DENSE_MATRIX_LIMIT
+    nodes, else the same blocks built one at a time, so K is never held
+    whole."""
+    rows = grid if rows is None else rows
+    if max(grid.n_nodes, rows.n_nodes) <= DENSE_MATRIX_LIMIT:
+        blocks = _kernel_matrix(chain, grid, rows)
     else:
-        blocks = _kernel_blocks(chain, grid)
-    out = np.empty((grid.n_nodes,) + v.shape[1:])
+        blocks = _kernel_blocks(chain, grid, rows)
+    out = np.empty((rows.n_nodes,) + v.shape[1:])
     for lo, jlo, block in blocks:
-        rows, cols = block.shape
-        out[lo:lo + rows] = block @ v[jlo:jlo + cols]
+        r, c = block.shape
+        out[lo:lo + r] = block @ v[jlo:jlo + c]
     return out
 
 
@@ -292,16 +306,20 @@ def _off_grid(chain: Chain, grid: Grid) -> np.ndarray:
     return out
 
 
-def _leak(chain: Chain, grid: Grid, density: np.ndarray) -> tuple:
+def _leak(chain: Chain, grid: Grid, density: np.ndarray,
+          rows: Grid | None = None) -> tuple:
     """Certified mass that one step from density loses, (off grid, off band),
-    per column when density is an (n, k) block.
+    per column when density is an (n, k) block; the step is read on rows
+    (grid when None), a grid on the same interval.
 
     Off the grid: the exact Gaussian mass beyond [lower, upper] from each
     node.  Off the band: each column drops at most 2*(h/sd*phi(BAND_SD) +
-    Phi(-BAND_SD)) of quadrature mass (trapezoid weights are <= h and the
-    density decreases beyond the band), times the density's mass.
+    Phi(-BAND_SD)) of quadrature mass (h the spacing of rows, whose
+    trapezoid weights are <= h, and the density decreases beyond the band),
+    times the density's mass.
     """
-    band = 2.0 * (grid.spacing / chain.sd * _normal_pdf(BAND_SD) + _upper_tail(BAND_SD))
+    h = (grid if rows is None else rows).spacing
+    band = 2.0 * (h / chain.sd * _normal_pdf(BAND_SD) + _upper_tail(BAND_SD))
     w = grid.weights
     return (w * _off_grid(chain, grid)) @ density, band * (w @ density)
 
@@ -334,17 +352,49 @@ def _reject_coarse(chain: Chain, grid: Grid) -> None:
             suggested_lower=grid.lower, suggested_upper=grid.upper)
 
 
-def _step(chain: Chain, grid: Grid, density: np.ndarray, tail):
-    """One kernel step of a density or an (n, k) block of density columns:
+def _step(chain: Chain, grid: Grid, density: np.ndarray, tail,
+          rows: Grid | None = None):
+    """One kernel step of a density or an (n, k) block of density columns on
+    grid, read on rows (grid when None; a grid on the same interval):
     returns the new density and tail, the tail (a float, or one per column)
     plus each column's certified leakage and band term (see _leak).  A column
     that leaks more than LEAK_TOL rejects the grid (_reject_leak), as does a
     grid too coarse for the kernel (_reject_coarse)."""
     _reject_coarse(chain, grid)
-    leak, band = _leak(chain, grid, density)
+    leak, band = _leak(chain, grid, density, rows)
     _reject_leak(chain, grid, leak)
-    new = _matvec(chain, grid, density)
+    new = _matvec(chain, grid, density, rows)
     return np.maximum(new, 0.0, out=new), tail + leak + band
+
+
+def _coarse(chain: Chain, grid: Grid) -> Grid:
+    """The grid on grid's interval at spacing sd/2 or finer (_resolved_nodes),
+    or grid itself when that has no fewer nodes: the grid that solves and
+    propagation step on before each reported law is read on grid."""
+    n = _resolved_nodes(grid.upper - grid.lower, chain.sd)
+    return Grid(grid.lower, grid.upper, n) if n < grid.n_nodes else grid
+
+
+def _propagate(chain: Chain, grid: Grid, first, n_list):
+    """Yield (columns, tails), the laws after each n of the ascending n_list
+    (all n >= 1), read on grid.  first(g) gives the laws after one step on a
+    grid g.  Later steps run on _coarse(chain, grid); the law after n steps
+    is one step from the coarse laws after n - 1, read on grid (Nystrom), so
+    its values on the nodes are those of a step on grid itself to the
+    trapezoid rule's accuracy at spacing sd/2."""
+    coarse = _coarse(chain, grid)
+    n_max = n_list[-1] if n_list else 0
+    laws = None  # after n - 1 steps, on coarse
+    for n in range(1, n_max + 1):
+        if coarse == grid:  # no coarser grid: step and report on grid
+            laws = first(grid) if laws is None else _step(chain, grid, *laws)
+            if n in n_list:
+                yield laws
+            continue
+        if n in n_list:
+            yield first(grid) if laws is None else _step(chain, coarse, *laws, grid)
+        if n < n_max:
+            laws = first(coarse) if laws is None else _step(chain, coarse, *laws)
 
 
 def _step_mass(chain: Chain, grid: Grid, density: np.ndarray, a: float,
@@ -375,29 +425,30 @@ def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
     """The n-step distribution P^n(x0, .) on the grid.
 
     The first step is the exact Gaussian law of one step from x0, sampled on
-    the grid; remaining steps go through apply_kernel.  Every step, the
-    first included, rejects a grid it leaks off by more than LEAK_TOL.
+    the grid; for n >= 2 the steps run on the coarse grid and the last one
+    is read on grid (_propagate).  Every step, the first included, rejects a
+    grid it leaks off by more than LEAK_TOL.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     chain = Chain(spec, eta, eta)
-    columns, tails = _start_laws(grid, [chain.mean(x0)], chain.var, chain)
-    out = GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
-    for _ in range(n - 1):
-        out = apply_kernel(spec, eta, out)
-    return out
+    columns, tails = next(_propagate(
+        chain, grid, lambda g: _start_laws(g, [chain.mean(x0)], chain.var, chain), [n]))
+    return GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
 
 
 @dataclass(frozen=True)
 class InvariantResult:
     measure: GridMeasure
     iterations: int
+    solve_nodes: int  # nodes of the grid the power iteration ran on
 
 
 def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
                       tol: float = INVARIANT_TOL) -> InvariantResult:
     """Invariant density by power iteration from N(0, 1), to an estimated
-    TV error below tol (see _power_iteration).
+    TV error below tol (see _power_iteration), on the coarse grid of grid's
+    interval and read on grid by one step (see _solved).
 
     The iterate is renormalized to unit mass each step; the returned tail
     bound is the one-step leakage of the converged density plus the bound on
@@ -428,18 +479,29 @@ def _invariant(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
 
 @functools.lru_cache(maxsize=8)
 def _solved(chain: Chain, grid: Grid, tol: float):
+    """The power iteration on _coarse(chain, grid), its density read on grid
+    by one step (pi = pi P) and renormalized there, with the tail bound and
+    leakage check of that density on grid."""
+    coarse = _coarse(chain, grid)
     try:
-        out = _power_iteration(chain, grid, tol)
+        dens, iterations = _power_iteration(chain, coarse, tol)
+        if coarse != grid:
+            dens = np.maximum(_matvec(chain, coarse, dens, grid), 0.0)
+            dens /= float(np.sum(grid.weights * dens))
+        leak, band = _leak(chain, grid, dens)
+        _reject_leak(chain, grid, leak)
     except (GridTooSmallError, ConvergenceError) as err:
         return err
-    out.measure.density.flags.writeable = False  # shared by every caller
-    return out
+    dens.flags.writeable = False  # shared by every caller
+    return InvariantResult(GridMeasure(grid, dens, tail_bound=float(leak + band)),
+                           iterations, coarse.n_nodes)
 
 
-def _power_iteration(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
+def _power_iteration(chain: Chain, grid: Grid, tol: float) -> tuple:
     """Power iteration from N(0, 1) until the TV distance still to go, read
     off the last two increments as a geometric tail, is below tol; the
-    increment alone would stop short by a factor 1/(1 - lambda2)."""
+    increment alone would stop short by a factor 1/(1 - lambda2).  Returns
+    the density and the number of iterations."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
@@ -457,10 +519,7 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
         r = increment / last
         if increment == 0.0 or (0.0 < r < 1.0
                                 and increment * r / (1.0 - r) < tol):
-            leak, band = _leak(chain, grid, dens)
-            _reject_leak(chain, grid, leak)
-            return InvariantResult(
-                GridMeasure(grid, dens, tail_bound=float(leak + band)), it)
+            return dens, it
     raise ConvergenceError(
         f"power iteration did not reach tol={tol!r} in {MAX_ITERS} steps",
         last_increment=increment)

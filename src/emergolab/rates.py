@@ -55,24 +55,36 @@ class DecayCurve:
 def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasure],
                    N: int, grid: Optional[Grid] = None,
                    tol: float = ke.INVARIANT_TOL) -> DecayCurve:
-    """Quadrature decay curve from a point mass or a density."""
+    """Quadrature decay curve from a point mass or a density.
+
+    A density is stepped from the grid it lives on, and grid (that grid when
+    None) must be it.  The laws are propagated on the coarse grid of grid's
+    interval and each is read on grid by one step (kernel._propagate).
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
+    measure = isinstance(initial, GridMeasure)
     if grid is None:
-        grid = initial.grid if isinstance(initial, GridMeasure) \
-            else ke.default_grid(spec, eta)
+        grid = initial.grid if measure else ke.default_grid(spec, eta)
+    elif measure and grid != initial.grid:
+        raise ValueError(f"the initial measure lives on {initial.grid!r}, "
+                         f"not on grid={grid!r}")
     pi = invariant_cached(spec, eta, grid, tol)
-    if isinstance(initial, GridMeasure):
-        dist = ke.apply_kernel(spec, eta, initial)
+    chain = ke.Chain(spec, eta, eta)
+    if measure:
+        def first(g):
+            return ke._step(chain, grid, initial.density[:, None],
+                            initial.tail_bound, g)
         desc = "measure"
     else:
-        dist = ke.n_step_from_point(spec, eta, float(initial), 1, grid)
+        def first(g):
+            return ke._start_laws(g, [chain.mean(float(initial))], chain.var, chain)
         desc = f"point:{float(initial)!r}"
     values = np.empty(N)
     worst_tail = 0.0
-    for n in range(1, N + 1):
-        if n > 1:
-            dist = ke.apply_kernel(spec, eta, dist)
+    for n, (columns, tails) in enumerate(
+            ke._propagate(chain, grid, first, range(1, N + 1)), 1):
+        dist = GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
         values[n - 1] = ke.tv_distance(dist, pi)
         worst_tail = max(worst_tail, ke.tv_uncertainty(dist, pi))
     return DecayCurve(initial=desc, eta=eta, values=values,
@@ -165,6 +177,7 @@ class UniformSupReport:
     m: Optional[float]
     envelope: Optional[np.ndarray]
     envelope_ok: Optional[bool]
+    solve_nodes: int  # nodes of the grid the invariant solve ran on
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -209,19 +222,19 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         m = ke._doeblin_mass(chain, lo, hi)
         if grid is None:
             grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
-    pi = ke._invariant(chain, grid, tol).measure
-    w = grid.weights
+    solve = ke._invariant(chain, grid, tol)
+    pi, w = solve.measure, grid.weights
 
     # batched propagation: one column per starting point
-    columns, tails = ke._start_laws(grid, chain.mean(np.asarray(x_grid, dtype=float)),
-                                    chain.var, chain)
+    means = chain.mean(np.asarray(x_grid, dtype=float))
+    reported = [n for n in n_list if n > 0]
     by_n = {0: (1.0, 0.0)}  # point mass against a density
-    for n in range(1, max(n_list) + 1):
-        if n > 1:
-            columns, tails = ke._step(chain, grid, columns, tails)
-        if n in n_list:
-            d = np.minimum(0.5 * np.abs(columns - pi.density[:, None]).T @ w, 1.0)
-            by_n[n] = (float(d.max()), float(d.max() - d.min()))
+    laws = ke._propagate(chain, grid,
+                         lambda g: ke._start_laws(g, means, chain.var, chain),
+                         reported)
+    for n, (columns, _) in zip(reported, laws):
+        d = np.minimum(0.5 * np.abs(columns - pi.density[:, None]).T @ w, 1.0)
+        by_n[n] = (float(d.max()), float(d.max() - d.min()))
     sup_tv, spread = np.array([by_n[n] for n in n_list]).T
     envelope = None
     env_ok = None
@@ -229,7 +242,8 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         envelope = (1.0 - m) ** np.array(n_list, dtype=float)
         env_ok = bool(np.all(sup_tv <= envelope + 1e-6))
     return UniformSupReport(n_list=n_list, sup_tv=sup_tv, spread=spread,
-                            m=m, envelope=envelope, envelope_ok=env_ok)
+                            m=m, envelope=envelope, envelope_ok=env_ok,
+                            solve_nodes=solve.solve_nodes)
 
 
 @dataclass(frozen=True)

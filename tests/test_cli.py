@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
-from emergolab import cli, simulate
+from emergolab import cli, kernel as ke, simulate
 from emergolab.errors import ConfigError
 
 
@@ -357,6 +357,23 @@ class TestArtifacts:
                   "--out", str(out2)])
         assert ((out1 / "curve_main.csv").read_bytes()
                 == (out2 / "curve_main.csv").read_bytes())
+
+    @pytest.mark.parametrize("sub, drift, h", [("invariant", "ou", 0.5),
+                                               ("uniform-sup", "bounded", 1.0)])
+    def test_solve_nodes_reported(self, tmp_path, sub, drift, h):
+        # the power iteration runs on the sd/2 grid of the requested interval
+        cfg = write_config(tmp_path / "c.ini",
+                           f"[drift]\nkind = {drift}\nkappa = 1\na = 0.5\n"
+                           "[grid]\nlower = -12\nupper = 12\nn_nodes = 1025\n"
+                           "[experiment]\neta = 0.5\nn_list = 1,2\n"
+                           "x_grid_points = 11\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main([sub, "--config", cfg,
+                             "--out", str(tmp_path / "o")]) == 0
+        report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        n = ke._resolved_nodes(24.0, math.sqrt(0.5))
+        assert f"solve_nodes={n}" in report and n < 1025
 
     def test_uniform_sup_honours_grid(self, tmp_path):
         # [grid] sets the Doeblin path's grid; the trapezoid rule on the kink

@@ -55,6 +55,16 @@ class TestGridMeasure:
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header.startswith("#") and "tail_bound=" in header
 
+    def test_write_csv_matches_row_loop(self, grid12, tmp_path):
+        # the columnar writer gives the bytes of one formatted row per node
+        m = gaussian_on_grid(grid12, 0.3, 2.0)
+        m.write_csv(tmp_path / "a.csv")
+        want = (f"# lower={grid12.lower!r} upper={grid12.upper!r} "
+                f"n={grid12.n_nodes} tail_bound={m.tail_bound!r}\nx,density\n")
+        for x, d in zip(grid12.nodes, m.density):
+            want += f"{float(x)!r},{float(d)!r}\n"
+        assert (tmp_path / "a.csv").read_text() == want
+
 
 class TestKernelStep:
     def test_transition_density_matches_norm(self, ou):
@@ -180,6 +190,27 @@ class TestBand:
         assert lost <= out.tail_bound - xi.tail_bound + 1e-14  # 1e-14: rounding
         if band_sd is not None:
             assert lost > 1e-6
+
+    @pytest.mark.parametrize("drift, eta, h", [("ou", 0.1, 0.1), ("bp", 0.5, 1.0)])
+    def test_read_out_rows_match_dense(self, request, monkeypatch, drift, eta, h):
+        # K[i, j] = p(x_j, y_i) * w_j from the coarse grid's nodes x_j to the
+        # nodes y_i of a finer grid, against an unbanded scipy reference
+        import emergolab.kernel as ke
+        chain = ke.Chain(request.getfixturevalue(drift), eta, h)
+        rows = eg.Grid(-12.0, 12.0, 1025)
+        grid = ke._coarse(chain, rows)
+        assert grid != rows
+        x, y = grid.nodes, rows.nodes
+        want = norm.pdf(y[:, None], loc=chain.mean(x)[None, :],
+                        scale=chain.sd) * grid.weights
+        got = np.zeros_like(want)
+        for lo, jlo, block in ke._kernel_matrix(chain, grid, rows):
+            got[lo:lo + block.shape[0], jlo:jlo + block.shape[1]] = block
+        assert np.max(np.abs(got - want)) <= 1e-12
+        v = gaussian_on_grid(grid, 1.0, 0.5).density
+        for limit in (ke.DENSE_MATRIX_LIMIT, 1):
+            monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", limit)
+            assert np.max(np.abs(ke._matvec(chain, grid, v, rows) - want @ v)) <= 1e-12
 
     def test_cached_operator_is_banded(self, ou):
         import emergolab.kernel as ke
@@ -569,6 +600,35 @@ class TestResolutionGrid:
         assert got == pytest.approx(law.cdf(1.7) - law.cdf(0.2), abs=1e-12)
         with pytest.raises(ValueError):
             ke._step_mass(ke.Chain(ou, 0.5, 0.5), g, x.density, 1.0, 0.0)
+
+
+class TestCoarse:
+    @pytest.mark.parametrize("kind, eta, h", [("ou", 0.5, 0.5), ("ou", 0.1, 0.1),
+                                              ("ou", 0.005, 0.005),
+                                              ("bounded", 0.5, 1.0)])
+    @pytest.mark.parametrize("n_nodes", [16, 40, 257, 2049, 4097])
+    def test_contract(self, ou, bp, kind, eta, h, n_nodes):
+        # the same interval at h <= sd/2 with no more nodes than the grid,
+        # and the grid itself when it is no finer than that
+        chain = ke.Chain({"ou": ou, "bounded": bp}[kind], eta, h)
+        grid = eg.Grid(-12.0, 12.0, n_nodes)
+        c = ke._coarse(chain, grid)
+        assert (c.lower, c.upper) == (grid.lower, grid.upper)
+        assert c.n_nodes <= grid.n_nodes
+        if c.n_nodes < grid.n_nodes:
+            assert c.spacing <= 0.5 * chain.sd
+            assert c.n_nodes == ke._resolved_nodes(24.0, chain.sd)
+        else:
+            assert c is grid
+            assert grid.n_nodes <= ke._resolved_nodes(24.0, chain.sd)
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    @pytest.mark.parametrize("eta", [0.9, 0.5, 0.1, 0.005])
+    def test_identity_on_resolution_grid(self, ou, bp, kind, eta):
+        spec = {"ou": ou, "bounded": bp}[kind]
+        g = eg.resolution_grid(spec, eta)
+        for h in (eta, 1.0):
+            assert ke._coarse(ke.Chain(spec, eta, h), g) is g
 
 
 class TestCoarseGridRejected:

@@ -33,6 +33,13 @@ class TestDecayCurve:
         assert invariant_cached(ou, 0.2, grid12) is pi
         assert len(solves) == 1
 
+    def test_grid_of_the_measure_checked_first(self, ou, grid12, solves):
+        xi = gaussian_on_grid(eg.Grid(-10.0, 10.0, 1025), 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"lives on Grid\(.*-10\.0.*"
+                                             r"not on grid=Grid\(.*-12\.0"):
+            eg.tv_decay_curve(ou, 0.2, xi, 5, grid=grid12)
+        assert not solves  # rejected before the invariant solve
+
     def test_monotone(self, curve_x3):
         assert np.all(np.diff(curve_x3.values) <= 1e-8)
 
@@ -193,12 +200,81 @@ class TestUniformSup:
             curve = eg.tv_decay_curve(fast, 0.1, x0, 20, grid=grid12)
         np.testing.assert_allclose(rep.sup_tv, curve.values, rtol=0, atol=1e-15)
 
+    def test_operator_cache_footprint(self, bp, monkeypatch):
+        # the Doeblin path's 2049-node grid holds the operator of the sd/2
+        # grid and the read-out rows from it, not its own banded operator
+        # (0.68 n^2 entries); no eviction, so every block built is cached
+        import emergolab.kernel as ke
+        built = []
+        real = ke._kernel_blocks
+
+        def counting(*args):
+            for lo, jlo, block in real(*args):
+                built.append(block.size)
+                yield lo, jlo, block
+
+        monkeypatch.setattr(ke, "_kernel_blocks", counting)
+        ke._kernel_matrix.cache_clear()
+        ke._solved.cache_clear()
+        try:
+            eg.uniform_sup_tv(bp, 0.5, np.linspace(-5, 5, 101), range(1, 21))
+        finally:
+            ke._solved.cache_clear()
+        assert 0 < sum(built) < 0.05 * 2049 ** 2
+
     def test_csv(self, bp, tmp_path):
         rep = eg.uniform_sup_tv(bp, 0.5, np.linspace(-2, 2, 11), [1, 2])
         rep.write_csv(tmp_path / "u.csv")
         lines = (tmp_path / "u.csv").read_text().splitlines()
         assert lines[1] == "n,sup_d_tv,spread,envelope"
         assert "np.float64" not in lines[2]
+
+
+class TestTwoGrids:
+    """Steps on the sd/2 grid read on the requested nodes against steps on
+    the requested grid itself: both integrate a kernel step to far below the
+    solver tolerance, so the reported numbers agree to 1e-8."""
+
+    @pytest.fixture
+    def one_grid(self, monkeypatch):
+        import emergolab.kernel as ke
+
+        def run(fn):
+            ke._solved.cache_clear()
+            try:
+                two = fn()
+                ke._solved.cache_clear()
+                with monkeypatch.context() as m:
+                    m.setattr(ke, "_coarse", lambda chain, grid: grid)
+                    one = fn()
+            finally:
+                ke._solved.cache_clear()  # keep one-grid solves out of the cache
+            return two, one
+        return run
+
+    @pytest.mark.parametrize("eta", [0.5, 0.1])
+    def test_invariant_and_curve(self, ou, eta, one_grid):
+        grid = eg.default_grid(ou, eta, n_nodes=2049)
+
+        def both():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = eg.invariant_measure(ou, eta, grid)
+                curve = eg.tv_decay_curve(ou, eta, 3.0, 40, grid=grid)
+            return res, curve
+
+        (res2, curve2), (res1, curve1) = one_grid(both)
+        assert res2.solve_nodes < res1.solve_nodes == grid.n_nodes
+        np.testing.assert_allclose(res2.measure.density, res1.measure.density,
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(curve2.values, curve1.values, rtol=0, atol=1e-8)
+
+    def test_uniform_sup_table(self, bp, one_grid):
+        two, one = one_grid(lambda: eg.uniform_sup_tv(
+            bp, 0.5, np.linspace(-5, 5, 101), range(1, 21)))
+        assert two.solve_nodes < one.solve_nodes == 2049
+        np.testing.assert_allclose(two.sup_tv, one.sup_tv, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(two.spread, one.spread, rtol=0, atol=1e-8)
 
 
 class TestStepSizeStudy:
