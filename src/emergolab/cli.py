@@ -5,24 +5,26 @@ Experiments are described by an INI-style config (``[section]`` headers,
 resolved-config echo, a plain-text report with all computed constants and
 pass/fail lines, and CSV artifacts.  Exit status: 0 all checks pass,
 1 a check failed, 2 config error, 3 numerical failure.
+
+Each runner imports the layers it uses when it runs, so argument and config
+parsing, config errors and emit-plotdata load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import drifts, kernel as ke, rates, simulate, splitting
 from .errors import (ApplicabilityError, ConfigError, ConvergenceError,
-                     GridTooSmallError, MinorizationError)
+                     GridTooSmallError, MinorizationError, _distinct)
+
+if TYPE_CHECKING:
+    from . import drifts, kernel as ke
 
 EXPERIMENTS = ("verify-assumptions", "constants", "invariant", "tv-decay",
                "uniform-sup", "split-sim", "atom-check", "return-times",
@@ -40,8 +42,8 @@ class _Number(NamedTuple):
 
     def __call__(self, raw):
         if self.many:
-            return ke._distinct((self._replace(many=False)(v)
-                                 for v in str(raw).split(",")), "it")
+            return _distinct((self._replace(many=False)(v)
+                              for v in str(raw).split(",")), "it")
         lo, hi = (float(b) for b in self.interval[1:-1].split(","))
         try:
             v = self.cast(raw)
@@ -122,6 +124,9 @@ def load_config(path: str) -> tuple[dict, dict]:
 
 
 def build_drift(cfg: dict) -> drifts.DriftSpec:
+    import dataclasses
+    from . import drifts
+
     d = cfg["drift"]
     kw = {"kappa": d.get("kappa", 1.0), "sigma": d.get("sigma", 1.0)}
     try:
@@ -142,6 +147,8 @@ def _required(cfg: dict, key: str):
 
 
 def build_grid(cfg: dict, spec, eta) -> ke.Grid:
+    from . import kernel as ke
+
     g = cfg["grid"]
     n_nodes = g.get("n_nodes", ke.Grid.n_nodes)
     if "lower" not in g and "upper" not in g:
@@ -160,6 +167,8 @@ def _places_grid(cfg: dict) -> bool:
 def _atom_grid(cfg: dict, spec, eta) -> ke.Grid:
     """The grid of the atom checks: the user's when [grid] places one, else
     the resolution-sized grid, whose one-step masses need no more nodes."""
+    from . import kernel as ke
+
     if _places_grid(cfg):
         return build_grid(cfg, spec, eta)
     return ke.resolution_grid(spec, eta)
@@ -216,6 +225,9 @@ def _add_constants(rep: Report, dc) -> None:
 
 
 def run_verify_assumptions(cfg, spec, out, seed, rep):
+    import numpy as np
+    from . import drifts
+
     eta = cfg["experiment"].get("eta", 0.1)
     radius = abs(drifts.radius_of(spec, eta))
     span = max(10.0 * radius, 10.0)
@@ -229,6 +241,9 @@ def run_verify_assumptions(cfg, spec, out, seed, rep):
 
 
 def run_constants(cfg, spec, out, seed, rep):
+    import numpy as np
+    from . import drifts
+
     eta = _required(cfg, "eta")
     dc = drifts.derive_constants(spec, eta)
     _add_constants(rep, dc)
@@ -243,6 +258,8 @@ def run_constants(cfg, spec, out, seed, rep):
 
 
 def run_invariant(cfg, spec, out, seed, rep):
+    from . import kernel as ke
+
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
@@ -260,6 +277,9 @@ def run_invariant(cfg, spec, out, seed, rep):
 
 
 def run_tv_decay(cfg, spec, out, seed, rep):
+    import numpy as np
+    from . import kernel as ke, rates
+
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
@@ -281,6 +301,9 @@ def run_tv_decay(cfg, spec, out, seed, rep):
 
 
 def run_uniform_sup(cfg, spec, out, seed, rep):
+    import numpy as np
+    from . import drifts, kernel as ke, rates
+
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
@@ -295,6 +318,7 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
     table.write_csv(out / "uniform_sup.csv")
     rep.add("m", table.m)
     rep.add("solve_nodes", table.solve_nodes)
+    rep.add("tail_uncertainty", table.tail_uncertainty)
     if table.m:  # an m that underflows to 0 bounds nothing and has no rate
         rep.add("doeblin_delta", ke.doeblin_rate(table.m))
     if table.m is not None:
@@ -302,6 +326,8 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
 
 
 def _smallset(cfg, spec, eta):
+    from . import kernel as ke
+
     c_lo = cfg["experiment"].get("c_lower", -1.0)
     c_hi = cfg["experiment"].get("c_upper", 1.0)
     if not c_lo < c_hi:
@@ -315,6 +341,9 @@ def _smallset(cfg, spec, eta):
 
 
 def run_split_sim(cfg, spec, out, seed, rep):
+    import numpy as np
+    from . import kernel as ke, rates, splitting
+
     eta = _required(cfg, "eta")
     grid = _atom_grid(cfg, spec, eta)
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
@@ -348,6 +377,8 @@ def run_split_sim(cfg, spec, out, seed, rep):
 
 
 def run_atom_check(cfg, spec, out, seed, rep):
+    from . import splitting
+
     eta = _required(cfg, "eta")
     grid = _atom_grid(cfg, spec, eta)
     smallset = _smallset(cfg, spec, eta)
@@ -369,6 +400,8 @@ def run_atom_check(cfg, spec, out, seed, rep):
 
 
 def run_return_times(cfg, spec, out, seed, rep):
+    from . import drifts, simulate
+
     eta = _required(cfg, "eta")
     dc = drifts.derive_constants(spec, eta)
     if not dc.beta_valid:
@@ -398,6 +431,8 @@ def run_return_times(cfg, spec, out, seed, rep):
 
 
 def run_study(cfg, spec, out, seed, rep):
+    from . import kernel as ke, rates
+
     rows = rates.step_size_study(spec, _required(cfg, "eta_list"),
                                  cfg["experiment"].get("x0", 3.0),
                                  cfg["experiment"].get("n_steps", 40),

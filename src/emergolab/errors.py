@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, and the repeat check of listed values, shared across the
+package; no numpy, so the command line validates configs without it."""
 
 
 class EmergolabError(Exception):
@@ -36,3 +37,14 @@ class MinorizationError(EmergolabError):
 
 class ApplicabilityError(EmergolabError):
     """A hypothesis required by the requested quantity does not hold."""
+
+
+def _distinct(values, name: str) -> list:
+    """values as a list, or a ValueError naming the first entry that repeats
+    (a repeat would give a result row twice)."""
+    values = list(values)
+    repeats = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeats:
+        raise ValueError(f"{name} must list each value once, but "
+                         f"{repeats[0]!r} repeats")
+    return values

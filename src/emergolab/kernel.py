@@ -525,17 +525,6 @@ def _power_iteration(chain: Chain, grid: Grid, tol: float) -> tuple:
         last_increment=increment)
 
 
-def _distinct(values, name: str) -> list:
-    """values as a list, or a ValueError naming the first entry that repeats
-    (a repeat would give a result row twice)."""
-    values = list(values)
-    repeats = [v for i, v in enumerate(values) if v in values[:i]]
-    if repeats:
-        raise ValueError(f"{name} must list each value once, but "
-                         f"{repeats[0]!r} repeats")
-    return values
-
-
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:
     """Half the integrated absolute density difference, at most 1."""
     if a.grid != b.grid:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernel as ke
 from .drifts import DriftSpec
-from .errors import ApplicabilityError
+from .errors import ApplicabilityError, _distinct
 from .kernel import Grid, GridMeasure
 
 
@@ -178,6 +178,7 @@ class UniformSupReport:
     envelope: Optional[np.ndarray]
     envelope_ok: Optional[bool]
     solve_nodes: int  # nodes of the grid the invariant solve ran on
+    tail_uncertainty: float  # largest off-grid bound of a reported d_TV
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -204,7 +205,7 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     exploratory (a warning is emitted, m is None).  An n listed twice
     raises ValueError.
     """
-    n_list = sorted(ke._distinct((int(n) for n in n_list), "n_list"))
+    n_list = sorted(_distinct((int(n) for n in n_list), "n_list"))
     if n_list[0] < 0:
         raise ValueError("n must be >= 0")
     chain = ke.Chain(spec, eta, 1.0)
@@ -229,12 +230,15 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     means = chain.mean(np.asarray(x_grid, dtype=float))
     reported = [n for n in n_list if n > 0]
     by_n = {0: (1.0, 0.0)}  # point mass against a density
+    worst_tail = 0.0
     laws = ke._propagate(chain, grid,
                          lambda g: ke._start_laws(g, means, chain.var, chain),
                          reported)
-    for n, (columns, _) in zip(reported, laws):
+    for n, (columns, tails) in zip(reported, laws):
         d = np.minimum(0.5 * np.abs(columns - pi.density[:, None]).T @ w, 1.0)
         by_n[n] = (float(d.max()), float(d.max() - d.min()))
+        worst_tail = max(worst_tail,
+                         0.5 * (float(np.max(tails)) + pi.tail_bound))
     sup_tv, spread = np.array([by_n[n] for n in n_list]).T
     envelope = None
     env_ok = None
@@ -243,7 +247,8 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         env_ok = bool(np.all(sup_tv <= envelope + 1e-6))
     return UniformSupReport(n_list=n_list, sup_tv=sup_tv, spread=spread,
                             m=m, envelope=envelope, envelope_ok=env_ok,
-                            solve_nodes=solve.solve_nodes)
+                            solve_nodes=solve.solve_nodes,
+                            tail_uncertainty=worst_tail)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,7 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
     An eta listed twice raises ValueError.
     """
     rows = []
-    for eta in ke._distinct(eta_list, "eta_list"):
+    for eta in _distinct(eta_list, "eta_list"):
         grid = initial.grid if isinstance(initial, GridMeasure) \
             else ke.default_grid(spec, eta, n_nodes=n_nodes)
         curve = tv_decay_curve(spec, eta, initial, N, grid=grid, tol=tol)

@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .drifts import DriftSpec
-from .errors import MinorizationError
-from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _distinct,
-                     _normal_pdf, _start_laws, _step_mass, apply_kernel,
+from .errors import MinorizationError, _distinct
+from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _normal_pdf,
+                     _start_laws, _step_mass, apply_kernel,
                      minorization_epsilon)
 
 N_BATCHES = 30

@@ -1,4 +1,6 @@
+import importlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -396,6 +398,18 @@ class TestArtifacts:
         # the envelope (1 - m)^n does not depend on the grid
         assert np.array_equal(rows[0][:, 3], rows[1][:, 3])
 
+    def test_uniform_sup_reports_tail_uncertainty(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini",
+                           "[drift]\nkind = bounded\n"
+                           "[experiment]\neta = 0.5\nn_list = 1,2\n"
+                           "x_grid_points = 11\nx_grid_span = 2.0\n")
+        assert cli.main(["uniform-sup", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 0
+        table = eg.uniform_sup_tv(eg.bounded_perturbation(), 0.5,
+                                  np.linspace(-2.0, 2.0, 11), [1, 2])
+        assert _report(tmp_path / "o")["tail_uncertainty"] \
+            == repr(table.tail_uncertainty)
+
     def test_emit_plotdata(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", OU_CFG)
         out = tmp_path / "run"
@@ -493,24 +507,93 @@ def test_return_times_writes_columns(tmp_path, monkeypatch):
     assert len((out / "return_times.csv").read_text().splitlines()) == 51
 
 
-def test_cli_import_skips_scipy_stats():
-    code = "import sys, emergolab.cli; print('scipy.stats' in sys.modules)"
+def _fresh_python(code, *args):
+    """Standard output of code run in a new interpreter on this package:
+    pytest's own process has numpy and every layer loaded already."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_skips_scipy_stats():
+    code = "import sys, emergolab.cli; print('scipy.stats' in sys.modules)"
+    assert _fresh_python(code).strip() == "False"
 
 
 def test_cli_import_skips_scipy():
     code = "import sys, emergolab.cli; print('scipy' in sys.modules)"
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+LAYERS = {f"emergolab.{m}" for m in ("drifts", "kernel", "rates", "simulate",
+                                     "splitting", "empirical")}
+
+# Runs each step in turn in one process and prints, per step, its exit
+# status and the numpy and emergolab modules loaded after it.
+_IMPORT_STEPS = """
+import json, sys
+def loaded():
+    return [m for m in sys.modules if m == "numpy" or m.startswith("emergolab.")]
+steps = {}
+import emergolab
+steps["import emergolab"] = (0, loaded())
+import emergolab.cli
+steps["import emergolab.cli"] = (0, loaded())
+for name, argv in json.loads(sys.argv[1]):
+    steps[name] = (emergolab.cli.main(argv), loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "curve_eta_0.1.csv").write_text(
+        "# experiment=study eta=0.1\nn,d_tv,envelope\n1,0.5,\n")
+    unknown = write_config(tmp_path / "u.ini", "[drift]\nkind = ou\nfoo = 1\n")
+    constants = write_config(tmp_path / "c.ini", OU_CFG.replace("0.5", "0.1"))
+    study = write_config(tmp_path / "s.ini", "[drift]\nkind = ou\n"
+                         "[grid]\nn_nodes = 257\n"
+                         "[experiment]\neta_list = 0.5,0.25\nn_steps = 10\n")
+    argvs = [
+        ("emit-plotdata", ["emit-plotdata", "--out", str(run)]),
+        ("unknown key", ["constants", "--config", unknown,
+                         "--out", str(tmp_path / "u")]),
+        ("constants", ["constants", "--config", constants,
+                       "--out", str(tmp_path / "c")]),
+        ("study", ["study", "--config", study, "--out", str(tmp_path / "s")]),
+    ]
+    steps = json.loads(_fresh_python(_IMPORT_STEPS, json.dumps(argvs)))
+    statuses = {name: status for name, (status, _) in steps.items()}
+    assert statuses == {"import emergolab": 0, "import emergolab.cli": 0,
+                        "emit-plotdata": 0, "unknown key": 2, "constants": 0,
+                        "study": 0}
+    loaded = {name: set(modules) for name, (_, modules) in steps.items()}
+    for name in ("import emergolab", "import emergolab.cli", "emit-plotdata",
+                 "unknown key"):
+        assert not loaded[name] & (LAYERS | {"numpy"}), name
+    assert "emergolab.drifts" in loaded["constants"]
+    assert not loaded["constants"] & (LAYERS - {"emergolab.drifts"})
+    assert {"emergolab.kernel", "emergolab.rates"} <= loaded["study"]
+    assert not loaded["study"] & {"emergolab.simulate", "emergolab.splitting"}
+
+
+def test_package_namespace_matches_its_modules():
+    star = {}
+    exec("from emergolab import *", star)
+    assert sorted(n for n in star if not n.startswith("__")) == eg.__all__
+    public = {n for n in dir(eg) if not n.startswith("_")}
+    # the two submodules outside the table load only when imported by name
+    assert set(eg.__all__) <= public <= set(eg.__all__) | {"cli", "empirical"}
+    for name in eg.__all__:
+        owner = eg._MODULE_OF[name]
+        module = importlib.import_module(f"emergolab.{owner}")
+        expected = module if name == owner else getattr(module, name)
+        assert getattr(eg, name) is expected, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        eg.no_such_name
 
 
 class TestDeterminism:

@@ -222,6 +222,20 @@ class TestUniformSup:
             ke._solved.cache_clear()
         assert 0 < sum(built) < 0.05 * 2049 ** 2
 
+    def test_tail_uncertainty_of_a_leaky_grid(self, bp):
+        # the grid ends 5.7 kernel sd beyond the Doeblin chain's mean range
+        # [-0.5, 0.5], so a step from the edge leaks Q(5.7) = 6e-9, just
+        # under LEAK_TOL; the table carries that tail, as a decay curve does
+        from emergolab.kernel import LEAK_TOL
+        sd = math.sqrt(0.5)
+        leaky = eg.Grid(-0.5 - 5.7 * sd, 0.5 + 5.7 * sd, 257)
+        starts = np.linspace(-2, 2, 11)
+        rep = eg.uniform_sup_tv(bp, 0.5, starts, [0, 1, 2, 3], grid=leaky)
+        edge_leak = 0.5 * math.erfc(5.7 / math.sqrt(2.0))
+        assert 0.5 * edge_leak < rep.tail_uncertainty < 2.0 * LEAK_TOL
+        wide = eg.uniform_sup_tv(bp, 0.5, starts, [0, 1, 2, 3])
+        assert 0.0 < wide.tail_uncertainty < 1e-14
+
     def test_csv(self, bp, tmp_path):
         rep = eg.uniform_sup_tv(bp, 0.5, np.linspace(-2, 2, 11), [1, 2])
         rep.write_csv(tmp_path / "u.csv")
