@@ -6,8 +6,9 @@ resolved-config echo, a plain-text report with all computed constants and
 pass/fail lines, and CSV artifacts.  Exit status: 0 all checks pass,
 1 a check failed, 2 config error, 3 numerical failure.
 
-Each runner imports the layers it uses when it runs, so argument and config
-parsing, config errors and emit-plotdata load no numpy.
+Each runner imports the layers it uses when it runs, so argument parsing,
+config parsing and validation (and the exit 2 they give) and emit-plotdata
+load no numpy.
 """
 
 from __future__ import annotations
