@@ -438,7 +438,9 @@ def run_study(cfg, spec, out, seed, rep):
                                  cfg["experiment"].get("x0", 3.0),
                                  cfg["experiment"].get("n_steps", 40),
                                  n_nodes=cfg["grid"].get("n_nodes", ke.Grid.n_nodes),
-                                 tol=cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL))
+                                 tol=cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL),
+                                 grid=build_grid(cfg, spec, None)
+                                 if cfg["grid"].keys() & {"lower", "upper"} else None)
     rates.write_study_csv(rows, out / "study.csv")
     for r in rows:
         r.curve.write_csv(out / f"curve_eta_{r.eta!r}.csv", experiment="study")

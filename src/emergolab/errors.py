@@ -26,9 +26,9 @@ class GridTooSmallError(EmergolabError):
 class ConvergenceError(EmergolabError):
     """An iterative procedure failed to converge within its budget."""
 
-    def __init__(self, message, last_increment=None):
+    def __init__(self, message, residual_bound=None):
         super().__init__(message)
-        self.last_increment = last_increment
+        self.residual_bound = residual_bound
 
 
 class MinorizationError(EmergolabError):
@@ -40,9 +40,11 @@ class ApplicabilityError(EmergolabError):
 
 
 def _distinct(values, name: str) -> list:
-    """values as a list, or a ValueError naming the first entry that repeats
-    (a repeat would give a result row twice)."""
+    """values as a list, or a ValueError naming name when it is empty or
+    the first entry that repeats (a repeat would give a result row twice)."""
     values = list(values)
+    if not values:
+        raise ValueError(f"{name} must list at least one value")
     repeats = [v for i, v in enumerate(values) if v in values[:i]]
     if repeats:
         raise ValueError(f"{name} must list each value once, but "

@@ -8,8 +8,8 @@ same grid by default).  Only its band |y_i - mean(x_j)| <= BAND_SD*sd is
 built, as dense blocks of 128 rows (cached for grids up to
 DENSE_MATRIX_LIMIT nodes, built one at a time beyond that).
 
-Solves and propagation run on two grids of one interval: the power
-iteration and every step but the last run on _coarse, the grid at spacing
+Solves and propagation run on two grids of one interval: the GMRES solve
+for pi and every step but the last run on _coarse, the grid at spacing
 sd/2, where the trapezoid rule integrates a kernel step to about
 2*exp(-8*pi^2); each reported law is then read on the requested nodes by
 one more step (Nystrom; pi = pi P for the invariant measure).  A grid no
@@ -441,19 +441,17 @@ def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
 class InvariantResult:
     measure: GridMeasure
     iterations: int
-    solve_nodes: int  # nodes of the grid the power iteration ran on
+    solve_nodes: int  # nodes of the grid the GMRES solve ran on
 
 
 def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
                       tol: float = INVARIANT_TOL) -> InvariantResult:
-    """Invariant density by power iteration from N(0, 1), to an estimated
-    TV error below tol (see _power_iteration), on the coarse grid of grid's
-    interval and read on grid by one step (see _solved).
-
-    The iterate is renormalized to unit mass each step; the returned tail
-    bound is the one-step leakage of the converged density plus the bound on
-    the mass the band drops.  A converged density that leaks more than
-    LEAK_TOL rejects the grid.  Solves go through the cache (_invariant).
+    """Invariant density by GMRES from N(0, 1) to an estimated TV error
+    below tol (see _gmres), on the coarse grid of grid's interval and read
+    on grid by one step (see _solved); iterations counts Krylov vectors.
+    The tail bound is the one-step leakage of the solved density plus the
+    bound on the mass the band drops.  A solved density that leaks more
+    than LEAK_TOL rejects the grid.  Solves go through the cache (_invariant).
     """
     _warn_lambda(spec, eta)
     return _invariant(Chain(spec, eta, eta), grid, tol)
@@ -464,7 +462,7 @@ def _warn_lambda(spec: DriftSpec, eta: float) -> None:
     if not (0.0 < lam < 1.0):
         warnings.warn(
             f"lambda(eta)={lam!r} outside (0,1); the drift-condition "
-            "guarantee does not apply, power iteration may still converge",
+            "guarantee does not apply, though the invariant solve may succeed",
             stacklevel=3)  # at the public solver's caller
 
 
@@ -479,15 +477,15 @@ def _invariant(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
 
 @functools.lru_cache(maxsize=8)
 def _solved(chain: Chain, grid: Grid, tol: float):
-    """The power iteration on _coarse(chain, grid), its density read on grid
-    by one step (pi = pi P) and renormalized there, with the tail bound and
+    """The GMRES solve on _coarse(chain, grid), its density read on grid
+    by one step (pi = pi P) and normalized there, with the tail bound and
     leakage check of that density on grid."""
     coarse = _coarse(chain, grid)
     try:
-        dens, iterations = _power_iteration(chain, coarse, tol)
+        dens, iterations = _gmres(chain, coarse, tol)
         if coarse != grid:
             dens = np.maximum(_matvec(chain, coarse, dens, grid), 0.0)
-            dens /= float(np.sum(grid.weights * dens))
+        dens /= float(np.sum(grid.weights * dens))
         leak, band = _leak(chain, grid, dens)
         _reject_leak(chain, grid, leak)
     except (GridTooSmallError, ConvergenceError) as err:
@@ -497,32 +495,50 @@ def _solved(chain: Chain, grid: Grid, tol: float):
                            iterations, coarse.n_nodes)
 
 
-def _power_iteration(chain: Chain, grid: Grid, tol: float) -> tuple:
-    """Power iteration from N(0, 1) until the TV distance still to go, read
-    off the last two increments as a geometric tail, is below tol; the
-    increment alone would stop short by a factor 1/(1 - lambda2).  Returns
-    the density and the number of iterations."""
+def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
+    """GMRES from pi = u on (I - K + u w^T) pi = u, u the N(0, 1) start with
+    w @ u = 1 (w the trapezoid weights): the u w^T term lifts I - K's
+    eigenvalue 0 to 1 and fixes w @ pi = 1.  Classical Gram-Schmidt, twice
+    over, builds the basis; Givens rotations track the residual r.  It stops
+    once 0.5*||w||*||r|| / g_hat < tol, g_hat the smallest |Ritz value|
+    (about 1 - lambda2), computed when the bound passes with the last g_hat
+    (1 at first).  Returns pi, clipped at 0, and the vector count."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
-    w = grid.weights
-    dens = gaussian_on_grid(grid, 0.0, 1.0).density
-    dens = dens / float(np.sum(w * dens))
-    increment = math.inf
-    for it in range(1, MAX_ITERS + 1):
-        new = np.maximum(_matvec(chain, grid, dens), 0.0)
-        new /= float(np.sum(w * new))
-        last, increment = increment, 0.5 * float(np.sum(w * np.abs(new - dens)))
-        dens = new
-        # increments that shrink by r per step leave increment*r/(1-r) to go;
-        # an iterate can also repeat exactly (OU's chain with mean 0 does)
-        r = increment / last
-        if increment == 0.0 or (0.0 < r < 1.0
-                                and increment * r / (1.0 - r) < tol):
-            return dens, it
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol!r} in {MAX_ITERS} steps",
-        last_increment=increment)
+    w, n = grid.weights, grid.n_nodes
+    u = gaussian_on_grid(grid, 0.0, 1.0).density
+    u = u / float(w @ u)
+    z = _matvec(chain, grid, u) - u  # the residual at pi = u
+    res = norm = beta = float(np.linalg.norm(z))
+    scale, gap, cols, rots = 0.5 * float(np.linalg.norm(w)), 1.0, [], []
+    budget = min(MAX_ITERS, 2 ** 23 // n)  # a basis under 64 MB
+    basis = np.empty((min(budget, 16), n))  # grown as it is used
+    for k in range(budget):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, budget - k), n))])
+        v = basis[:k + 1]
+        v[k] = z / norm
+        z = v[k] - _matvec(chain, grid, v[k]) + u * float(w @ v[k])
+        h = np.zeros(k + 2)
+        for _ in range(2):
+            proj = v @ z
+            z -= proj @ v
+            h[:-1] += proj
+        h[-1] = norm = float(np.linalg.norm(z))
+        cols.append(h.copy())
+        for i, (c, s) in enumerate(rots):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rots.append(h[k:] / math.hypot(h[k], h[k + 1]))
+        res *= abs(rots[-1][1])
+        if scale * res < tol * gap:
+            hess = np.column_stack([np.pad(c, (0, k - j)) for j, c in enumerate(cols)])
+            gap = float(np.min(np.abs(np.linalg.eigvals(hess[:-1]))))
+            if scale * res < tol * gap:
+                y = np.linalg.lstsq(hess, np.r_[beta, np.zeros(k + 1)], rcond=None)[0]
+                return np.maximum(u + y @ v, 0.0), k + 1
+    raise ConvergenceError(f"GMRES did not reach tol={tol!r} in {budget} Krylov "
+                           "vectors", residual_bound=scale * res)
 
 
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:

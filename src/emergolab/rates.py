@@ -202,12 +202,14 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     sup is a witness.  On that path a grid of None is sized from the mean
     range [inf, sup] of x + g(x).  Without the minorization the table falls
     back to the plain kernel on grid (default_grid when None) and is
-    exploratory (a warning is emitted, m is None).  An n listed twice
-    raises ValueError.
+    exploratory (a warning is emitted, m is None).  A repeated n, or an
+    empty n_list or x_grid, raises ValueError.
     """
     n_list = sorted(_distinct((int(n) for n in n_list), "n_list"))
     if n_list[0] < 0:
         raise ValueError("n must be >= 0")
+    if not np.size(x_grid):
+        raise ValueError("x_grid must hold at least one point")
     chain = ke.Chain(spec, eta, 1.0)
     try:
         lo, hi = ke._mean_range(chain)
@@ -263,19 +265,20 @@ class StudyRow:
 
 def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
                     n_nodes: int = Grid.n_nodes,
-                    tol: float = ke.INVARIANT_TOL) -> list[StudyRow]:
-    """Per-step and per-unit-time fitted rates across step sizes.
-
-    The table juxtaposes delta_hat(eta); no equality claim across eta is
-    made.  Rows where the curve floors immediately carry delta_hat None,
-    and rows with no Doeblin mass, or one underflowed to 0, no envelope_rate.
-    An eta listed twice raises ValueError.
-    """
+                    tol: float = ke.INVARIANT_TOL,
+                    grid: Optional[Grid] = None) -> list[StudyRow]:
+    """Per-step and per-unit-time fitted rates across step sizes, each curve
+    read on grid (None: a density initial's grid, else default_grid(spec,
+    eta, n_nodes) per eta).  The table juxtaposes delta_hat(eta); no
+    equality claim across eta is made.  Rows where the curve floors
+    immediately carry delta_hat None, and rows with no Doeblin mass, or one
+    underflowed to 0, no envelope_rate.  An empty eta_list or a repeated
+    eta raises ValueError."""
     rows = []
     for eta in _distinct(eta_list, "eta_list"):
-        grid = initial.grid if isinstance(initial, GridMeasure) \
+        g = grid if grid is not None or isinstance(initial, GridMeasure) \
             else ke.default_grid(spec, eta, n_nodes=n_nodes)
-        curve = tv_decay_curve(spec, eta, initial, N, grid=grid, tol=tol)
+        curve = tv_decay_curve(spec, eta, initial, N, grid=g, tol=tol)
         try:
             fit = fit_geometric_rate(curve)
             delta_hat = fit.delta_hat

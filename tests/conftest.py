@@ -27,18 +27,18 @@ def smallset_ou(ou):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Empties the invariant-solve cache and records every power iteration
-    run from then on (its positional arguments, one tuple per solve)."""
+    """Empties the invariant-solve cache and records every GMRES solve run
+    from then on (its positional arguments, one tuple per solve)."""
     import emergolab.kernel as ke
     ke._solved.cache_clear()
     calls = []
-    real = ke._power_iteration
+    real = ke._gmres
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(ke, "_power_iteration", counting)
+    monkeypatch.setattr(ke, "_gmres", counting)
     return calls
 
 

@@ -410,6 +410,19 @@ class TestArtifacts:
         assert _report(tmp_path / "o")["tail_uncertainty"] \
             == repr(table.tail_uncertainty)
 
+    def test_study_honours_grid_interval(self, tmp_path):
+        # every eta reads its curve on [grid]'s interval; the default grid
+        # at eta = 0.005 would span +-808 and need 45704 nodes
+        cfg = write_config(tmp_path / "c.ini",
+                           "[drift]\nkind = ou\n"
+                           "[grid]\nlower = -10\nupper = 10\n"
+                           "[experiment]\neta_list = 0.005\n")
+        out = tmp_path / "o"
+        assert cli.main(["study", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "curve_eta_0.005.csv").read_text().splitlines()
+        assert lines[0] == "# experiment=study eta=0.005 initial=point:3.0"
+        assert len(lines) == 2 + 40
+
     def test_emit_plotdata(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", OU_CFG)
         out = tmp_path / "run"

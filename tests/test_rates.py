@@ -183,6 +183,13 @@ class TestUniformSup:
         with pytest.raises(ValueError, match="n_list .* 1 repeats"):
             eg.uniform_sup_tv(bp, 0.5, [0.0], [1, 1])
 
+    @pytest.mark.parametrize("x_grid, n_list, name", [([0.0], [], "n_list"),
+                                                      ([], [1], "x_grid")])
+    def test_empty_list_rejected(self, bp, solves, x_grid, n_list, name):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            eg.uniform_sup_tv(bp, 0.5, x_grid, n_list)
+        assert not solves  # rejected before the invariant solve
+
     def test_sup_tv_clipped_at_one(self, bp):
         # m underflows to 0 at eta = 1e-4; the trapezoid of |column - pi|
         # read 1.0000000000000007 at n = 1 and 2 before the clip

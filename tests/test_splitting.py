@@ -244,6 +244,10 @@ class TestAtomReturn:
         with pytest.raises(ValueError, match="ks .* 2 repeats"):
             eg.atom_return_check(ou, 0.5, smallset_ou, [2, 2], 100, grid12)
 
+    def test_empty_ks_rejected(self, ou, smallset_ou, grid12):
+        with pytest.raises(ValueError, match="ks must list at least one value"):
+            eg.atom_return_check(ou, 0.5, smallset_ou, [], 100, grid12)
+
     def test_ensemble_freed_before_quadrature(self, ou, smallset_ou, grid12,
                                               monkeypatch):
         # the (k_max + 1) x n_mc ensemble must not be held while nu P is
