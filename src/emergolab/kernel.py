@@ -5,8 +5,15 @@ The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by :class:`Chain`;
 it acts on densities through a quadrature matrix K[i, j] = p(x_j, y_i) w_j
 from the nodes x_j of one grid to the nodes y_i of a read-out grid (the
 same grid by default).  Only its band |y_i - mean(x_j)| <= BAND_SD*sd is
-built, as dense blocks of 128 rows (cached for grids up to
-DENSE_MATRIX_LIMIT nodes, built one at a time beyond that).
+built, as dense blocks of 128 rows.  Only the operators that get reused
+are cached (8 at most): those from a grid that is its own coarse grid
+(spacing sd/2 or coarser, see below) with both grids of up to
+DENSE_MATRIX_LIMIT nodes.  A step from a finer grid is a one-off (the
+first step of a density, a fixed-point check) and streams its blocks, so
+it holds one 128-row block at a time, never the operator.  A cached
+operator's columns are the nodes of a grid no finer than sd/2, so its size
+follows the kernel and the interval, not the requested node count: a
+read-out onto 8192 rows holds at most 8192 times the coarse node count.
 
 Solves and propagation run on two grids of one interval: the GMRES solve
 for pi and every step but the last run on _coarse, the grid at spacing
@@ -272,22 +279,28 @@ def _kernel_blocks(chain: Chain, grid: Grid, rows: Grid | None = None):
         block = _normal_pdf(y[:, None] - mean[None, jlo:jhi], chain.var)
         block *= w[None, jlo:jhi]
         yield lo, jlo, block
+        del block  # not held while the next block is built
 
 
 @functools.lru_cache(maxsize=8)
 def _kernel_matrix(chain: Chain, grid: Grid, rows: Grid | None = None) -> tuple:
-    """The blocks of the banded quadrature matrix, held for reuse."""
+    """The blocks of the banded quadrature matrix, held for reuse.  _matvec
+    asks for it only when grid is its own coarse grid, so that the columns
+    are nodes no finer than sd/2 (see the module docstring)."""
     return tuple(_kernel_blocks(chain, grid, rows))
 
 
 def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
             rows: Grid | None = None) -> np.ndarray:
     """K @ v over the band, v on grid and the result on rows (grid when
-    None): cached blocks while both grids have up to DENSE_MATRIX_LIMIT
-    nodes, else the same blocks built one at a time, so K is never held
-    whole."""
+    None).  The blocks are cached when grid is its own coarse grid and both
+    grids have up to DENSE_MATRIX_LIMIT nodes: the solve, propagation and
+    Nystrom read-out operators, which are reused.  Otherwise, for a step
+    from a finer grid or a grid past the limit, the same blocks are built
+    one at a time and dropped, so that K is never held whole."""
     rows = grid if rows is None else rows
-    if max(grid.n_nodes, rows.n_nodes) <= DENSE_MATRIX_LIMIT:
+    if (_coarse(chain, grid) == grid
+            and max(grid.n_nodes, rows.n_nodes) <= DENSE_MATRIX_LIMIT):
         blocks = _kernel_matrix(chain, grid, rows)
     else:
         blocks = _kernel_blocks(chain, grid, rows)
@@ -295,6 +308,7 @@ def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
     for lo, jlo, block in blocks:
         r, c = block.shape
         out[lo:lo + r] = block @ v[jlo:jlo + c]
+        del block  # a streamed block is freed before the next is built
     return out
 
 

@@ -16,14 +16,17 @@ import numpy as np
 
 from .drifts import DriftSpec
 from .errors import MinorizationError, _distinct
-from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _normal_pdf,
-                     _start_laws, _step_mass, apply_kernel,
+from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _coarse,
+                     _normal_pdf, _start_laws, _step_mass, apply_kernel,
                      minorization_epsilon)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
 # half-width factor of the 95 % batch-means interval.  Change it with N_BATCHES.
 T_975 = 2.045229642132703
+# split chains per chunk of atom_return_check's ensemble: (k_max + 1) rows
+# of 9 bytes per chain, about 1.3 MB per chunk at k_max = 8
+MC_CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -316,27 +319,36 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
 
     Empirical: n_mc split chains started at the atom (x ~ nu, d = 1); the
     statistic at k is the fraction sitting in C x {1} after exactly k steps.
+    The chains run in chunks of MC_CHUNK, each chunk on its own child of
+    SeedSequence(seed), and only their atom-hit counts are kept.
     Exact: k = 1 is eps * nu(C) = eps; every other k takes (nu P^{k-2})
     one exact step into C (kernel._step_mass), k = 2 straight from the
-    nodes of C and k >= 3 from nu P^{k-2} on grid.  A k listed twice
-    raises ValueError.
+    nodes of C and k >= 3 from nu P^{k-2} on the coarse grid of grid's
+    interval (kernel._coarse), whose kernel operator is reused.  A k listed
+    twice raises ValueError.
     """
     ks = sorted(_distinct((int(k) for k in ks), "ks"))
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
     if eps is None:
         eps = resolve_split_epsilon(spec, eta, smallset)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x0 = sample_nu(smallset, rng, size=n_mc)
-    d0 = np.ones(n_mc, dtype=np.int8)
-    xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng, eps=eps, d0=d0)
-    # Reduce the ensemble to its atom-hit fractions and free it before the
-    # quadrature below builds its kernel matrix.
-    p_hats = {k: float(np.mean(np.asarray(smallset.contains(xs[k]))
-                               & (ds[k] == 1))) for k in ks}
-    del xs, ds
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
+    hits = dict.fromkeys(ks, 0)
+    chunks = np.random.SeedSequence(seed).spawn(-(-n_mc // MC_CHUNK))
+    for i, ss in enumerate(chunks):
+        rng = np.random.default_rng(ss)
+        m = min(MC_CHUNK, n_mc - i * MC_CHUNK)
+        x0 = sample_nu(smallset, rng, size=m)
+        xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng, eps=eps,
+                                d0=np.ones(m, dtype=np.int8))
+        for k in ks:
+            hits[k] += int(np.count_nonzero(smallset.contains(xs[k]) & (ds[k] == 1)))
+        del xs, ds  # freed before the next chunk and the quadrature below
+    p_hats = {k: hits[k] / n_mc for k in ks}
 
     chain, c = Chain(spec, eta, eta), _c_grid(smallset)
+    grid = _coarse(chain, grid)
     lo, hi = smallset.c_lower, smallset.c_upper
     nu = np.full(c.n_nodes, 1.0 / smallset.length)
     exact_by_k = {1: eps, 2: eps * _step_mass(chain, c, nu, lo, hi)}

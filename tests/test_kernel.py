@@ -234,6 +234,43 @@ class TestBand:
         assert inspect.isfunction(fn) and fn.__module__ == "emergolab.rates"
 
 
+class TestOperatorCache:
+    """Operators from a grid that is its own coarse grid are cached; a step
+    from a finer grid streams its blocks and keeps none of them."""
+
+    def test_fine_step_streams(self, ou, monkeypatch):
+        chain = ke.Chain(ou, 0.5, 0.5)
+        grid = eg.Grid(-10.0, 10.0, 2049)
+        assert ke._coarse(chain, grid) != grid
+        xi = gaussian_on_grid(grid, 1.0, 0.5)
+        ke._kernel_matrix.cache_clear()
+        try:
+            got = eg.apply_kernel(ou, 0.5, xi)
+            assert ke._kernel_matrix.cache_info().currsize == 0
+            # the same step through the cache, bit for bit
+            monkeypatch.setattr(ke, "_coarse", lambda chain, grid: grid)
+            want = eg.apply_kernel(ou, 0.5, xi)
+            assert ke._kernel_matrix.cache_info().currsize == 1
+        finally:
+            ke._kernel_matrix.cache_clear()
+        assert np.array_equal(got.density, want.density)
+        assert got.tail_bound == want.tail_bound
+
+    def test_fine_step_memory(self, ou):
+        # the whole banded operator of this grid holds about 330 MB; a
+        # streamed step holds one 128-row block of at most 8192 columns
+        import tracemalloc
+        grid = eg.Grid(-10.0, 10.0, 8192)
+        xi = gaussian_on_grid(grid, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            eg.apply_kernel(ou, 0.5, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+
 class TestOffGrid:
     def test_upper_tail_matches_norm_sf(self):
         import emergolab.kernel as ke

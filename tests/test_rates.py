@@ -26,6 +26,24 @@ def curve_x3(ou, grid12):
         return eg.tv_decay_curve(ou, 0.5, 3.0, 40, grid=grid12)
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """Empties the operator cache and records the size of every kernel block
+    built from then on, cached or streamed."""
+    import emergolab.kernel as ke
+    sizes = []
+    real = ke._kernel_blocks
+
+    def counting(*args):
+        for lo, jlo, block in real(*args):
+            sizes.append(block.size)
+            yield lo, jlo, block
+
+    monkeypatch.setattr(ke, "_kernel_blocks", counting)
+    ke._kernel_matrix.cache_clear()
+    return sizes
+
+
 class TestDecayCurve:
     def test_shares_the_solve_of_invariant_measure(self, ou, grid12, solves):
         pi = eg.invariant_measure(ou, 0.2, grid12).measure
@@ -62,6 +80,26 @@ class TestDecayCurve:
             curve = eg.tv_decay_curve(ou, 0.5, pi_ou_05, 5, grid=grid12)
         assert np.all(curve.values <= 10 * 1e-9)
         assert curve.usable().size == 0
+
+    @pytest.mark.parametrize("start", ["point", "measure"])
+    def test_second_curve_reuses_operators(self, ou, built, start):
+        # the coarse-grid steps and the read-outs onto grid are cached, so a
+        # second curve on the same setting builds nothing for them; only a
+        # measure's first steps from grid, onto grid (n = 1) and onto the
+        # coarse grid, are one-offs that stream again
+        import emergolab.kernel as ke
+        grid = eg.default_grid(ou, 0.5, n_nodes=2049)
+        initial = 3.0 if start == "point" else gaussian_on_grid(grid, 3.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eg.tv_decay_curve(ou, 0.5, initial, 20, grid=grid)
+            first = len(built)
+            eg.tv_decay_curve(ou, 0.5, initial, 20, grid=grid)
+        coarse = ke._coarse(ke.Chain(ou, 0.5, 0.5), grid)
+        streamed = 0 if start == "point" else (-(-grid.n_nodes // 128)
+                                               - (-coarse.n_nodes // 128))
+        assert first > streamed
+        assert len(built) - first == streamed
 
     def test_csv_round(self, curve_x3, tmp_path):
         curve_x3.write_csv(tmp_path / "c.csv")
@@ -207,21 +245,11 @@ class TestUniformSup:
             curve = eg.tv_decay_curve(fast, 0.1, x0, 20, grid=grid12)
         np.testing.assert_allclose(rep.sup_tv, curve.values, rtol=0, atol=1e-15)
 
-    def test_operator_cache_footprint(self, bp, monkeypatch):
+    def test_operator_cache_footprint(self, bp, built):
         # the Doeblin path's 2049-node grid holds the operator of the sd/2
         # grid and the read-out rows from it, not its own banded operator
         # (0.68 n^2 entries); no eviction, so every block built is cached
         import emergolab.kernel as ke
-        built = []
-        real = ke._kernel_blocks
-
-        def counting(*args):
-            for lo, jlo, block in real(*args):
-                built.append(block.size)
-                yield lo, jlo, block
-
-        monkeypatch.setattr(ke, "_kernel_blocks", counting)
-        ke._kernel_matrix.cache_clear()
         ke._solved.cache_clear()
         try:
             eg.uniform_sup_tv(bp, 0.5, np.linspace(-5, 5, 101), range(1, 21))

@@ -273,6 +273,34 @@ class TestAtomReturn:
                                               2000, grid12, seed=2)
 
 
+    def test_ensemble_runs_in_chunks(self, ou, smallset_ou, grid12,
+                                     monkeypatch):
+        # each chunk of MC_CHUNK chains runs on its own child of
+        # SeedSequence(seed), so the first chunks of an ensemble are the
+        # whole of a smaller one, as sample_paths' path chunks are
+        from emergolab import splitting
+        sizes, hits = [], []
+        ensemble = splitting.split_ensemble
+
+        def record(spec, eta, smallset, x0, *args, **kwargs):
+            xs, ds = ensemble(spec, eta, smallset, x0, *args, **kwargs)
+            sizes.append(x0.size)
+            hits.append(int(np.count_nonzero(smallset.contains(xs[3])
+                                             & (ds[3] == 1))))
+            return xs, ds
+        monkeypatch.setattr(splitting, "split_ensemble", record)
+        monkeypatch.setattr(splitting, "MC_CHUNK", 400)
+        big = eg.atom_return_check(ou, 0.5, smallset_ou, [3], 1000, grid12, seed=4)
+        assert sizes == [400, 400, 200]
+        assert big[0].empirical == sum(hits) / 1000
+        small = eg.atom_return_check(ou, 0.5, smallset_ou, [3], 800, grid12, seed=4)
+        assert small[0].empirical == (hits[0] + hits[1]) / 800
+
+    def test_no_chains_rejected(self, ou, smallset_ou, grid12):
+        with pytest.raises(ValueError, match="n_mc must be >= 1"):
+            eg.atom_return_check(ou, 0.5, smallset_ou, [1], 0, grid12)
+
+
 class TestRegenerativeEstimator:
     def test_requires_enough_blocks(self, ou, smallset_ou):
         rng = np.random.default_rng(10)
