@@ -5,15 +5,19 @@ The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by :class:`Chain`;
 it acts on densities through a quadrature matrix K[i, j] = p(x_j, y_i) w_j
 from the nodes x_j of one grid to the nodes y_i of a read-out grid (the
 same grid by default).  Only its band |y_i - mean(x_j)| <= BAND_SD*sd is
-built, as dense blocks of 128 rows.  Only the operators that get reused
-are cached (8 at most): those from a grid that is its own coarse grid
-(spacing sd/2 or coarser, see below) with both grids of up to
+built, as dense blocks of the rows that span one band width 2*BAND_SD*sd
+(34 on an sd/2 grid, at most 128), so a block's columns are the nodes
+whose mean lies within twice the band width.  Only the operators that get
+reused are cached (8 at most): those from a grid that is its own coarse
+grid (spacing sd/2 or coarser, see below) with both grids of up to
 DENSE_MATRIX_LIMIT nodes.  A step from a finer grid is a one-off (the
 first step of a density, a fixed-point check) and streams its blocks, so
-it holds one 128-row block at a time, never the operator.  A cached
-operator's columns are the nodes of a grid no finer than sd/2, so its size
-follows the kernel and the interval, not the requested node count: a
-read-out onto 8192 rows holds at most 8192 times the coarse node count.
+it holds one block of at most 128 rows at a time, never the operator.  A
+cached operator's columns are the nodes of a grid no finer than sd/2, so
+its size follows the kernel and the interval, not the requested node
+count: a row holds about 70 entries where the mean map moves nodes
+little (OU at small eta), and a read-out onto 8192 rows at most 8192
+times the coarse node count where it gathers them all into one band.
 
 Solves and propagation run on two grids of one interval: the GMRES solve
 for pi and every step but the last run on _coarse, the grid at spacing
@@ -262,18 +266,23 @@ def transition_density(spec: DriftSpec, eta: float, x, y):
 def _kernel_blocks(chain: Chain, grid: Grid, rows: Grid | None = None):
     """The banded quadrature matrix K[i, j] = p(x_j, y_i) * w_j, x_j and w_j
     the nodes and weights of grid, y_i the nodes of rows (grid when None),
-    128 rows at a time, as (lo, jlo, block) for the rows lo..lo+127.
+    r rows at a time, as (lo, jlo, block) for the rows lo..lo+r-1.
 
+    r is the number of rows that span one band width 2*BAND_SD*sd at the
+    spacing of rows, at most 128 (34 on an sd/2 grid), so a block's rows
+    reach no further than its band and it spans about twice the band.
     block covers the columns jlo..jlo+c-1: the span of the nodes whose mean
     lies within BAND_SD*sd of one of its rows, so every entry of the band
     |y_i - mean_j| <= BAND_SD*sd is in it.
     """
     w = grid.weights
     mean = chain.mean(grid.nodes)
-    ys = (grid if rows is None else rows).nodes
+    rows = grid if rows is None else rows
+    ys = rows.nodes
     reach = BAND_SD * chain.sd
-    for lo in range(0, ys.size, 128):
-        y = ys[lo:lo + 128]
+    r = min(128, int(2.0 * reach / rows.spacing))
+    for lo in range(0, ys.size, r):
+        y = ys[lo:lo + r]
         cols = np.flatnonzero((mean >= y[0] - reach) & (mean <= y[-1] + reach))
         jlo, jhi = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
         block = _normal_pdf(y[:, None] - mean[None, jlo:jhi], chain.var)

@@ -228,7 +228,8 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     solve = ke._invariant(chain, grid, tol)
     pi, w = solve.measure, grid.weights
 
-    # batched propagation: one column per starting point
+    # batched propagation: one column per starting point, one law block held
+    # at a time (columns may be _propagate's own state: never written to)
     means = chain.mean(np.asarray(x_grid, dtype=float))
     reported = [n for n in n_list if n > 0]
     by_n = {0: (1.0, 0.0)}  # point mass against a density
@@ -236,8 +237,12 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
     laws = ke._propagate(chain, grid,
                          lambda g: ke._start_laws(g, means, chain.var, chain),
                          reported)
-    for n, (columns, tails) in zip(reported, laws):
-        d = np.minimum(0.5 * np.abs(columns - pi.density[:, None]).T @ w, 1.0)
+    for n in reported:
+        columns, tails = next(laws)
+        diff = columns - pi.density[:, None]
+        del columns
+        d = np.minimum(0.5 * np.abs(diff, out=diff).T @ w, 1.0)
+        del diff
         by_n[n] = (float(d.max()), float(d.max() - d.min()))
         worst_tail = max(worst_tail,
                          0.5 * (float(np.max(tails)) + pi.tail_bound))

@@ -218,6 +218,21 @@ class TestBand:
         blocks = ke._kernel_matrix(ke.Chain(ou, 0.1, 0.1), grid)
         assert sum(block.size for _, _, block in blocks) < 0.2 * grid.n_nodes ** 2
 
+    def test_blocks_span_the_band(self, ou):
+        # a block has the rows that span one band width of 17 sd, 34 on the
+        # sd/2 grid, so the cached solve operator holds about twice its band
+        # (blocks of 128 rows would hold 1.9 MB here)
+        import emergolab.kernel as ke
+        chain = ke.Chain(ou, 0.05, 0.05)
+        grid = ke._coarse(chain, eg.default_grid(ou, 0.05, n_nodes=2049))
+        r = min(128, int(17 * chain.sd / grid.spacing))
+        assert r == 34
+        blocks = ke._kernel_matrix(chain, grid)
+        assert [lo for lo, _, _ in blocks] == list(range(0, grid.n_nodes, r))
+        for lo, _, block in blocks:
+            assert block.shape[0] == min(r, grid.n_nodes - lo)
+        assert sum(block.nbytes for _, _, block in blocks) < 2 ** 20
+
     def test_tracer_contract(self):
         # bench/tracer.py reads these names; a rename would break --trace 1
         import inspect

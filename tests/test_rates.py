@@ -95,9 +95,13 @@ class TestDecayCurve:
             eg.tv_decay_curve(ou, 0.5, initial, 20, grid=grid)
             first = len(built)
             eg.tv_decay_curve(ou, 0.5, initial, 20, grid=grid)
-        coarse = ke._coarse(ke.Chain(ou, 0.5, 0.5), grid)
-        streamed = 0 if start == "point" else (-(-grid.n_nodes // 128)
-                                               - (-coarse.n_nodes // 128))
+        chain = ke.Chain(ou, 0.5, 0.5)
+        coarse = ke._coarse(chain, grid)
+
+        def blocks(rows):  # blocks of one step read on rows (_kernel_blocks)
+            r = min(128, int(17 * chain.sd / rows.spacing))
+            return -(-rows.n_nodes // r)
+        streamed = 0 if start == "point" else blocks(grid) + blocks(coarse)
         assert first > streamed
         assert len(built) - first == streamed
 
@@ -257,6 +261,23 @@ class TestUniformSup:
             ke._solved.cache_clear()
         assert 0 < sum(built) < 0.05 * 2049 ** 2
 
+    def test_one_law_block_held_at_a_time(self, bp):
+        # a law block of 101 columns on 2049 nodes takes 1.65 MB; the loop
+        # holds one law and its difference from pi, not three such blocks
+        # (5.5 MB), on top of the solve and the operators built cold here
+        import tracemalloc
+        import emergolab.kernel as ke
+        ke._solved.cache_clear()
+        ke._kernel_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            eg.uniform_sup_tv(bp, 0.5, np.linspace(-5, 5, 101), range(1, 21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ke._solved.cache_clear()
+        assert peak < 4.5 * 2 ** 20
+
     def test_tail_uncertainty_of_a_leaky_grid(self, bp):
         # the grid ends 5.7 kernel sd beyond the Doeblin chain's mean range
         # [-0.5, 0.5], so a step from the edge leaks Q(5.7) = 6e-9, just
@@ -335,6 +356,19 @@ class TestStepSizeStudy:
         for row in rows:
             assert row.delta_hat == pytest.approx(1 / (1 - row.eta), rel=0.1)
             assert row.m == pytest.approx(1.0, abs=1e-9)
+
+    def test_operator_footprint(self, ou, built, solves):
+        # the study of the cli benchmark: per eta, the solve operator of the
+        # sd/2 grid and its read-out onto 2049 rows stay cached (8 in all,
+        # none evicted), in blocks of about twice the band (blocks of 128
+        # rows would hold 7.3 MB)
+        import emergolab.kernel as ke
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eg.step_size_study(ou, [0.5, 0.2, 0.1, 0.05], 3.0, 40, n_nodes=2049)
+        info = ke._kernel_matrix.cache_info()
+        assert info.misses == info.currsize == 8
+        assert 8 * sum(built) < 5.5 * 2 ** 20
 
     def test_repeated_eta_rejected(self, ou, solves):
         with pytest.raises(ValueError, match="eta_list .* 0.5 repeats"):
