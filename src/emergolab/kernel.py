@@ -8,13 +8,18 @@ same grid by default).  Only its band |y_i - mean(x_j)| <= BAND_SD*sd is
 built, as dense blocks of the rows that span one band width 2*BAND_SD*sd
 (34 on an sd/2 grid, at most 128), so a block's columns are the nodes
 whose mean lies within twice the band width.  Only the operators that get
-reused are cached (8 at most): those from a grid that is its own coarse
-grid (spacing sd/2 or coarser, see below) with both grids of up to
-DENSE_MATRIX_LIMIT nodes.  A step from a finer grid is a one-off (the
-first step of a density, a fixed-point check) and streams its blocks, so
-it holds one block of at most 128 rows at a time, never the operator.  A
-cached operator's columns are the nodes of a grid no finer than sd/2, so
-its size follows the kernel and the interval, not the requested node
+reused are cached: those from a grid that is its own coarse grid (spacing
+sd/2 or coarser, see below) with both grids of up to DENSE_MATRIX_LIMIT
+nodes.  The cache holds 3, one chain's reuse: its sd/2 operator and its
+read-outs onto two requested grids (_off_grid keeps as many off-grid
+vectors).  Callers finish with one chain before the next, so 3 entries
+build no operator twice and drop the operators of finished chains: the
+bench's library sweep makes 25 builds and 734 hits, as with 8 entries,
+where 2 entries make 33 builds.  A step from a finer grid is a one-off
+(the first step of a density, a fixed-point check) and streams its blocks,
+so it holds one block of at most 128 rows at a time, never the operator.
+A cached operator's columns are the nodes of a grid no finer than sd/2,
+so its size follows the kernel and the interval, not the requested node
 count: a row holds about 70 entries where the mean map moves nodes
 little (OU at small eta), and a read-out onto 8192 rows at most 8192
 times the coarse node count where it gathers them all into one band.
@@ -49,6 +54,10 @@ INVARIANT_TOL = 1e-9
 MAX_ITERS = 10 ** 5
 DENSE_MATRIX_LIMIT = 8192
 BAND_SD = 8.5
+# GMRES basis vectors per array: OpenBLAS threads a matrix-vector product
+# only from 460800 entries, and a 4001-node solve in arrays of 64 vectors
+# ran about a quarter slower on 2 vCPUs
+KRYLOV_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -207,9 +216,20 @@ def _upper_tail(z: float) -> float:
     return 0.5 * math.erfc(z * math.sqrt(0.5))
 
 
+# _upper_tail is exactly 0.0 from z = 38.476 up and exactly 1.0 from
+# z = -8.293 down (the first z of each is 38.47537 and -8.29236)
+_TAIL_ZERO, _TAIL_ONE = 38.476, -8.293
+
+
 def _upper_tails(z: np.ndarray) -> np.ndarray:
-    """_upper_tail of every entry of z."""
-    return np.array([_upper_tail(v) for v in z.tolist()])
+    """_upper_tail of every entry of z, bit for bit: libm is called only
+    between _TAIL_ONE and _TAIL_ZERO, the entries beyond are filled (and a
+    NaN stays NaN)."""
+    one = z <= _TAIL_ONE
+    out = one.astype(float)
+    mid = ~(one | (z >= _TAIL_ZERO))
+    out[mid] = [_upper_tail(v) for v in z[mid].tolist()]
+    return out
 
 
 def _outside(grid: Grid, means: np.ndarray, sd: float) -> np.ndarray:
@@ -291,7 +311,7 @@ def _kernel_blocks(chain: Chain, grid: Grid, rows: Grid | None = None):
         del block  # not held while the next block is built
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=3)
 def _kernel_matrix(chain: Chain, grid: Grid, rows: Grid | None = None) -> tuple:
     """The blocks of the banded quadrature matrix, held for reuse.  _matvec
     asks for it only when grid is its own coarse grid, so that the columns
@@ -321,7 +341,7 @@ def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
     return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=3)
 def _off_grid(chain: Chain, grid: Grid) -> np.ndarray:
     """Gaussian mass that one step from each node puts beyond [lower, upper]."""
     out = _outside(grid, chain.mean(grid.nodes), chain.sd)
@@ -522,10 +542,12 @@ def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
     """GMRES from pi = u on (I - K + u w^T) pi = u, u the N(0, 1) start with
     w @ u = 1 (w the trapezoid weights): the u w^T term lifts I - K's
     eigenvalue 0 to 1 and fixes w @ pi = 1.  Classical Gram-Schmidt, twice
-    over, builds the basis; Givens rotations track the residual r.  It stops
-    once 0.5*||w||*||r|| / g_hat < tol, g_hat the smallest |Ritz value|
-    (about 1 - lambda2), computed when the bound passes with the last g_hat
-    (1 at first).  Returns pi, clipped at 0, and the vector count."""
+    over, builds the basis in arrays of KRYLOV_CHUNK vectors, each allocated
+    when the basis reaches it, so the basis is never copied to grow; Givens
+    rotations track the residual r.  It stops once 0.5*||w||*||r|| / g_hat
+    < tol, g_hat the smallest |Ritz value| (about 1 - lambda2), computed
+    when the bound passes with the last g_hat (1 at first).  Returns pi,
+    clipped at 0, and the vector count."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
@@ -536,17 +558,19 @@ def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
     res = norm = beta = float(np.linalg.norm(z))
     scale, gap, cols, rots = 0.5 * float(np.linalg.norm(w)), 1.0, [], []
     budget = min(MAX_ITERS, 2 ** 23 // n)  # a basis under 64 MB
-    basis = np.empty((min(budget, 16), n))  # grown as it is used
+    chunks = []  # the basis, KRYLOV_CHUNK vectors to an array
     for k in range(budget):
-        if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k, budget - k), n))])
-        v = basis[:k + 1]
-        v[k] = z / norm
-        z = v[k] - _matvec(chain, grid, v[k]) + u * float(w @ v[k])
+        i = k % KRYLOV_CHUNK
+        if i == 0:
+            chunks.append(np.empty((min(KRYLOV_CHUNK, budget - k), n)))
+        last = chunks[-1]
+        last[i] = z / norm
+        z = last[i] - _matvec(chain, grid, last[i]) + u * float(w @ last[i])
+        v = chunks[:-1] + [last[:i + 1]]  # views of the k + 1 vectors
         h = np.zeros(k + 2)
         for _ in range(2):
-            proj = v @ z
-            z -= proj @ v
+            proj = np.concatenate([c @ z for c in v])
+            z -= _combine(proj, v)
             h[:-1] += proj
         h[-1] = norm = float(np.linalg.norm(z))
         cols.append(h.copy())
@@ -559,9 +583,18 @@ def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
             gap = float(np.min(np.abs(np.linalg.eigvals(hess[:-1]))))
             if scale * res < tol * gap:
                 y = np.linalg.lstsq(hess, np.r_[beta, np.zeros(k + 1)], rcond=None)[0]
-                return np.maximum(u + y @ v, 0.0), k + 1
+                return np.maximum(u + _combine(y, v), 0.0), k + 1
     raise ConvergenceError(f"GMRES did not reach tol={tol!r} in {budget} Krylov "
                            "vectors", residual_bound=scale * res)
+
+
+def _combine(coef: np.ndarray, chunks: list) -> np.ndarray:
+    """sum_i coef_i v_i over the basis vectors v_i, KRYLOV_CHUNK of them to
+    each array of chunks; for one array it is coef @ chunks[0], bit for bit."""
+    out = coef[:KRYLOV_CHUNK] @ chunks[0]
+    for j, c in enumerate(chunks[1:], 1):
+        out += coef[j * KRYLOV_CHUNK:(j + 1) * KRYLOV_CHUNK] @ c
+    return out
 
 
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:

@@ -42,6 +42,26 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def operators(monkeypatch):
+    """Empties the operator cache and records every request for a cached
+    kernel operator from then on, as (key, blocks) in request order.  The
+    recorder keeps the cache's cache_info."""
+    import emergolab.kernel as ke
+    real = ke._kernel_matrix
+    real.cache_clear()
+    requests = []
+
+    def recording(*key):
+        blocks = real(*key)
+        requests.append((key, blocks))
+        return blocks
+
+    recording.cache_info = real.cache_info
+    monkeypatch.setattr(ke, "_kernel_matrix", recording)
+    return requests
+
+
 def gaussian_tv(m1, v1, m2, v2, half_width=20.0, n=200001):
     """Independent numeric integration of the TV distance of two normals."""
     x = np.linspace(-half_width, half_width, n)

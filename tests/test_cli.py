@@ -540,6 +540,16 @@ def test_cli_import_skips_scipy():
     assert _fresh_python(code).strip() == "False"
 
 
+def test_verify_assumptions_skips_numpy_random(tmp_path):
+    # its random probe pairs come from the stdlib; numpy.random costs 6 MB
+    cfg = write_config(tmp_path / "v.ini", "[drift]\nkind = bounded\n"
+                       "[experiment]\neta = 0.1\n")
+    code = ("import sys; from emergolab import cli; "
+            "status = cli.main(['verify-assumptions', '--config', sys.argv[1], "
+            "'--out', sys.argv[2]]); print(status, 'numpy.random' in sys.modules)")
+    assert _fresh_python(code, cfg, str(tmp_path / "o")).split() == ["0", "False"]
+
+
 LAYERS = {f"emergolab.{m}" for m in ("drifts", "kernel", "rates", "simulate",
                                      "splitting", "empirical")}
 

@@ -233,11 +233,23 @@ class TestBand:
             assert block.shape[0] == min(r, grid.n_nodes - lo)
         assert sum(block.nbytes for _, _, block in blocks) < 2 ** 20
 
-    def test_tracer_contract(self):
+    def test_tracer_contract(self, ou, monkeypatch):
         # bench/tracer.py reads these names; a rename would break --trace 1
         import inspect
         import emergolab.kernel as ke
-        assert ke._kernel_matrix.cache_info().maxsize == 8
+        # it counts an operator build as a rise in the cache's misses
+        builds = []
+        real = ke._kernel_blocks
+        monkeypatch.setattr(ke, "_kernel_blocks",
+                            lambda *args: builds.append(args) or real(*args))
+        ke._kernel_matrix.cache_clear()
+        grid = eg.Grid(-6.0, 6.0, 31)  # its own coarse grid at both etas
+        xi = gaussian_on_grid(grid, 0.0, 1.0)
+        for eta, new in ((0.5, 1), (0.5, 0), (0.2, 1), (0.5, 0)):
+            before = ke._kernel_matrix.cache_info().misses
+            eg.apply_kernel(ou, eta, xi)
+            assert ke._kernel_matrix.cache_info().misses - before == new
+        assert len(builds) == 2
         assert ke.DENSE_MATRIX_LIMIT == 8192
         for name, arg in (("apply_kernel", "xi"), ("invariant_measure", "grid")):
             fn = getattr(ke, name)
@@ -271,6 +283,23 @@ class TestOperatorCache:
         assert np.array_equal(got.density, want.density)
         assert got.tail_bound == want.tail_bound
 
+    def test_one_chain_at_a_time(self, ou, operators, solves):
+        # the lib-sweep pattern: per chain, two requested node counts read
+        # out from the chain's one sd/2 operator, then the next chain; the
+        # 3 entries build each operator once (2 entries built 12 of these 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for eta in (0.5, 0.3, 0.2):
+                for n in (257, 513):
+                    grid = eg.default_grid(ou, eta, n_nodes=n)
+                    eg.n_step_from_point(ou, eta, 3.0, 2, grid)
+                    pi = eg.invariant_measure(ou, eta, grid).measure
+                    eg.apply_kernel(ou, eta, pi)
+                    eg.tv_decay_curve(ou, eta, 3.0, 5, grid=grid)
+        info = ke._kernel_matrix.cache_info()
+        assert info.misses == len({key for key, _ in operators}) == 9
+        assert info.hits > 0 and info.currsize == 3
+
     def test_fine_step_memory(self, ou):
         # the whole banded operator of this grid holds about 330 MB; a
         # streamed step holds one 128-row block of at most 8192 columns
@@ -287,6 +316,21 @@ class TestOperatorCache:
 
 
 class TestOffGrid:
+    def test_upper_tails_match_the_loop(self):
+        # libm is called only between the thresholds; the filled entries
+        # are those the loop gives, bit for bit
+        zero, one = ke._TAIL_ZERO, ke._TAIL_ONE
+        z = np.concatenate([
+            np.linspace(-50.0, 50.0, 100001),
+            [np.inf, -np.inf, np.nan, 0.0, -0.0, zero, one,
+             38.475365730404555, -8.292361075813597],  # where the loop turns
+            np.nextafter(zero, [-np.inf, np.inf]),
+            np.nextafter(one, [-np.inf, np.inf])])
+        want = np.array([ke._upper_tail(v) for v in z.tolist()])
+        assert ke._upper_tails(z).tobytes() == want.tobytes()
+        assert ke._upper_tail(zero) == 0.0 and ke._upper_tail(one) == 1.0
+        assert ke._upper_tails(np.empty(0)).shape == (0,)
+
     def test_upper_tail_matches_norm_sf(self):
         import emergolab.kernel as ke
         z = np.concatenate([np.linspace(-40.0, 40.0, 8001),
@@ -325,7 +369,7 @@ class TestOffGrid:
         first = ke._off_grid.cache_info()
         eg.apply_kernel(ou, 0.1, xi)
         second = ke._off_grid.cache_info()
-        assert second.maxsize == 8
+        assert second.maxsize == 3
         assert first.misses == before.misses + 1
         assert (second.misses, second.hits) == (first.misses, first.hits + 1)
 
@@ -475,6 +519,31 @@ class TestInvariantMeasure:
         ref /= w @ ref
         got = ke._invariant(ke.Chain(bp, eta, h), g, ke.INVARIANT_TOL).measure
         assert 0.5 * float(w @ np.abs(got.density - ref)) <= 1e-10
+
+    def test_basis_grows_in_chunks(self, bp):
+        # 166 Krylov vectors of 2311 nodes (2.9 MB) in two arrays of 128;
+        # growing one array by doubling, copying as it grew, peaked at 10.5 MB
+        import tracemalloc
+        chain = ke.Chain(bp, 3e-4, 3e-4)
+        grid = ke._coarse(chain, eg.Grid(-10.0, 10.0, 4097))
+        ke._kernel_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            _, iterations = ke._gmres(chain, grid, ke.INVARIANT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterations > ke.KRYLOV_CHUNK
+        assert peak < 8 * 2 ** 20
+
+    def test_chunked_basis_matches_one_array(self, ou, monkeypatch):
+        chain = ke.Chain(ou, 0.1, 0.1)
+        grid = eg.resolution_grid(ou, 0.1)
+        one, n1 = ke._gmres(chain, grid, ke.INVARIANT_TOL)
+        monkeypatch.setattr(ke, "KRYLOV_CHUNK", 3)
+        chunked, n2 = ke._gmres(chain, grid, ke.INVARIANT_TOL)
+        assert n1 == n2 > 3 * 3
+        np.testing.assert_allclose(chunked, one, rtol=0, atol=1e-12 * one.max())
 
     def test_budget_exhaustion(self, ou, grid12, monkeypatch):
         # the budget is read when the solve runs, not when it is defined

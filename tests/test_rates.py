@@ -357,18 +357,24 @@ class TestStepSizeStudy:
             assert row.delta_hat == pytest.approx(1 / (1 - row.eta), rel=0.1)
             assert row.m == pytest.approx(1.0, abs=1e-9)
 
-    def test_operator_footprint(self, ou, built, solves):
+    def test_operator_footprint(self, ou, operators, solves):
         # the study of the cli benchmark: per eta, the solve operator of the
-        # sd/2 grid and its read-out onto 2049 rows stay cached (8 in all,
-        # none evicted), in blocks of about twice the band (blocks of 128
-        # rows would hold 7.3 MB)
+        # sd/2 grid and its read-out onto 2049 rows (8 in all), each built
+        # once; an eta's operators are dead once its curve ends, so the
+        # cache holds at most 3 (all 8 took 4.7 MB, these 2.9 MB)
         import emergolab.kernel as ke
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             eg.step_size_study(ou, [0.5, 0.2, 0.1, 0.05], 3.0, 40, n_nodes=2049)
         info = ke._kernel_matrix.cache_info()
-        assert info.misses == info.currsize == 8
-        assert 8 * sum(built) < 5.5 * 2 ** 20
+        assert info.misses == len({key for key, _ in operators}) == 8
+        assert info.currsize <= 3
+        last = {}  # each operator by its latest request, in that order
+        for key, blocks in operators:
+            last.pop(key, None)
+            last[key] = blocks
+        kept = list(last.values())[-info.currsize:]  # what the LRU holds
+        assert sum(b.nbytes for blocks in kept for _, _, b in blocks) <= 2.9 * 2 ** 20
 
     def test_repeated_eta_rejected(self, ou, solves):
         with pytest.raises(ValueError, match="eta_list .* 0.5 repeats"):
