@@ -191,6 +191,38 @@ def _echo_config(raw: dict, experiment: str, seed: int, out: Path) -> None:
         parser.write(fh)
 
 
+CSV_CHUNK = 4096  # rows formatted and written per write call
+
+
+def _cells(column, lo: int, hi: int):
+    """The text of rows lo..hi-1 of a column.  A numpy column goes through
+    tolist(), so that a number prints as the repr of a Python int or float."""
+    part = column[lo:hi]
+    if hasattr(part, "tolist"):
+        return map(repr, part.tolist())
+    return [c if type(c) is str else "" if c is None else repr(c) for c in part]
+
+
+def write_csv(path, header, columns, comment=None) -> None:
+    """Write one CSV artifact: a '# comment' line when comment is given, the
+    header names, then one row per index of the equal-length columns.  A str
+    cell is written as it is, None as an empty cell and a number as its repr;
+    rows are formatted and written CSV_CHUNK at a time, so no file is held
+    whole in memory."""
+    lengths = {len(c) for c in columns}
+    if len(header) != len(columns) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header names for columns of "
+                         f"lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    with open(path, "w") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, CSV_CHUNK):
+            cells = [_cells(c, lo, lo + CSV_CHUNK) for c in columns]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+
+
 class Report:
     def __init__(self):
         self.lines: list[str] = []
@@ -266,7 +298,11 @@ def run_invariant(cfg, spec, out, seed, rep):
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     result = ke.invariant_measure(spec, eta, grid, tol=tol)
     pi = result.measure
-    pi.write_csv(out / "invariant_density.csv")
+    g = pi.grid
+    write_csv(out / "invariant_density.csv", ("x", "density"),
+              (g.nodes, pi.density),
+              f"lower={g.lower!r} upper={g.upper!r} n={g.n_nodes} "
+              f"tail_bound={pi.tail_bound!r}")
     rep.add("iterations", result.iterations)
     rep.add("solve_nodes", result.solve_nodes)
     rep.add("mean", pi.mean())
@@ -287,7 +323,7 @@ def run_tv_decay(cfg, spec, out, seed, rep):
     x0 = cfg["experiment"].get("x0", 0.0)
     N = cfg["experiment"].get("n_steps", 30)
     curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid, tol=tol)
-    curve.write_csv(out / "curve_main.csv", experiment="tv-decay")
+    _write_curve(out / "curve_main.csv", curve, "tv-decay")
     rep.add("eta", eta)
     rep.add("x0", x0)
     try:
@@ -316,7 +352,10 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
     # without [grid] the Doeblin path sizes its grid from the mean range
     table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts), n_list,
                                  grid=grid if _places_grid(cfg) else None, tol=tol)
-    table.write_csv(out / "uniform_sup.csv")
+    write_csv(out / "uniform_sup.csv", ("n", "sup_d_tv", "spread", "envelope"),
+              (table.n_list, table.sup_tv, table.spread, [None] * len(table.n_list)
+               if table.envelope is None else table.envelope),
+              f"experiment=uniform-sup m={table.m!r}")
     rep.add("m", table.m)
     rep.add("solve_nodes", table.solve_nodes)
     rep.add("tail_uncertainty", table.tail_uncertainty)
@@ -354,9 +393,15 @@ def run_split_sim(cfg, spec, out, seed, rep):
     eps = splitting.resolve_split_epsilon(spec, eta, smallset)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     blocks = splitting.run_split(spec, eta, smallset, x0, n_steps, rng, eps=eps)
-    blocks.write_trace_csv(out / "trace.csv")
+    atom = np.zeros(blocks.xs.size, dtype=int)
+    atom[blocks.atom_visit_times] = 1
+    write_csv(out / "trace.csv", ("step", "x", "d", "in_C", "atom_visit"),
+              (range(blocks.xs.size), blocks.xs, blocks.ds,
+               blocks.in_c.astype(int), atom))
     in_c_vals = blocks.in_c.astype(float)
-    blocks.write_blocks_csv(out / "blocks.csv", values=in_c_vals)
+    write_csv(out / "blocks.csv", ("block", "length", "sum"),
+              (range(blocks.n_blocks), blocks.block_lengths(),
+               blocks.block_sums(in_c_vals)))
     rep.add("epsilon_minorization", smallset.epsilon)
     rep.add("epsilon_split", eps)
     _add_grid(rep, grid)
@@ -386,11 +431,9 @@ def run_atom_check(cfg, spec, out, seed, rep):
     checks = splitting.atom_return_check(
         spec, eta, smallset, cfg["experiment"].get("k_list", [1, 2, 3, 5]),
         cfg["experiment"].get("n_mc", 20000), grid, seed=seed)
-    with open(out / "atom_check.csv", "w") as fh:
-        fh.write("k,empirical,exact,se\n")
-        for c in checks:
-            fh.write(f"{c.k},{float(c.empirical)!r},{float(c.exact)!r},"
-                     f"{float(c.se)!r}\n")
+    fields = ("k", "empirical", "exact", "se")
+    write_csv(out / "atom_check.csv", fields,
+              [[getattr(c, f) for c in checks] for f in fields])
     rep.add("epsilon_split", splitting.resolve_split_epsilon(spec, eta, smallset))
     _add_grid(rep, grid)
     for c in checks:
@@ -416,8 +459,8 @@ def run_return_times(cfg, spec, out, seed, rep):
     D = (-dc.radius, dc.radius)
     x0s, sigmas, censored = simulate.return_times_ensemble(
         spec, eta, x0, D, horizon, n_rep, seed)
-    simulate.write_return_times_csv(x0s, sigmas, censored,
-                                    out / "return_times.csv")
+    write_csv(out / "return_times.csv", ("replicate", "x0", "sigma", "censored"),
+              (range(n_rep), x0s, sigmas, censored.astype(int)))
     est = simulate._exp_moment(sigmas, censored, beta, horizon)
     bound = drifts.lyapunov(x0) + dc.b_eta * dc.beta_eta
     _add_constants(rep, dc)
@@ -441,9 +484,11 @@ def run_study(cfg, spec, out, seed, rep):
                                  tol=cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL),
                                  grid=build_grid(cfg, spec, None)
                                  if cfg["grid"].keys() & {"lower", "upper"} else None)
-    rates.write_study_csv(rows, out / "study.csv")
+    fields = ("eta", "delta_hat", "delta_per_unit_time", "m")
+    write_csv(out / "study.csv", fields,
+              [[getattr(r, f) for r in rows] for f in fields])
     for r in rows:
-        r.curve.write_csv(out / f"curve_eta_{r.eta!r}.csv", experiment="study")
+        _write_curve(out / f"curve_eta_{r.eta!r}.csv", r.curve, "study")
         rep.add(f"delta_hat[eta={r.eta!r}]",
                 "undefined" if r.delta_hat is None else repr(r.delta_hat))
 
@@ -487,6 +532,15 @@ def run(experiment: str, config_path: str, out_dir: str, seed=None) -> int:
     return 0 if rep.all_ok else 1
 
 
+def _write_curve(path, curve, experiment: str) -> None:
+    """The n,d_tv rows of a decay curve under its '# experiment= eta=
+    initial=' line; the envelope column is kept, empty, for emit_plotdata."""
+    write_csv(path, ("n", "d_tv", "envelope"),
+              (range(1, curve.values.size + 1), curve.values,
+               [None] * curve.values.size),
+              f"experiment={experiment} eta={curve.eta!r} initial={curve.initial}")
+
+
 def emit_plotdata(run_dir: str) -> int:
     """Consolidate per-curve CSVs of a run directory into curves.csv."""
     run_path = Path(run_dir)
@@ -517,10 +571,9 @@ def emit_plotdata(run_dir: str) -> int:
                         f"{run_path / name}, line {lineno}: {line!r} is not "
                         "an n,d_tv,envelope row with an integer n") from None
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(run_path / "curves.csv", "w") as fh:
-        fh.write("experiment,eta,n,d_tv,envelope\n")
-        for experiment, eta, n, d_tv, env in rows:
-            fh.write(f"{experiment},{eta},{n},{d_tv},{env}\n")
+    header = ("experiment", "eta", "n", "d_tv", "envelope")
+    write_csv(run_path / "curves.csv", header,
+              [[r[i] for r in rows] for i in range(len(header))])
     return 0
 
 

@@ -200,14 +200,6 @@ class GridMeasure:
         u = rng.uniform(0.0, 1.0, size=n)
         return np.interp(u, cdf, self.grid.nodes)
 
-    def write_csv(self, path) -> None:
-        rows = zip(self.grid.nodes.tolist(), self.density.tolist())
-        with open(path, "w") as fh:
-            fh.write(f"# lower={self.grid.lower!r} upper={self.grid.upper!r} "
-                     f"n={self.grid.n_nodes} tail_bound={self.tail_bound!r}\n")
-            fh.write("x,density\n")
-            fh.write("".join([f"{x!r},{d!r}\n" for x, d in rows]))
-
 
 def _upper_tail(z: float) -> float:
     """Standard normal upper tail P(Z > z) by libm erfc, without the

@@ -42,15 +42,6 @@ class DecayCurve:
         """Indices n (1-based) with d_n above the numeric floor."""
         return np.flatnonzero(self.values >= self.floor) + 1
 
-    def write_csv(self, path, experiment: str = "tv-decay") -> None:
-        """n,d_tv rows; the envelope column is kept, empty, for emit-plotdata."""
-        with open(path, "w") as fh:
-            fh.write(f"# experiment={experiment} eta={self.eta!r} "
-                     f"initial={self.initial}\n")
-            fh.write("n,d_tv,envelope\n")
-            for i, d in enumerate(self.values):
-                fh.write(f"{i + 1},{float(d)!r},\n")
-
 
 def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasure],
                    N: int, grid: Optional[Grid] = None,
@@ -180,15 +171,6 @@ class UniformSupReport:
     solve_nodes: int  # nodes of the grid the invariant solve ran on
     tail_uncertainty: float  # largest off-grid bound of a reported d_TV
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# experiment=uniform-sup m={self.m!r}\n")
-            fh.write("n,sup_d_tv,spread,envelope\n")
-            for i, n in enumerate(self.n_list):
-                env = "" if self.envelope is None else repr(float(self.envelope[i]))
-                fh.write(f"{n},{float(self.sup_tv[i])!r},"
-                         f"{float(self.spread[i])!r},{env}\n")
-
 
 def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
                    grid: Optional[Grid] = None,
@@ -300,13 +282,3 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
                              delta_per_unit_time=per_unit, m=m,
                              envelope_rate=env, curve=curve))
     return rows
-
-
-def write_study_csv(rows, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("eta,delta_hat,delta_per_unit_time,m\n")
-        for r in rows:
-            dh = "" if r.delta_hat is None else repr(r.delta_hat)
-            du = "" if r.delta_per_unit_time is None else repr(r.delta_per_unit_time)
-            m = "" if r.m is None else repr(r.m)
-            fh.write(f"{r.eta!r},{dh},{du},{m}\n")

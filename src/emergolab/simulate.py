@@ -177,26 +177,3 @@ def _exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
         bias = math.exp(log_bias) if log_bias < 700 else math.inf
     return ExpMomentEstimate(mean, se, mean - 1.96 * se, mean + 1.96 * se,
                              n_rep, n_cens, bias, usable=True)
-
-
-def write_paths_csv(paths: np.ndarray, path) -> None:
-    """Serialize a path ensemble as replicate,step,x rows."""
-    n_paths, n_cols = np.shape(paths)
-    rows = zip(np.repeat(np.arange(n_paths), n_cols).tolist(),
-               np.tile(np.arange(n_cols), n_paths).tolist(),
-               np.asarray(paths, dtype=float).ravel().tolist())
-    with open(path, "w") as fh:
-        fh.write("replicate,step,x\n")
-        fh.write("".join([f"{r},{k},{x!r}\n" for r, k, x in rows]))
-
-
-def write_return_times_csv(x0s: np.ndarray, sigmas: np.ndarray,
-                           censored: np.ndarray, path) -> None:
-    """Serialize the (x0s, sigmas, censored) arrays of return_times_ensemble
-    as replicate,x0,sigma,censored rows."""
-    rows = zip(range(len(x0s)), np.asarray(x0s, dtype=float).tolist(),
-               np.asarray(sigmas).astype(int).tolist(),
-               np.asarray(censored).astype(int).tolist())
-    with open(path, "w") as fh:
-        fh.write("replicate,x0,sigma,censored\n")
-        fh.write("".join([f"{r},{x!r},{s},{c}\n" for r, x, s, c in rows]))

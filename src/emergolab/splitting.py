@@ -17,7 +17,8 @@ import numpy as np
 from .drifts import DriftSpec
 from .errors import MinorizationError, _distinct
 from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _coarse,
-                     _normal_pdf, _start_laws, _step_mass, apply_kernel,
+                     _matvec, _normal_pdf, _outside, _reject_coarse,
+                     _reject_leak, _step_mass, apply_kernel,
                      minorization_epsilon)
 
 N_BATCHES = 30
@@ -210,27 +211,6 @@ class RegenerationBlocks:
         t = self.atom_visit_times
         return cum[t[1:] + 1] - cum[t[:-1] + 1]
 
-    def write_trace_csv(self, path) -> None:
-        atom = np.zeros(self.xs.size, dtype=int)
-        atom[self.atom_visit_times] = 1
-        rows = zip(range(self.xs.size),
-                   np.asarray(self.xs, dtype=float).tolist(),
-                   self.ds.astype(int).tolist(),
-                   self.in_c.astype(int).tolist(), atom.tolist())
-        with open(path, "w") as fh:
-            fh.write("step,x,d,in_C,atom_visit\n")
-            fh.write("".join([f"{t},{x!r},{d},{c},{a}\n"
-                              for t, x, d, c, a in rows]))
-
-    def write_blocks_csv(self, path, values: Optional[np.ndarray] = None) -> None:
-        sums = self.block_sums(values if values is not None
-                               else np.ones_like(self.xs))
-        rows = zip(range(sums.size), self.block_lengths().tolist(),
-                   sums.tolist())
-        with open(path, "w") as fh:
-            fh.write("block,length,sum\n")
-            fh.write("".join([f"{j},{n},{s!r}\n" for j, n, s in rows]))
-
 
 def _initial_bits(d0) -> np.ndarray:
     if not np.all(np.isin(d0, (0, 1))):
@@ -302,13 +282,21 @@ def _c_grid(smallset: SmallSetSpec) -> Grid:
 def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                  grid: Grid) -> GridMeasure:
     """(nu P)(y) on the grid: the one-step laws from the nodes of C
-    (_c_grid), averaged by trapezoid quadrature over C."""
+    (_c_grid), averaged by trapezoid quadrature over C, as one banded step
+    of the uniform density from C onto grid, so that no block of laws is
+    held whole.  Its tail bound is the averaged outside mass, or the mass
+    the grid's trapezoid rule misses where larger.  A grid too coarse for
+    the kernel, or one that a law from C leaks off, rejects as for any
+    first step (kernel._start_laws)."""
     chain = Chain(spec, eta, eta)
     c = _c_grid(smallset)
-    laws, tails = _start_laws(grid, chain.mean(c.nodes), chain.var, chain)
-    dens = (laws @ c.weights) / smallset.length
+    means = chain.mean(c.nodes)
+    outside = _outside(grid, means, chain.sd)
+    _reject_coarse(chain, grid)
+    _reject_leak(chain, grid, outside, means)
+    dens = _matvec(chain, c, np.ones(c.n_nodes), grid) / smallset.length
     mass = float(np.trapezoid(dens, dx=grid.spacing))
-    outside = float(tails @ c.weights) / smallset.length
+    outside = float(outside @ c.weights) / smallset.length
     return GridMeasure(grid, dens, tail_bound=max(1.0 - mass, outside))
 
 

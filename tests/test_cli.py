@@ -438,6 +438,34 @@ class TestArtifacts:
     def test_emit_plotdata_empty_dir(self, tmp_path, capsys):
         assert cli.main(["emit-plotdata", "--out", str(tmp_path)]) == 3
 
+    def test_emit_plotdata_no_data_rows(self, tmp_path):
+        for eta in ("0.1", "0.2"):
+            (tmp_path / f"curve_eta_{eta}.csv").write_text(
+                f"# experiment=study eta={eta}\nn,d_tv,envelope\n")
+        assert cli.main(["emit-plotdata", "--out", str(tmp_path)]) == 0
+        assert ((tmp_path / "curves.csv").read_text()
+                == "experiment,eta,n,d_tv,envelope\n")
+
+    def test_write_csv_zero_rows(self, tmp_path):
+        cli.write_csv(tmp_path / "a.csv", ("n", "x"), ([], np.empty(0)))
+        assert (tmp_path / "a.csv").read_text() == "n,x\n"
+        cli.write_csv(tmp_path / "b.csv", ("n",), (range(0),), "k=1")
+        assert (tmp_path / "b.csv").read_text() == "# k=1\nn\n"
+
+    def test_write_csv_cells(self, tmp_path):
+        # str as it is, None empty, numbers as the repr of Python numbers
+        cli.write_csv(tmp_path / "a.csv", ("s", "f", "i", "mixed"),
+                      (["a", None], np.array([0.1, -0.0]),
+                       np.array([1, 2], dtype=np.int8), [1e22, 3]))
+        assert (tmp_path / "a.csv").read_text() == (
+            "s,f,i,mixed\na,0.1,1,1e+22\n,-0.0,2,3\n")
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "a.csv", ("a", "b"), ([1, 2], [1]))
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "a.csv", ("a", "b"), ([1, 2],))
+
     @pytest.mark.parametrize("row", ["1,0.5", "one,0.5,"])
     def test_emit_plotdata_malformed_row_two(self, tmp_path, capsys, row):
         (tmp_path / "curve_x.csv").write_text(
@@ -538,6 +566,19 @@ def test_cli_import_skips_scipy_stats():
 def test_cli_import_skips_scipy():
     code = "import sys, emergolab.cli; print('scipy' in sys.modules)"
     assert _fresh_python(code).strip() == "False"
+
+
+def test_verify_assumptions_exact_constants_at_small_eta(tmp_path):
+    # at eta = 0.01 the probe span is about 2600, so the audited sums round
+    # off by 1.5e-8: that is no violation of the exact OU constants
+    cfg = write_config(tmp_path / "v.ini", "[drift]\nkind = ou\nkappa = 2.5\n"
+                       "sigma = 0.7\n[experiment]\neta = 0.01\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify-assumptions", "--config", cfg, "--out", str(out)]) == 0
+    checks = [line for line in (out / "report.txt").read_text().splitlines()
+              if line.startswith("check:")]
+    assert checks == ["check:lipschitz=PASS", "check:dissipativity=PASS",
+                      "check:quadratic_bound=PASS"]
 
 
 def test_verify_assumptions_skips_numpy_random(tmp_path):

@@ -47,6 +47,18 @@ class TestAssumptionAudit:
             rep = eg.check_assumptions(spec, pts)
             assert rep.all_ok, rep.to_text()
 
+    @pytest.mark.parametrize("span", [10.0, 1e3, 1e5])
+    def test_exact_constants_pass_at_any_span(self, span):
+        # rounding grows like span^2; the tolerance scales with it, while an
+        # OU K1 (tight at every pair) overstated by a relative 1e-12 fails
+        import dataclasses
+        pts = np.linspace(-span, span, 4001)
+        ou = eg.ornstein_uhlenbeck(kappa=2.5, sigma=0.7)
+        for spec in (ou, eg.bounded_perturbation(kappa=3.0, a=-2.0, sigma=0.3)):
+            assert eg.check_assumptions(spec, pts).all_ok, spec
+        bad = dataclasses.replace(ou, K1=ou.K1 * (1.0 + 1e-12))
+        assert not eg.check_assumptions(bad, pts).dissipativity_ok
+
     def test_understated_lipschitz_flagged(self):
         bad = eg.custom(lambda x: -3.0 * x, sigma=1.0, L=1.0, K1=1.0)
         rep = eg.check_assumptions(bad, np.linspace(-10, 10, 501))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 import emergolab as eg
-from emergolab import kernel as ke
+from emergolab import cli, kernel as ke
 from emergolab.errors import ApplicabilityError, GridTooSmallError
 from emergolab.kernel import gaussian_on_grid
 
@@ -47,10 +47,17 @@ class TestGridMeasure:
         with pytest.raises(ValueError, match="integrates"):
             eg.GridMeasure(grid12, np.ones(grid12.n_nodes), tail_bound=0.0)
 
+    @staticmethod
+    def _write(m, path):  # the invariant_density.csv layout of the CLI
+        g = m.grid
+        cli.write_csv(path, ("x", "density"), (g.nodes, m.density),
+                      f"lower={g.lower!r} upper={g.upper!r} n={g.n_nodes} "
+                      f"tail_bound={m.tail_bound!r}")
+
     def test_write_csv_deterministic(self, grid12, tmp_path):
         m = gaussian_on_grid(grid12, 0.0, 1.0)
-        m.write_csv(tmp_path / "a.csv")
-        m.write_csv(tmp_path / "b.csv")
+        self._write(m, tmp_path / "a.csv")
+        self._write(m, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         header = (tmp_path / "a.csv").read_text().splitlines()[0]
         assert header.startswith("#") and "tail_bound=" in header
@@ -58,7 +65,7 @@ class TestGridMeasure:
     def test_write_csv_matches_row_loop(self, grid12, tmp_path):
         # the columnar writer gives the bytes of one formatted row per node
         m = gaussian_on_grid(grid12, 0.3, 2.0)
-        m.write_csv(tmp_path / "a.csv")
+        self._write(m, tmp_path / "a.csv")
         want = (f"# lower={grid12.lower!r} upper={grid12.upper!r} "
                 f"n={grid12.n_nodes} tail_bound={m.tail_bound!r}\nx,density\n")
         for x, d in zip(grid12.nodes, m.density):

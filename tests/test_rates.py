@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import emergolab as eg
+from emergolab import cli
 from emergolab.errors import GridTooSmallError
 from emergolab.kernel import gaussian_on_grid
-from emergolab.rates import invariant_cached, write_study_csv
+from emergolab.rates import invariant_cached
 
 from conftest import gaussian_tv
 
@@ -106,7 +107,7 @@ class TestDecayCurve:
         assert len(built) - first == streamed
 
     def test_csv_round(self, curve_x3, tmp_path):
-        curve_x3.write_csv(tmp_path / "c.csv")
+        cli._write_curve(tmp_path / "c.csv", curve_x3, "tv-decay")
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert lines[0].startswith("# experiment=")
         assert lines[1] == "n,d_tv,envelope"
@@ -294,7 +295,9 @@ class TestUniformSup:
 
     def test_csv(self, bp, tmp_path):
         rep = eg.uniform_sup_tv(bp, 0.5, np.linspace(-2, 2, 11), [1, 2])
-        rep.write_csv(tmp_path / "u.csv")
+        cli.write_csv(tmp_path / "u.csv", ("n", "sup_d_tv", "spread", "envelope"),
+                      (rep.n_list, rep.sup_tv, rep.spread, rep.envelope),
+                      f"experiment=uniform-sup m={rep.m!r}")
         lines = (tmp_path / "u.csv").read_text().splitlines()
         assert lines[1] == "n,sup_d_tv,spread,envelope"
         assert "np.float64" not in lines[2]
@@ -404,6 +407,10 @@ class TestStepSizeStudy:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows = eg.step_size_study(ou, [0.2, 0.5], 3.0, 20, n_nodes=1025)
-        write_study_csv(rows, tmp_path / "a.csv")
-        write_study_csv(rows, tmp_path / "b.csv")
+        for name in ("a.csv", "b.csv"):
+            cli.write_csv(tmp_path / name,
+                          ("eta", "delta_hat", "delta_per_unit_time", "m"),
+                          ([r.eta for r in rows], [r.delta_hat for r in rows],
+                           [r.delta_per_unit_time for r in rows],
+                           [r.m for r in rows]))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -4,9 +4,23 @@ import numpy as np
 import pytest
 
 import emergolab as eg
+from emergolab import cli
 from emergolab.kernel import Chain, gaussian_on_grid
-from emergolab.simulate import (PATH_CHUNK, write_paths_csv,
-                                write_return_times_csv)
+from emergolab.simulate import PATH_CHUNK
+
+
+def write_paths_csv(paths, path):
+    """A path ensemble as replicate,step,x rows."""
+    n_paths, n_cols = paths.shape
+    cli.write_csv(path, ("replicate", "step", "x"),
+                  (np.repeat(np.arange(n_paths), n_cols),
+                   np.tile(np.arange(n_cols), n_paths), paths.ravel()))
+
+
+def write_return_times_csv(x0s, sigmas, censored, path):
+    """return_times.csv in the columns that the return-times runner writes."""
+    cli.write_csv(path, ("replicate", "x0", "sigma", "censored"),
+                  (range(x0s.size), x0s, sigmas, censored.astype(int)))
 
 
 class TestSamplePaths:
@@ -193,14 +207,14 @@ EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 0.1, 1e22]
 
 
 def _paths_rows(paths):
-    """The per-element loop write_paths_csv replaced: the byte reference."""
+    """The per-element loop the paths writer replaced: the byte reference."""
     return "replicate,step,x\n" + "".join(
         f"{r},{k},{float(paths[r, k])!r}\n"
         for r in range(paths.shape[0]) for k in range(paths.shape[1]))
 
 
 def _return_times_rows(x0s, sigmas, censored):
-    """The per-replicate loop write_return_times_csv replaced."""
+    """The per-replicate loop the return-times writer replaced."""
     return "replicate,x0,sigma,censored\n" + "".join(
         f"{r},{float(x)!r},{int(s)},{int(c)}\n"
         for r, (x, s, c) in enumerate(zip(x0s, sigmas, censored)))
@@ -238,3 +252,29 @@ class TestColumnarWriters:
         assert 0 < ens[2].sum() < 200
         write_return_times_csv(*ens, tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_text() == _return_times_rows(*ens)
+
+    @pytest.mark.parametrize("n", [cli.CSV_CHUNK - 1, cli.CSV_CHUNK,
+                                   cli.CSV_CHUNK + 1])
+    def test_rows_around_a_chunk(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        x0s = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        sigmas = rng.integers(1, 10 ** 9, n)
+        censored = rng.random(n) < 0.1
+        write_return_times_csv(x0s, sigmas, censored, tmp_path / "r.csv")
+        assert ((tmp_path / "r.csv").read_text()
+                == _return_times_rows(x0s, sigmas, censored))
+
+    def test_return_times_artifact(self, ou, tmp_path):
+        # the runner's return_times.csv against the row loop over the
+        # ensemble that the library draws from the same seed
+        (tmp_path / "c.ini").write_text(
+            "[drift]\nkind = ou\n[experiment]\neta = 0.1\nx0 = 40.0\n"
+            "n_rep = 300\nhorizon = 12\n")
+        cli.main(["return-times", "--config", str(tmp_path / "c.ini"),
+                  "--out", str(tmp_path / "o"), "--seed", "6"])
+        radius = eg.derive_constants(ou, 0.1).radius
+        ens = eg.return_times_ensemble(ou, 0.1, 40.0, (-radius, radius), 12,
+                                       300, 6)
+        assert 0 < ens[2].sum() < 300
+        assert ((tmp_path / "o" / "return_times.csv").read_text()
+                == _return_times_rows(*ens))

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
 import emergolab as eg
+from emergolab import cli
 from emergolab.errors import MinorizationError
 from emergolab.kernel import Chain
 from emergolab.splitting import _residual_draws
@@ -157,8 +158,8 @@ class TestRunSplit:
     def test_csv_writers(self, ou, smallset_ou, tmp_path):
         rng = np.random.default_rng(9)
         blocks = eg.run_split(ou, 0.5, smallset_ou, 0.0, 500, rng)
-        blocks.write_trace_csv(tmp_path / "t.csv")
-        blocks.write_blocks_csv(tmp_path / "b.csv")
+        _write_trace(blocks, tmp_path / "t.csv")
+        _write_blocks(blocks, tmp_path / "b.csv", np.ones_like(blocks.xs))
         tl = (tmp_path / "t.csv").read_text().splitlines()
         assert tl[0] == "step,x,d,in_C,atom_visit"
         assert len(tl) == 502
@@ -169,8 +170,24 @@ class TestRunSplit:
 
 
 
+def _write_trace(blocks, path):
+    """trace.csv in the columns that the split-sim runner writes."""
+    atom = np.zeros(blocks.xs.size, dtype=int)
+    atom[blocks.atom_visit_times] = 1
+    cli.write_csv(path, ("step", "x", "d", "in_C", "atom_visit"),
+                  (range(blocks.xs.size), blocks.xs, blocks.ds,
+                   blocks.in_c.astype(int), atom))
+
+
+def _write_blocks(blocks, path, values):
+    """blocks.csv in the columns that the split-sim runner writes."""
+    cli.write_csv(path, ("block", "length", "sum"),
+                  (range(blocks.n_blocks), blocks.block_lengths(),
+                   blocks.block_sums(values)))
+
+
 def _trace_rows(blocks):
-    """The per-step loop write_trace_csv replaced: the byte reference."""
+    """The per-step loop the trace writer replaced: the byte reference."""
     atom = np.zeros(blocks.xs.size, dtype=int)
     atom[blocks.atom_visit_times] = 1
     return "step,x,d,in_C,atom_visit\n" + "".join(
@@ -179,7 +196,7 @@ def _trace_rows(blocks):
 
 
 def _blocks_rows(blocks, values):
-    """The per-block loop write_blocks_csv replaced."""
+    """The per-block loop the blocks writer replaced."""
     sums = blocks.block_sums(values)
     return "block,length,sum\n" + "".join(
         f"{j},{int(ln)},{float(s)!r}\n"
@@ -198,24 +215,38 @@ class TestColumnarWriters:
         blocks = eg.RegenerationBlocks(
             xs=xs, ds=ds, in_c=in_c,
             atom_visit_times=np.flatnonzero(in_c & (ds == 1)), eps=0.1)
-        blocks.write_trace_csv(tmp_path / "t.csv")
+        _write_trace(blocks, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == _trace_rows(blocks)
         assert (tmp_path / "t.csv").read_text().splitlines()[1] == "0,-0.0,1,1,1"
-        for values in (None, xs):
-            blocks.write_blocks_csv(tmp_path / "b.csv", values=values)
-            expect = _blocks_rows(blocks, np.ones_like(xs) if values is None
-                                  else values)
-            assert (tmp_path / "b.csv").read_text() == expect
+        for values in (np.ones_like(xs), xs):
+            _write_blocks(blocks, tmp_path / "b.csv", values)
+            assert (tmp_path / "b.csv").read_text() == _blocks_rows(blocks, values)
 
     def test_split_trajectory(self, ou, smallset_ou, tmp_path):
         blocks = eg.run_split(ou, 0.5, smallset_ou, 0.0, 3000,
                               np.random.default_rng(14))
         assert blocks.n_blocks > 30
-        blocks.write_trace_csv(tmp_path / "t.csv")
+        _write_trace(blocks, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == _trace_rows(blocks)
         vals = blocks.in_c.astype(float)
-        blocks.write_blocks_csv(tmp_path / "b.csv", values=vals)
+        _write_blocks(blocks, tmp_path / "b.csv", vals)
         assert (tmp_path / "b.csv").read_text() == _blocks_rows(blocks, vals)
+
+    def test_split_sim_artifacts(self, ou, tmp_path):
+        # the runner's trace.csv and blocks.csv against the row loops over
+        # the trajectory that the library draws from the same seed
+        (tmp_path / "c.ini").write_text(
+            "[drift]\nkind = ou\n[experiment]\neta = 0.5\nx0 = 0.25\n"
+            "n_steps = 2000\n")
+        assert cli.main(["split-sim", "--config", str(tmp_path / "c.ini"),
+                         "--out", str(tmp_path / "o"), "--seed", "3"]) in (0, 1)
+        smallset = eg.minorization_epsilon(ou, 0.5, -1.0, 1.0)
+        eps = eg.resolve_split_epsilon(ou, 0.5, smallset)
+        rng = np.random.default_rng(np.random.SeedSequence(3))
+        blocks = eg.run_split(ou, 0.5, smallset, 0.25, 2000, rng, eps=eps)
+        assert (tmp_path / "o" / "trace.csv").read_text() == _trace_rows(blocks)
+        assert ((tmp_path / "o" / "blocks.csv").read_text()
+                == _blocks_rows(blocks, blocks.in_c.astype(float)))
 
 class TestAtomReturn:
     def test_k1_exact_epsilon(self, ou, smallset_ou, grid12):
