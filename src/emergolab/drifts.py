@@ -124,6 +124,39 @@ def eval_drift(spec: DriftSpec, x):
 
 
 @dataclass(frozen=True)
+class Chain:
+    """The one-step Gaussian law x -> N(x + h*g(x), eta*sigma^2).
+
+    h = eta gives the Euler-Maruyama chain; h = 1 gives the chain with the
+    bounded mean x + g(x) that the uniform-ergodicity statements use.
+    """
+
+    spec: DriftSpec
+    eta: float
+    h: float
+
+    def __post_init__(self):
+        if not (0.0 < self.eta < 1.0):
+            raise ValueError(f"eta={self.eta!r} outside (0, 1)")
+
+    @property
+    def var(self) -> float:
+        return self.eta * self.spec.sigma ** 2
+
+    @property
+    def sd(self) -> float:
+        # computed apart from var: sqrt(eta)**2 != eta in floating point
+        return math.sqrt(self.eta) * self.spec.sigma
+
+    def mean(self, x):
+        return x + self.h * eval_drift(self.spec, x)
+
+    def step(self, x, noise):
+        """The chain's update driven by standard normal noise."""
+        return self.mean(x) + self.sd * noise
+
+
+@dataclass(frozen=True)
 class AssumptionReport:
     """Attained maxima and pass flags for the drift regularity checks."""
 
@@ -307,13 +340,10 @@ def closed_form_PV(spec: DriftSpec, eta: float, x):
     """Exact one-step expectation of V(x) = 1 + x^2 under the kernel.
 
     One step from x is Gaussian with mean x + eta*g(x) and variance
-    eta*sigma^2, so P V(x) = 1 + (x + eta*g(x))^2 + eta*sigma^2.
+    eta*sigma^2 (Chain), so P V(x) = 1 + (x + eta*g(x))^2 + eta*sigma^2.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta={eta!r} outside (0, 1)")
-    x = np.asarray(x, dtype=float)
-    mean = x + eta * eval_drift(spec, x)
-    out = 1.0 + mean ** 2 + eta * spec.sigma ** 2
+    chain = Chain(spec, eta, eta)
+    out = 1.0 + chain.mean(np.asarray(x, dtype=float)) ** 2 + chain.var
     return out if out.ndim else float(out)
 
 

@@ -1,7 +1,7 @@
 """Deterministic quadrature representation of the one-step Markov kernel.
 
 Densities live on a uniform grid and are integrated by the trapezoid rule.
-The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by :class:`Chain`;
+The one-step law x -> N(x + h*g(x), eta*sigma^2) is owned by drifts.Chain;
 it acts on densities through a quadrature matrix K[i, j] = p(x_j, y_i) w_j
 from the nodes x_j of one grid to the nodes y_i of a read-out grid (the
 same grid by default).  Only its band |y_i - mean(x_j)| <= BAND_SD*sd is
@@ -29,7 +29,9 @@ for pi and every step but the last run on _coarse, the grid at spacing
 sd/2, where the trapezoid rule integrates a kernel step to about
 2*exp(-8*pi^2); each reported law is then read on the requested nodes by
 one more step (Nystrom; pi = pi P for the invariant measure).  A grid no
-finer than sd/2 is its own coarse grid.  All results carry an additive,
+finer than sd/2 is its own coarse grid.  Every propagated law comes from
+one entry, _laws, from points or from a density on any interval, and every
+TV distance from one rule, _tv.  All results carry an additive,
 conservative bound on the probability mass that has leaked off the grid,
 plus a bound on the quadrature mass the band drops (below 2e-16 per unit
 mass and step when the spacing is at most sd).
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drifts
-from .drifts import DriftSpec, eval_drift
+from .drifts import Chain, DriftSpec
 from .errors import ConvergenceError, GridTooSmallError, ApplicabilityError
 
 Q_TOL = 1e-8
@@ -58,39 +60,6 @@ BAND_SD = 8.5
 # only from 460800 entries, and a 4001-node solve in arrays of 64 vectors
 # ran about a quarter slower on 2 vCPUs
 KRYLOV_CHUNK = 128
-
-
-@dataclass(frozen=True)
-class Chain:
-    """The one-step Gaussian law x -> N(x + h*g(x), eta*sigma^2).
-
-    h = eta gives the Euler-Maruyama chain; h = 1 gives the chain with the
-    bounded mean x + g(x) that the uniform-ergodicity statements use.
-    """
-
-    spec: DriftSpec
-    eta: float
-    h: float
-
-    def __post_init__(self):
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError(f"eta={self.eta!r} outside (0, 1)")
-
-    @property
-    def var(self) -> float:
-        return self.eta * self.spec.sigma ** 2
-
-    @property
-    def sd(self) -> float:
-        # computed apart from var: sqrt(eta)**2 != eta in floating point
-        return math.sqrt(self.eta) * self.spec.sigma
-
-    def mean(self, x):
-        return x + self.h * eval_drift(self.spec, x)
-
-    def step(self, x, noise):
-        """The chain's update driven by standard normal noise."""
-        return self.mean(x) + self.sd * noise
 
 
 @dataclass(frozen=True)
@@ -166,11 +135,7 @@ class GridMeasure:
             raise ValueError("density must be nonnegative")
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
-        total = self.integral()
-        if not (1.0 - self.tail_bound - Q_TOL <= total <= 1.0 + Q_TOL):
-            raise ValueError(
-                f"density integrates to {total!r}, outside "
-                f"[1 - {self.tail_bound!r} - {Q_TOL}, 1 + {Q_TOL}]")
+        _check_mass(self.integral(), self.tail_bound)
 
     def integral(self) -> float:
         return float(np.trapezoid(self.density, dx=self.grid.spacing))
@@ -201,6 +166,15 @@ class GridMeasure:
         return np.interp(u, cdf, self.grid.nodes)
 
 
+def _check_mass(total, tail) -> None:
+    """Raise ValueError unless the mass total of a density with tail bound
+    tail (floats, or arrays of one per column) is in [1 - tail - Q_TOL,
+    1 + Q_TOL]: the check of every GridMeasure and every tabulated law."""
+    if not (np.all(1.0 - tail - Q_TOL <= total) and np.all(total <= 1.0 + Q_TOL)):
+        raise ValueError(f"density integrates to {total!r}, outside "
+                         f"[1 - {tail!r} - {Q_TOL}, 1 + {Q_TOL}]")
+
+
 def _upper_tail(z: float) -> float:
     """Standard normal upper tail P(Z > z) by libm erfc, without the
     cancellation of 1 - Phi(z).  Its relative error is that of rounding
@@ -224,10 +198,10 @@ def _upper_tails(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outside(grid: Grid, means: np.ndarray, sd: float) -> np.ndarray:
+def _outside(lower: float, upper: float, means: np.ndarray, sd: float) -> np.ndarray:
     """Mass of N(m, sd^2) beyond [lower, upper] for each m in means, the
     two sides' tails summed (not 1 - inside, which cancels to 0)."""
-    return _upper_tails((grid.upper - means) / sd) + _upper_tails((means - grid.lower) / sd)
+    return _upper_tails((upper - means) / sd) + _upper_tails((means - lower) / sd)
 
 
 def _normal_pdf(d, var: float = 1.0):
@@ -255,7 +229,7 @@ def _start_laws(grid: Grid, means, var: float, chain: Chain | None = None
     means = np.asarray(means, dtype=float)
     columns = _normal_pdf(grid.nodes[:, None] - means[None, :], var)
     deficit = 1.0 - grid.weights @ columns
-    outside = _outside(grid, means, math.sqrt(var))
+    outside = _outside(grid.lower, grid.upper, means, math.sqrt(var))
     if chain is not None:
         _reject_coarse(chain, grid)
         _reject_leak(chain, grid, outside, means)
@@ -334,9 +308,10 @@ def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
 
 
 @functools.lru_cache(maxsize=3)
-def _off_grid(chain: Chain, grid: Grid) -> np.ndarray:
-    """Gaussian mass that one step from each node puts beyond [lower, upper]."""
-    out = _outside(grid, chain.mean(grid.nodes), chain.sd)
+def _off_grid(chain: Chain, grid: Grid, lower: float, upper: float) -> np.ndarray:
+    """Gaussian mass that one step from each node of grid puts beyond
+    [lower, upper], the interval the step is read on."""
+    out = _outside(lower, upper, chain.mean(grid.nodes), chain.sd)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 
@@ -345,29 +320,37 @@ def _leak(chain: Chain, grid: Grid, density: np.ndarray,
           rows: Grid | None = None) -> tuple:
     """Certified mass that one step from density loses, (off grid, off band),
     per column when density is an (n, k) block; the step is read on rows
-    (grid when None), a grid on the same interval.
+    (grid when None), which may span another interval.
 
-    Off the grid: the exact Gaussian mass beyond [lower, upper] from each
-    node.  Off the band: each column drops at most 2*(h/sd*phi(BAND_SD) +
-    Phi(-BAND_SD)) of quadrature mass (h the spacing of rows, whose
-    trapezoid weights are <= h, and the density decreases beyond the band),
-    times the density's mass.
+    Off the grid: the exact Gaussian mass beyond rows' [lower, upper] from
+    each node of grid.  Off the band: each column drops at most
+    2*(h/sd*phi(BAND_SD) + Phi(-BAND_SD)) of quadrature mass (h the spacing
+    of rows, whose trapezoid weights are <= h, and the density decreases
+    beyond the band), times the density's mass.
     """
-    h = (grid if rows is None else rows).spacing
-    band = 2.0 * (h / chain.sd * _normal_pdf(BAND_SD) + _upper_tail(BAND_SD))
+    rows = grid if rows is None else rows
+    band = 2.0 * (rows.spacing / chain.sd * _normal_pdf(BAND_SD) + _upper_tail(BAND_SD))
     w = grid.weights
-    return (w * _off_grid(chain, grid)) @ density, band * (w @ density)
+    off = _off_grid(chain, grid, rows.lower, rows.upper)
+    return (w * off) @ density, band * (w @ density)
 
 
 def _reject_leak(chain: Chain, grid: Grid, leak, starts=()) -> None:
     """Raise GridTooSmallError when the off-grid mass of one step (a float,
     or one per column) exceeds LEAK_TOL.  The suggested bounds reach 10 sd
     beyond every node's one-step mean and every mean in starts (the centres
-    of first-step laws)."""
+    of first-step laws).  When the mean map sends those bounds beyond both
+    of their ends, the chain expands and no grid holds it: that raises
+    ApplicabilityError instead."""
     if np.max(leak) > LEAK_TOL:
         mean = np.concatenate([chain.mean(grid.nodes), starts])
         pad = 10.0 * chain.sd
         lo, hi = float(mean.min() - pad), float(mean.max() + pad)
+        a, b = sorted(chain.mean(np.array([lo, hi])).tolist())
+        if a < lo and b > hi:
+            raise ApplicabilityError(
+                f"the mean map x + {chain.h!r}*g(x) sends [{lo!r}, {hi!r}] onto [{a!r}, "
+                f"{b!r}], beyond both ends: the chain expands, and no grid holds it")
         raise GridTooSmallError(
             f"one-step leakage {float(np.max(leak))!r} exceeds {LEAK_TOL!r}; "
             f"grid should cover [{lo!r}, {hi!r}]",
@@ -390,12 +373,13 @@ def _reject_coarse(chain: Chain, grid: Grid) -> None:
 def _step(chain: Chain, grid: Grid, density: np.ndarray, tail,
           rows: Grid | None = None):
     """One kernel step of a density or an (n, k) block of density columns on
-    grid, read on rows (grid when None; a grid on the same interval):
+    grid, read on rows (grid when None; possibly on another interval):
     returns the new density and tail, the tail (a float, or one per column)
     plus each column's certified leakage and band term (see _leak).  A column
-    that leaks more than LEAK_TOL rejects the grid (_reject_leak), as does a
-    grid too coarse for the kernel (_reject_coarse)."""
+    that leaks more than LEAK_TOL rejects the grid (_reject_leak), as does
+    either grid when too coarse for the kernel (_reject_coarse)."""
     _reject_coarse(chain, grid)
+    _reject_coarse(chain, grid if rows is None else rows)
     leak, band = _leak(chain, grid, density, rows)
     _reject_leak(chain, grid, leak)
     new = _matvec(chain, grid, density, rows)
@@ -410,26 +394,37 @@ def _coarse(chain: Chain, grid: Grid) -> Grid:
     return Grid(grid.lower, grid.upper, n) if n < grid.n_nodes else grid
 
 
-def _propagate(chain: Chain, grid: Grid, first, n_list):
+def _laws(chain: Chain, grid: Grid, start, n_list):
     """Yield (columns, tails), the laws after each n of the ascending n_list
-    (all n >= 1), read on grid.  first(g) gives the laws after one step on a
-    grid g.  Later steps run on _coarse(chain, grid); the law after n steps
-    is one step from the coarse laws after n - 1, read on grid (Nystrom), so
-    its values on the nodes are those of a step on grid itself to the
-    trapezoid rule's accuracy at spacing sd/2."""
+    (all n >= 1) from start, read on grid, a column and tail per start.
+    start is an array of points, whose first laws are the exact one-step
+    Gaussians (_start_laws), or a GridMeasure, stepped from its own grid,
+    which may span another interval (nu on C).  Later steps run on
+    _coarse(chain, grid); the law after n steps is one step from the coarse
+    laws after n - 1, read on grid (Nystrom), so its node values are those
+    of a step on grid itself to the trapezoid rule's accuracy at spacing
+    sd/2.  Each step rejects a grid as _step does.  A yielded block may be
+    the generator's own state: callers never write to it."""
     coarse = _coarse(chain, grid)
     n_max = n_list[-1] if n_list else 0
-    laws = None  # after n - 1 steps, on coarse
+    if isinstance(start, GridMeasure):
+        laws = (start.grid, start.density[:, None], start.tail_bound)
+    else:
+        laws, means = None, chain.mean(np.asarray(start, dtype=float))
+
+    def step(g):  # the laws after one more step, read on g
+        return _start_laws(g, means, chain.var, chain) if laws is None \
+            else _step(chain, *laws, g)
     for n in range(1, n_max + 1):
         if coarse == grid:  # no coarser grid: step and report on grid
-            laws = first(grid) if laws is None else _step(chain, grid, *laws)
+            laws = (grid, *step(grid))
             if n in n_list:
-                yield laws
+                yield laws[1:]
             continue
         if n in n_list:
-            yield first(grid) if laws is None else _step(chain, coarse, *laws, grid)
+            yield step(grid)  # not bound here while the next law is built
         if n < n_max:
-            laws = first(coarse) if laws is None else _step(chain, coarse, *laws)
+            laws = (coarse, *step(coarse))
 
 
 def _step_mass(chain: Chain, grid: Grid, density: np.ndarray, a: float,
@@ -461,14 +456,12 @@ def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
 
     The first step is the exact Gaussian law of one step from x0, sampled on
     the grid; for n >= 2 the steps run on the coarse grid and the last one
-    is read on grid (_propagate).  Every step, the first included, rejects a
+    is read on grid (_laws).  Every step, the first included, rejects a
     grid it leaks off by more than LEAK_TOL.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    chain = Chain(spec, eta, eta)
-    columns, tails = next(_propagate(
-        chain, grid, lambda g: _start_laws(g, [chain.mean(x0)], chain.var, chain), [n]))
+    columns, tails = next(_laws(Chain(spec, eta, eta), grid, [x0], [n]))
     return GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
 
 
@@ -523,7 +516,7 @@ def _solved(chain: Chain, grid: Grid, tol: float):
         dens /= float(np.sum(grid.weights * dens))
         leak, band = _leak(chain, grid, dens)
         _reject_leak(chain, grid, leak)
-    except (GridTooSmallError, ConvergenceError) as err:
+    except (GridTooSmallError, ConvergenceError, ApplicabilityError) as err:
         return err
     dens.flags.writeable = False  # shared by every caller
     return InvariantResult(GridMeasure(grid, dens, tail_bound=float(leak + band)),
@@ -589,12 +582,20 @@ def _combine(coef: np.ndarray, chunks: list) -> np.ndarray:
     return out
 
 
+def _tv(laws: np.ndarray, density: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The package's one TV rule: 0.5 * |p - q| @ w for each column p of the
+    (n, k) block laws against q = density, w the trapezoid weights, capped
+    at 1 (rounding can pass it).  Besides laws it holds one array of their
+    size: |p - q| is taken in place and halved after the product."""
+    diff = laws - density[:, None]
+    return np.minimum(0.5 * (np.abs(diff, out=diff).T @ w), 1.0)
+
+
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:
-    """Half the integrated absolute density difference, at most 1."""
+    """Half the integrated absolute density difference, at most 1 (_tv)."""
     if a.grid != b.grid:
         raise ValueError("measures live on different grids")
-    d = 0.5 * float(np.trapezoid(np.abs(a.density - b.density), dx=a.grid.spacing))
-    return min(d, 1.0)  # the trapezoid rule can round past the TV range
+    return float(_tv(a.density[:, None], b.density, a.grid.weights)[0])
 
 
 def tv_uncertainty(a: GridMeasure, b: GridMeasure) -> float:

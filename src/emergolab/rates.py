@@ -49,8 +49,8 @@ def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasur
     """Quadrature decay curve from a point mass or a density.
 
     A density is stepped from the grid it lives on, and grid (that grid when
-    None) must be it.  The laws are propagated on the coarse grid of grid's
-    interval and each is read on grid by one step (kernel._propagate).
+    None) must be it.  The curve is the one-start read of the TV table that
+    uniform_sup_tv reads for many starts (_tv_table).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -61,25 +61,27 @@ def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasur
         raise ValueError(f"the initial measure lives on {initial.grid!r}, "
                          f"not on grid={grid!r}")
     pi = invariant_cached(spec, eta, grid, tol)
-    chain = ke.Chain(spec, eta, eta)
-    if measure:
-        def first(g):
-            return ke._step(chain, grid, initial.density[:, None],
-                            initial.tail_bound, g)
-        desc = "measure"
-    else:
-        def first(g):
-            return ke._start_laws(g, [chain.mean(float(initial))], chain.var, chain)
-        desc = f"point:{float(initial)!r}"
-    values = np.empty(N)
-    worst_tail = 0.0
-    for n, (columns, tails) in enumerate(
-            ke._propagate(chain, grid, first, range(1, N + 1)), 1):
-        dist = GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
-        values[n - 1] = ke.tv_distance(dist, pi)
-        worst_tail = max(worst_tail, ke.tv_uncertainty(dist, pi))
-    return DecayCurve(initial=desc, eta=eta, values=values,
-                      tail_uncertainty=worst_tail, floor=10.0 * tol)
+    start = initial if measure else [float(initial)]
+    # rows n = 1..N, each (tv, tail) of the one start
+    table = np.array(list(_tv_table(ke.Chain(spec, eta, eta), grid, start,
+                                    range(1, N + 1), pi)))
+    return DecayCurve(initial="measure" if measure else f"point:{float(initial)!r}",
+                      eta=eta, values=table[:, 0, 0],
+                      tail_uncertainty=float(table[:, 1, 0].max()), floor=10.0 * tol)
+
+
+def _tv_table(chain: ke.Chain, grid: Grid, start, n_list, pi: GridMeasure):
+    """Yield (tv, tail) after each n of the ascending n_list (n >= 1), one
+    entry per start: the TV distance from pi (kernel._tv) of its law after
+    n steps (kernel._laws), and that distance's off-grid bound 0.5*(tail +
+    pi.tail_bound).  Each law's mass is checked as a GridMeasure's is.  One
+    law block is held at a time: it is dropped before the next is built."""
+    w = grid.weights
+    for columns, tails in ke._laws(chain, grid, start, n_list):
+        ke._check_mass(w @ columns, tails)
+        tv = ke._tv(columns, pi.density, w)
+        del columns
+        yield tv, 0.5 * (tails + pi.tail_bound)
 
 
 @dataclass(frozen=True)
@@ -208,26 +210,13 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         if grid is None:
             grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
     solve = ke._invariant(chain, grid, tol)
-    pi, w = solve.measure, grid.weights
-
-    # batched propagation: one column per starting point, one law block held
-    # at a time (columns may be _propagate's own state: never written to)
-    means = chain.mean(np.asarray(x_grid, dtype=float))
     reported = [n for n in n_list if n > 0]
     by_n = {0: (1.0, 0.0)}  # point mass against a density
     worst_tail = 0.0
-    laws = ke._propagate(chain, grid,
-                         lambda g: ke._start_laws(g, means, chain.var, chain),
-                         reported)
-    for n in reported:
-        columns, tails = next(laws)
-        diff = columns - pi.density[:, None]
-        del columns
-        d = np.minimum(0.5 * np.abs(diff, out=diff).T @ w, 1.0)
-        del diff
+    for n, (d, tail) in zip(reported, _tv_table(chain, grid, x_grid, reported,
+                                                solve.measure)):
         by_n[n] = (float(d.max()), float(d.max() - d.min()))
-        worst_tail = max(worst_tail,
-                         0.5 * (float(np.max(tails)) + pi.tail_bound))
+        worst_tail = max(worst_tail, float(tail.max()))
     sup_tv, spread = np.array([by_n[n] for n in n_list]).T
     envelope = None
     env_ok = None

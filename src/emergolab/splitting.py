@@ -16,10 +16,8 @@ import numpy as np
 
 from .drifts import DriftSpec
 from .errors import MinorizationError, _distinct
-from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _coarse,
-                     _matvec, _normal_pdf, _outside, _reject_coarse,
-                     _reject_leak, _step_mass, apply_kernel,
-                     minorization_epsilon)
+from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _coarse, _laws,
+                     _normal_pdf, _step_mass, minorization_epsilon)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
@@ -279,27 +277,6 @@ def _c_grid(smallset: SmallSetSpec) -> Grid:
     return Grid(smallset.c_lower, smallset.c_upper, 2001)
 
 
-def _nu_one_step(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
-                 grid: Grid) -> GridMeasure:
-    """(nu P)(y) on the grid: the one-step laws from the nodes of C
-    (_c_grid), averaged by trapezoid quadrature over C, as one banded step
-    of the uniform density from C onto grid, so that no block of laws is
-    held whole.  Its tail bound is the averaged outside mass, or the mass
-    the grid's trapezoid rule misses where larger.  A grid too coarse for
-    the kernel, or one that a law from C leaks off, rejects as for any
-    first step (kernel._start_laws)."""
-    chain = Chain(spec, eta, eta)
-    c = _c_grid(smallset)
-    means = chain.mean(c.nodes)
-    outside = _outside(grid, means, chain.sd)
-    _reject_coarse(chain, grid)
-    _reject_leak(chain, grid, outside, means)
-    dens = _matvec(chain, c, np.ones(c.n_nodes), grid) / smallset.length
-    mass = float(np.trapezoid(dens, dx=grid.spacing))
-    outside = float(outside @ c.weights) / smallset.length
-    return GridMeasure(grid, dens, tail_bound=max(1.0 - mass, outside))
-
-
 def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                       ks, n_mc: int, grid: Grid, seed: int = 0,
                       eps: Optional[float] = None) -> list[AtomReturnCheck]:
@@ -312,8 +289,9 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     Exact: k = 1 is eps * nu(C) = eps; every other k takes (nu P^{k-2})
     one exact step into C (kernel._step_mass), k = 2 straight from the
     nodes of C and k >= 3 from nu P^{k-2} on the coarse grid of grid's
-    interval (kernel._coarse), whose kernel operator is reused.  A k listed
-    twice raises ValueError.
+    interval (kernel._coarse), stepped from nu on C's nodes (kernel._laws),
+    so that no block of laws from C is held whole.  A k listed twice raises
+    ValueError.
     """
     ks = sorted(_distinct((int(k) for k in ks), "ks"))
     if ks[0] < 1:
@@ -338,13 +316,10 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     chain, c = Chain(spec, eta, eta), _c_grid(smallset)
     grid = _coarse(chain, grid)
     lo, hi = smallset.c_lower, smallset.c_upper
-    nu = np.full(c.n_nodes, 1.0 / smallset.length)
-    exact_by_k = {1: eps, 2: eps * _step_mass(chain, c, nu, lo, hi)}
-    measure = None
-    for k in range(3, max(ks) + 1):
-        measure = _nu_one_step(spec, eta, smallset, grid) if measure is None \
-            else apply_kernel(spec, eta, measure)
-        exact_by_k[k] = eps * _step_mass(chain, grid, measure.density, lo, hi)
+    nu = GridMeasure(c, np.full(c.n_nodes, 1.0 / smallset.length))
+    exact_by_k = {1: eps, 2: eps * _step_mass(chain, c, nu.density, lo, hi)}
+    for k, (columns, _) in enumerate(_laws(chain, grid, nu, range(1, max(ks) - 1)), 3):
+        exact_by_k[k] = eps * _step_mass(chain, grid, columns[:, 0], lo, hi)
 
     out = []
     for k in ks:

@@ -438,9 +438,44 @@ class TestFirstStepLeak:
         assert eg.n_step_from_point(self.fast, 0.1, 14.0, 1, wider).tail_bound < 1e-8
 
     def test_nu_one_step(self, ou, smallset_ou):
-        from emergolab.splitting import _nu_one_step
+        # nu P, stepped from the nodes of C onto a grid it leaks off
+        from emergolab.splitting import _c_grid
+        c = _c_grid(smallset_ou)
+        nu = ke.GridMeasure(c, np.full(c.n_nodes, 1.0 / smallset_ou.length))
         with pytest.raises(GridTooSmallError, match="leakage"):
-            _nu_one_step(ou, 0.5, smallset_ou, eg.Grid(-2.0, 2.0, 513))
+            next(ke._laws(ke.Chain(ou, 0.5, 0.5), eg.Grid(-2.0, 2.0, 513), nu, [1]))
+
+
+class TestExpandingChain:
+    """A leaking grid whose suggested bounds the mean map sends beyond both
+    ends names the expanding map; a chain that contracts there, even one
+    that expands near 0, keeps its grid advice."""
+
+    @pytest.mark.filterwarnings("ignore:lambda")
+    @pytest.mark.parametrize("spec, eta, grid, error, match", [
+        # mean map (1 - 2.5*eta)*x: -0.975x contracts, -1.025x expands
+        (eg.ornstein_uhlenbeck(kappa=2.5), 0.79, eg.Grid(-1.0, 1.0, 257),
+         GridTooSmallError, "grid should cover"),
+        (eg.ornstein_uhlenbeck(kappa=2.5), 0.81, eg.Grid(-1.0, 1.0, 257),
+         ApplicabilityError, "mean map .* beyond both ends"),
+        # mean map -0.35x - 0.9*tanh(x): slope -1.25 at 0, bounded beyond
+        (eg.bounded_perturbation(kappa=1.5, a=-1.0), 0.9, eg.Grid(-0.1, 0.1, 16),
+         GridTooSmallError, "grid should cover"),
+    ], ids=["ou-contracting", "ou-expanding", "bounded-expanding-near-0"])
+    def test_step(self, spec, eta, grid, error, match):
+        with pytest.raises(error, match=match):
+            eg.apply_kernel(spec, eta, gaussian_on_grid(grid, 0.0, 1.0))
+
+    @pytest.mark.parametrize("sub", ["invariant", "tv-decay"])
+    def test_cli_names_the_map(self, tmp_path, capsys, sub):
+        # kappa = 50 at eta = 0.5: the mean map -24x, which no grid holds
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[drift]\nkind = ou\nkappa = 50\n[experiment]\neta = 0.5\n")
+        with pytest.warns(UserWarning, match="lambda"):
+            status = cli.main([sub, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert status == 3
+        assert "mean map x + 0.5*g(x)" in err and "grid should cover" not in err
 
 
 @st.composite

@@ -350,6 +350,26 @@ class TestTwoGrids:
         np.testing.assert_allclose(two.spread, one.spread, rtol=0, atol=1e-8)
 
 
+class TestOneTVRule:
+    """tv_distance, the decay curves and the uniform-sup tables read one TV
+    rule (kernel._tv) off one propagation (kernel._laws), bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:lambda")
+    @pytest.mark.parametrize("eta", [0.5, 0.1, 0.05])
+    def test_curve_table_and_tv_distance(self, eta):
+        # x + g(x) = 0.5x is unbounded, so the table steps the EM chain itself
+        ou = eg.ornstein_uhlenbeck(kappa=0.5)
+        ns = range(1, 9)
+        curve = eg.tv_decay_curve(ou, eta, 3.0, len(ns))
+        with pytest.warns(UserWarning, match="exploratory"):
+            table = eg.uniform_sup_tv(ou, eta, [3.0], ns)
+        grid = eg.default_grid(ou, eta)
+        pi = eg.invariant_measure(ou, eta, grid).measure
+        direct = [eg.tv_distance(eg.n_step_from_point(ou, eta, 3.0, n, grid), pi)
+                  for n in ns]
+        assert curve.values.tolist() == table.sup_tv.tolist() == direct
+
+
 class TestStepSizeStudy:
     def test_rate_tracks_step_size(self, ou):
         with warnings.catch_warnings():

@@ -282,10 +282,10 @@ class TestAtomReturn:
     def test_ensemble_freed_before_quadrature(self, ou, smallset_ou, grid12,
                                               monkeypatch):
         # the (k_max + 1) x n_mc ensemble must not be held while nu P is
-        # built, which is the largest allocation of the check
+        # built (kernel._laws), which is the largest allocation of the check
         from emergolab import splitting
         held = []
-        ensemble, nu_one_step = splitting.split_ensemble, splitting._nu_one_step
+        ensemble, laws = splitting.split_ensemble, splitting._laws
 
         def keep_refs(*args, **kwargs):
             xs, ds = ensemble(*args, **kwargs)
@@ -294,9 +294,9 @@ class TestAtomReturn:
 
         def check_freed(*args, **kwargs):
             assert held and all(ref() is None for ref in held)
-            return nu_one_step(*args, **kwargs)
+            return laws(*args, **kwargs)
         monkeypatch.setattr(splitting, "split_ensemble", keep_refs)
-        monkeypatch.setattr(splitting, "_nu_one_step", check_freed)
+        monkeypatch.setattr(splitting, "_laws", check_freed)
         checks = eg.atom_return_check(ou, 0.5, smallset_ou, [1, 3], 2000,
                                       grid12, seed=2)
         monkeypatch.undo()
