@@ -16,7 +16,7 @@ _EXPORTS = {
     "kernel": ("Grid", "GridMeasure", "SmallSetSpec", "default_grid",
                "resolution_grid", "gaussian_on_grid", "transition_density",
                "apply_kernel", "n_step_from_point", "invariant_measure",
-               "tv_distance", "tv_uncertainty", "minorization_epsilon",
+               "tv_distance", "minorization_epsilon",
                "whole_space_minorization", "doeblin_rate"),
     "simulate": ("PathConfig", "ReturnTimeSample", "ExpMomentEstimate",
                  "em_step", "sample_paths", "return_time",

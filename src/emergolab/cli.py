@@ -129,6 +129,8 @@ def build_drift(cfg: dict) -> drifts.DriftSpec:
     from . import drifts
 
     d = cfg["drift"]
+    if "a" in d and d.get("kind", "ou") == "ou":
+        raise ConfigError("drift.a applies only to kind = bounded")
     kw = {"kappa": d.get("kappa", 1.0), "sigma": d.get("sigma", 1.0)}
     try:
         spec = (drifts.ornstein_uhlenbeck(**kw) if d.get("kind", "ou") == "ou"
@@ -258,6 +260,7 @@ def _add_constants(rep: Report, dc) -> None:
 
 
 def run_verify_assumptions(cfg, spec, out, seed, rep):
+    import dataclasses
     import numpy as np
     from . import drifts
 
@@ -266,8 +269,8 @@ def run_verify_assumptions(cfg, spec, out, seed, rep):
     span = max(10.0 * radius, 10.0)
     probes = np.linspace(-span, span, 4001)
     report = drifts.check_assumptions(spec, probes)
-    for line in report.to_text().splitlines():
-        rep.lines.append(line)
+    for key, value in dataclasses.asdict(report).items():
+        rep.add(key, value)
     rep.check("lipschitz", report.lipschitz_ok)
     rep.check("dissipativity", report.dissipativity_ok)
     rep.check("quadratic_bound", report.quadratic_ok)
@@ -326,6 +329,7 @@ def run_tv_decay(cfg, spec, out, seed, rep):
     _write_curve(out / "curve_main.csv", curve, "tv-decay")
     rep.add("eta", eta)
     rep.add("x0", x0)
+    rep.add("tail_uncertainty", curve.tail_uncertainty)
     try:
         fit = rates.fit_geometric_rate(curve)
         rep.add("delta_hat", fit.delta_hat)
@@ -343,11 +347,14 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
 
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
+    if not grid.lower < 0.0 < grid.upper:
+        raise ConfigError("uniform-sup needs a [grid] with lower < 0 < upper")
     tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     pts = cfg["experiment"].get("x_grid_points", 201)
     radius = drifts.radius_of(spec, eta)
-    default_span = 5.0 * radius if radius > 0 else 10.0 * spec.sigma / math.sqrt(spec.K1)
-    span = min(cfg["experiment"].get("x_grid_span", default_span), 0.6 * grid.upper)
+    default_span = 5.0 * radius if radius > 0 else ke._bulk_half_width(spec)
+    span = min(cfg["experiment"].get("x_grid_span", default_span),
+               0.6 * min(-grid.lower, grid.upper))
     n_list = cfg["experiment"].get("n_list", list(range(1, 11)))
     # without [grid] the Doeblin path sizes its grid from the mean range
     table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts), n_list,
@@ -491,6 +498,7 @@ def run_study(cfg, spec, out, seed, rep):
         _write_curve(out / f"curve_eta_{r.eta!r}.csv", r.curve, "study")
         rep.add(f"delta_hat[eta={r.eta!r}]",
                 "undefined" if r.delta_hat is None else repr(r.delta_hat))
+        rep.add(f"tail_uncertainty[eta={r.eta!r}]", r.curve.tail_uncertainty)
 
 
 _RUNNERS = {

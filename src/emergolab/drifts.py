@@ -172,18 +172,6 @@ class AssumptionReport:
     def all_ok(self) -> bool:
         return self.lipschitz_ok and self.dissipativity_ok and self.quadratic_ok
 
-    def to_text(self) -> str:
-        lines = [
-            f"lipschitz_max={self.lipschitz_max!r}",
-            f"lipschitz_ok={self.lipschitz_ok}",
-            f"dissipativity_max={self.dissipativity_max!r}",
-            f"dissipativity_ok={self.dissipativity_ok}",
-            f"quadratic_max={self.quadratic_max!r}",
-            f"quadratic_ok={self.quadratic_ok}",
-            f"second_derivative_max={self.second_derivative_max!r}",
-        ]
-        return "\n".join(lines)
-
 
 def check_assumptions(spec: DriftSpec, probe_points) -> AssumptionReport:
     """Numerically audit the declared constants of a drift.
@@ -355,7 +343,6 @@ class DriftConditionReport:
     worst_margin: float
     worst_x: float
     n_violations: int
-    constants: DerivedConstants
 
 
 def verify_drift_condition(spec: DriftSpec, eta: float,
@@ -381,5 +368,4 @@ def verify_drift_condition(spec: DriftSpec, eta: float,
         worst_margin=float(margin[worst]),
         worst_x=float(x[worst]),
         n_violations=int(np.sum(margin < -1e-12)),
-        constants=dc,
     )

@@ -598,11 +598,6 @@ def tv_distance(a: GridMeasure, b: GridMeasure) -> float:
     return float(_tv(a.density[:, None], b.density, a.grid.weights)[0])
 
 
-def tv_uncertainty(a: GridMeasure, b: GridMeasure) -> float:
-    """Off-grid contribution bound accompanying tv_distance."""
-    return 0.5 * (a.tail_bound + b.tail_bound)
-
-
 @dataclass(frozen=True)
 class SmallSetSpec:
     """An interval C with its one-step minorization constant epsilon.

@@ -33,11 +33,6 @@ class DecayCurve:
     tail_uncertainty: float
     floor: float
 
-    @property
-    def floor_index(self) -> Optional[int]:
-        below = np.flatnonzero(self.values < self.floor)
-        return int(below[0]) + 1 if below.size else None
-
     def usable(self) -> np.ndarray:
         """Indices n (1-based) with d_n above the numeric floor."""
         return np.flatnonzero(self.values >= self.floor) + 1
@@ -87,10 +82,8 @@ def _tv_table(chain: ke.Chain, grid: Grid, start, n_list, pi: GridMeasure):
 @dataclass(frozen=True)
 class RateFit:
     delta_hat: float
-    intercept: float
     fit_window: tuple[int, int]
     residual_rms: float
-    floor_reached: bool
 
 
 def fit_geometric_rate(curve: DecayCurve) -> RateFit:
@@ -121,18 +114,14 @@ def fit_geometric_rate(curve: DecayCurve) -> RateFit:
     resid = fit_l - (slope * fit_n + intercept)
     return RateFit(
         delta_hat=math.exp(-float(slope)),
-        intercept=float(intercept),
         fit_window=(int(fit_n[0]), int(fit_n[-1])),
         residual_rms=math.sqrt(float(np.mean(resid ** 2))),
-        floor_reached=curve.floor_index is not None,
     )
 
 
 @dataclass(frozen=True)
 class SummabilityReport:
-    delta: float
     partial_sum: float
-    tail_ratio_max: float
     consistent: bool
 
 
@@ -148,18 +137,9 @@ def summability_check(curve: DecayCurve, delta: float) -> SummabilityReport:
     d = curve.values[ns - 1]
     log_terms = ns * math.log(delta) + np.log(d)
     partial = math.inf if np.max(log_terms) > 700 else float(np.sum(np.exp(log_terms)))
-    if ns.size >= 2:
-        ratios = delta * d[1:] / d[:-1]
-        tail = ratios[ratios.size // 2:]
-        ratio_max = float(np.max(tail))
-    else:
-        ratio_max = math.inf
-    return SummabilityReport(
-        delta=delta,
-        partial_sum=partial,
-        tail_ratio_max=ratio_max,
-        consistent=ratio_max < 0.95,
-    )
+    ratios = delta * d[1:] / d[:-1]
+    consistent = ratios.size > 0 and float(np.max(ratios[ratios.size // 2:])) < 0.95
+    return SummabilityReport(partial_sum=partial, consistent=consistent)
 
 
 @dataclass

@@ -73,11 +73,8 @@ def sample_paths(spec: DriftSpec, config: PathConfig, n_paths: int) -> np.ndarra
 @dataclass(frozen=True)
 class ReturnTimeSample:
     x0: float
-    d_lower: float
-    d_upper: float
     sigma: int
     censored: bool
-    horizon: int
 
 
 def return_time(spec: DriftSpec, eta: float, x0: float, D: tuple[float, float],
@@ -90,8 +87,7 @@ def return_time(spec: DriftSpec, eta: float, x0: float, D: tuple[float, float],
         raise ValueError("horizon must be >= 1")
     sigmas, censored = _first_returns(Chain(spec, eta, eta),
                                       np.array([float(x0)]), D, horizon, rng)
-    return ReturnTimeSample(float(x0), D[0], D[1], int(sigmas[0]),
-                            bool(censored[0]), horizon)
+    return ReturnTimeSample(float(x0), int(sigmas[0]), bool(censored[0]))
 
 
 def return_times_ensemble(spec: DriftSpec, eta: float, x0: Initial,
@@ -135,7 +131,6 @@ class ExpMomentEstimate:
     se: float
     ci_low: float
     ci_high: float
-    n_rep: int
     n_censored: int
     censor_bias_bound: float
     usable: bool
@@ -166,7 +161,7 @@ def _exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
     n_cens = int(censored.sum())
     if n_cens == n_rep:
         return ExpMomentEstimate(math.nan, math.nan, math.nan, math.nan,
-                                 n_rep, n_cens, math.inf, usable=False)
+                                 n_cens, math.inf, usable=False)
     vals = beta ** sigmas[ok].astype(float)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -176,4 +171,4 @@ def _exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
         log_bias = horizon * math.log(beta) + math.log(n_cens / n_rep)
         bias = math.exp(log_bias) if log_bias < 700 else math.inf
     return ExpMomentEstimate(mean, se, mean - 1.96 * se, mean + 1.96 * se,
-                             n_rep, n_cens, bias, usable=True)
+                             n_cens, bias, usable=True)

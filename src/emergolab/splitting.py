@@ -195,7 +195,6 @@ class RegenerationBlocks:
     ds: np.ndarray
     in_c: np.ndarray
     atom_visit_times: np.ndarray
-    eps: float
 
     @property
     def n_blocks(self) -> int:
@@ -234,8 +233,7 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
     xs, ds = np.array(xs), np.array(ds, dtype=np.int8)
     in_c = np.asarray(smallset.contains(xs))
     visits = np.flatnonzero(in_c & (ds == 1))
-    return RegenerationBlocks(xs=xs, ds=ds, in_c=in_c,
-                              atom_visit_times=visits, eps=eps)
+    return RegenerationBlocks(xs=xs, ds=ds, in_c=in_c, atom_visit_times=visits)
 
 
 def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
@@ -269,7 +267,6 @@ class AtomReturnCheck:
     empirical: float
     exact: float
     se: float
-    n_mc: int
 
 
 def _c_grid(smallset: SmallSetSpec) -> Grid:
@@ -278,9 +275,10 @@ def _c_grid(smallset: SmallSetSpec) -> Grid:
 
 
 def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
-                      ks, n_mc: int, grid: Grid, seed: int = 0,
-                      eps: Optional[float] = None) -> list[AtomReturnCheck]:
-    """Compare empirical k-step atom-to-atom mass with eps * (nu P^{k-1})(C).
+                      ks, n_mc: int, grid: Grid, seed: int = 0
+                      ) -> list[AtomReturnCheck]:
+    """Compare empirical k-step atom-to-atom mass with eps * (nu P^{k-1})(C),
+    eps the split constant of resolve_split_epsilon.
 
     Empirical: n_mc split chains started at the atom (x ~ nu, d = 1); the
     statistic at k is the fraction sitting in C x {1} after exactly k steps.
@@ -296,8 +294,7 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     ks = sorted(_distinct((int(k) for k in ks), "ks"))
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
-    if eps is None:
-        eps = resolve_split_epsilon(spec, eta, smallset)
+    eps = resolve_split_epsilon(spec, eta, smallset)
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     hits = dict.fromkeys(ks, 0)
@@ -324,7 +321,7 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     out = []
     for k in ks:
         se = math.sqrt(max(p_hats[k] * (1.0 - p_hats[k]), 1e-300) / n_mc)
-        out.append(AtomReturnCheck(k, p_hats[k], exact_by_k[k], se, n_mc))
+        out.append(AtomReturnCheck(k, p_hats[k], exact_by_k[k], se))
     return out
 
 
@@ -334,7 +331,6 @@ class RegenEstimate:
     ci_low: float
     ci_high: float
     n_blocks: int
-    n_batches: int
 
 
 def regenerative_pi_estimate(blocks: RegenerationBlocks,
@@ -360,9 +356,9 @@ def regenerative_pi_estimate(blocks: RegenerationBlocks,
                       for a, b in zip(edges[:-1], edges[1:])])
     sd = float(batch.std(ddof=1))
     if sd == 0.0:
-        return RegenEstimate(ratio, ratio, ratio, blocks.n_blocks, nb)
+        return RegenEstimate(ratio, ratio, ratio, blocks.n_blocks)
     half = T_975 * sd / math.sqrt(nb)
-    return RegenEstimate(ratio, ratio - half, ratio + half, blocks.n_blocks, nb)
+    return RegenEstimate(ratio, ratio - half, ratio + half, blocks.n_blocks)
 
 
 @dataclass(frozen=True)
@@ -371,7 +367,6 @@ class AtomTailFit:
     decay_factor: float
     gamma_max: float
     n_blocks: int
-    low_confidence: bool
 
 
 def atom_return_tail(blocks: RegenerationBlocks) -> AtomTailFit:
@@ -394,13 +389,11 @@ def atom_return_tail(blocks: RegenerationBlocks) -> AtomTailFit:
             break
         ns.append(n)
         logs.append(math.log(cnt / n_obs))
-    low_conf = len(ns) < 3
     if len(ns) >= 2:
         slope, _ = np.polyfit(ns, logs, 1)
         slope = float(slope)
     else:
         slope = -math.inf
-        low_conf = True
     decay = math.exp(slope) if math.isfinite(slope) else 0.0
 
     gamma_max = 1.0
@@ -414,4 +407,4 @@ def atom_return_tail(blocks: RegenerationBlocks) -> AtomTailFit:
                 gamma_max = gamma
                 break
     return AtomTailFit(slope=slope, decay_factor=decay, gamma_max=gamma_max,
-                       n_blocks=n_obs, low_confidence=low_conf)
+                       n_blocks=n_obs)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import json
@@ -246,6 +247,29 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["kind = ou\n", ""], ids=["ou", "no-kind"])
+    def test_drift_a_with_ou_two(self, tmp_path, capsys, kind):
+        # a shapes only the bounded drift; an OU run must not drop it silently
+        cfg = write_config(tmp_path / "c.ini", f"[drift]\n{kind}a = 0.7\n"
+                           "[experiment]\neta = 0.1\n")
+        assert cli.main(["constants", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "drift.a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lower, upper, status", [
+        (-4, 20, 0), (-20, 4, 0), (1, 20, 2), (-20, 0, 2)],
+        ids=["asymmetric", "mirrored", "above-0", "ends-at-0"])
+    def test_uniform_sup_starts_inside_grid(self, tmp_path, capsys,
+                                            lower, upper, status):
+        # OU kappa = 2 at eta = 0.1 would start at +-5*radius, past -4
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\nkappa = 2\n"
+                           f"[grid]\nlower = {lower}\nupper = {upper}\n"
+                           "n_nodes = 2049\n[experiment]\neta = 0.1\n")
+        assert cli.main(["uniform-sup", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == status
+        if status == 2:
+            assert "[grid]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sub, seed", [("split-sim", "-1"),
                                            ("return-times", "-5")])
     def test_negative_seed_flag_two(self, tmp_path, capsys, sub, seed):
@@ -365,7 +389,7 @@ class TestArtifacts:
     def test_solve_nodes_reported(self, tmp_path, sub, drift, h):
         # the power iteration runs on the sd/2 grid of the requested interval
         cfg = write_config(tmp_path / "c.ini",
-                           f"[drift]\nkind = {drift}\nkappa = 1\na = 0.5\n"
+                           f"[drift]\nkind = {drift}\nkappa = 1\n"
                            "[grid]\nlower = -12\nupper = 12\nn_nodes = 1025\n"
                            "[experiment]\neta = 0.5\nn_list = 1,2\n"
                            "x_grid_points = 11\n")
@@ -409,6 +433,25 @@ class TestArtifacts:
                                   np.linspace(-2.0, 2.0, 11), [1, 2])
         assert _report(tmp_path / "o")["tail_uncertainty"] \
             == repr(table.tail_uncertainty)
+
+    def test_decay_curves_report_tail_uncertainty(self, tmp_path):
+        # tv-decay and study write each curve's off-grid bound to report.txt
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           "[grid]\nn_nodes = 513\n[experiment]\neta = 0.5\n"
+                           "eta_list = 0.5,0.2\nx0 = 3.0\nn_steps = 12\n")
+        spec = eg.ornstein_uhlenbeck()
+        assert cli.main(["tv-decay", "--config", cfg,
+                         "--out", str(tmp_path / "t")]) == 0
+        curve = eg.tv_decay_curve(spec, 0.5, 3.0, 12,
+                                  grid=eg.default_grid(spec, 0.5, n_nodes=513))
+        assert _report(tmp_path / "t")["tail_uncertainty"] \
+            == repr(curve.tail_uncertainty)
+        assert cli.main(["study", "--config", cfg,
+                         "--out", str(tmp_path / "s")]) == 0
+        lines = (tmp_path / "s" / "report.txt").read_text().splitlines()
+        for row in eg.step_size_study(spec, [0.5, 0.2], 3.0, 12, n_nodes=513):
+            assert (f"tail_uncertainty[eta={row.eta!r}]="
+                    f"{row.curve.tail_uncertainty!r}") in lines
 
     def test_study_honours_grid_interval(self, tmp_path):
         # every eta reads its curve on [grid]'s interval; the default grid
@@ -579,6 +622,31 @@ def test_verify_assumptions_exact_constants_at_small_eta(tmp_path):
               if line.startswith("check:")]
     assert checks == ["check:lipschitz=PASS", "check:dissipativity=PASS",
                       "check:quadratic_bound=PASS"]
+
+
+def test_verify_assumptions_report_lines(tmp_path, monkeypatch):
+    # the AssumptionReport's fields, in field order, as Report.add writes
+    # them: a float as its repr, a flag as True or False
+    reports = []
+    check_assumptions = eg.drifts.check_assumptions
+
+    def audit(*args):
+        reports.append(check_assumptions(*args))
+        return reports[-1]
+    monkeypatch.setattr(eg.drifts, "check_assumptions", audit)
+    cfg = write_config(tmp_path / "v.ini", "[drift]\nkind = bounded\n"
+                       "[experiment]\neta = 0.1\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify-assumptions", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "report.txt").read_text().splitlines()[2:9]
+    names = [f.name for f in dataclasses.fields(eg.AssumptionReport)]
+    assert names == ["lipschitz_max", "lipschitz_ok", "dissipativity_max",
+                     "dissipativity_ok", "quadratic_max", "quadratic_ok",
+                     "second_derivative_max"]
+    (report,) = reports
+    assert lines == [f"{n}={getattr(report, n)!r}" for n in names]
+    assert all(line.split("=")[1] in ("True", "False")
+               for line in lines if "_ok=" in line)
 
 
 def test_verify_assumptions_skips_numpy_random(tmp_path):

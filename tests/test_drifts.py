@@ -45,7 +45,7 @@ class TestAssumptionAudit:
         pts = np.linspace(-30, 30, 2001)
         for spec in (ou, bp):
             rep = eg.check_assumptions(spec, pts)
-            assert rep.all_ok, rep.to_text()
+            assert rep.all_ok, rep
 
     @pytest.mark.parametrize("span", [10.0, 1e3, 1e5])
     def test_exact_constants_pass_at_any_span(self, span):

@@ -214,7 +214,7 @@ class TestColumnarWriters:
         in_c = np.array([True, False, True, True, True, False])
         blocks = eg.RegenerationBlocks(
             xs=xs, ds=ds, in_c=in_c,
-            atom_visit_times=np.flatnonzero(in_c & (ds == 1)), eps=0.1)
+            atom_visit_times=np.flatnonzero(in_c & (ds == 1)))
         _write_trace(blocks, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_text() == _trace_rows(blocks)
         assert (tmp_path / "t.csv").read_text().splitlines()[1] == "0,-0.0,1,1,1"
