@@ -18,11 +18,9 @@ _EXPORTS = {
                "apply_kernel", "n_step_from_point", "invariant_measure",
                "tv_distance", "minorization_epsilon",
                "whole_space_minorization", "doeblin_rate"),
-    "simulate": ("PathConfig", "ReturnTimeSample", "ExpMomentEstimate",
-                 "em_step", "sample_paths", "return_time",
-                 "return_times_ensemble", "exp_beta_sigma"),
-    "splitting": ("SplitState", "RegenerationBlocks", "sample_nu",
-                  "sample_residual", "step_split", "run_split",
+    "simulate": ("PathConfig", "ExpMomentEstimate", "sample_paths",
+                 "return_times_ensemble", "exp_moment"),
+    "splitting": ("RegenerationBlocks", "sample_nu", "run_split",
                   "split_ensemble", "atom_return_check",
                   "regenerative_pi_estimate", "atom_return_tail",
                   "resolve_split_epsilon"),

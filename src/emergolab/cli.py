@@ -468,7 +468,7 @@ def run_return_times(cfg, spec, out, seed, rep):
         spec, eta, x0, D, horizon, n_rep, seed)
     write_csv(out / "return_times.csv", ("replicate", "x0", "sigma", "censored"),
               (range(n_rep), x0s, sigmas, censored.astype(int)))
-    est = simulate._exp_moment(sigmas, censored, beta, horizon)
+    est = simulate.exp_moment(sigmas, censored, beta, horizon)
     bound = drifts.lyapunov(x0) + dc.b_eta * dc.beta_eta
     _add_constants(rep, dc)
     rep.add("beta", beta)

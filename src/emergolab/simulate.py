@@ -35,13 +35,6 @@ class PathConfig:
             raise ValueError("n_steps must be >= 1")
 
 
-def em_step(spec: DriftSpec, eta: float, x, noise):
-    """One Euler-Maruyama update x + eta*g(x) + sqrt(eta)*sigma*noise."""
-    out = Chain(spec, eta, eta).step(np.asarray(x, dtype=float),
-                                     np.asarray(noise, dtype=float))
-    return out if out.ndim else float(out)
-
-
 def _initial_states(x0: Initial, n: int, rng) -> np.ndarray:
     if isinstance(x0, GridMeasure):
         return x0.sample(n, rng)
@@ -70,33 +63,15 @@ def sample_paths(spec: DriftSpec, config: PathConfig, n_paths: int) -> np.ndarra
     return paths
 
 
-@dataclass(frozen=True)
-class ReturnTimeSample:
-    x0: float
-    sigma: int
-    censored: bool
-
-
-def return_time(spec: DriftSpec, eta: float, x0: float, D: tuple[float, float],
-                horizon: int, rng) -> ReturnTimeSample:
-    """First return time sigma_D = inf{n >= 1 : theta_n in D}, censored at horizon.
-
-    Interval membership is closed on both sides, matching D = {|x| <= radius}.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    sigmas, censored = _first_returns(Chain(spec, eta, eta),
-                                      np.array([float(x0)]), D, horizon, rng)
-    return ReturnTimeSample(float(x0), int(sigmas[0]), bool(censored[0]))
-
-
 def return_times_ensemble(spec: DriftSpec, eta: float, x0: Initial,
                           D: tuple[float, float], horizon: int, n_rep: int,
                           seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized batch of return times.
+    """Vectorized batch of first return times
+    sigma_D = inf{n >= 1 : theta_n in D}, censored at horizon.
 
     Returns (x0s, sigmas, censored); paths that have returned stop consuming
     randomness, so the draw order is deterministic for a given seed.
+    Interval membership is closed on both sides, matching D = {|x| <= radius}.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x0s = _initial_states(x0, n_rep, rng)
@@ -125,50 +100,43 @@ def _first_returns(chain: Chain, x0s: np.ndarray, D: tuple[float, float],
 
 @dataclass(frozen=True)
 class ExpMomentEstimate:
-    """Monte Carlo estimate of E[beta^sigma_D] with normal-theory CI."""
+    """Monte Carlo estimate of E[beta^sigma_D] with its normal-theory upper
+    95 % bound."""
 
     mean: float
-    se: float
-    ci_low: float
     ci_high: float
     n_censored: int
     censor_bias_bound: float
     usable: bool
 
 
-def exp_beta_sigma(spec: DriftSpec, eta: float, x0: Initial, beta: float,
-                   D: tuple[float, float], n_rep: int, horizon: int = 10 ** 6,
-                   seed: int = 0) -> ExpMomentEstimate:
-    """Estimate E[beta^sigma_D] over n_rep replicates.
+def exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
+               horizon: int) -> ExpMomentEstimate:
+    """E[beta^sigma] over the uncensored replicates of a return-time ensemble.
 
     Censored replicates are excluded from the mean; their possible
     contribution is reported as the explicit bound beta^horizon * censored
     fraction (infinite in practice when any replicate censors at a large
-    horizon) rather than imputed.
+    horizon) rather than imputed.  A beta^sigma beyond the float range makes
+    the mean and its bound inf.
     """
     if beta <= 1.0:
         raise ValueError("beta must exceed 1")
-    _, sigmas, censored = return_times_ensemble(
-        spec, eta, x0, D, horizon, n_rep, seed)
-    return _exp_moment(sigmas, censored, beta, horizon)
-
-
-def _exp_moment(sigmas: np.ndarray, censored: np.ndarray, beta: float,
-                horizon: int) -> ExpMomentEstimate:
-    """E[beta^sigma] over the uncensored replicates of a return-time ensemble."""
     n_rep = sigmas.size
     ok = ~censored
     n_cens = int(censored.sum())
     if n_cens == n_rep:
-        return ExpMomentEstimate(math.nan, math.nan, math.nan, math.nan,
-                                 n_cens, math.inf, usable=False)
-    vals = beta ** sigmas[ok].astype(float)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+        return ExpMomentEstimate(math.nan, math.nan, n_cens, math.inf,
+                                 usable=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = beta ** sigmas[ok].astype(float)
+        mean = float(vals.mean())
+        se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     if n_cens == 0:
         bias = 0.0
     else:
         log_bias = horizon * math.log(beta) + math.log(n_cens / n_rep)
         bias = math.exp(log_bias) if log_bias < 700 else math.inf
-    return ExpMomentEstimate(mean, se, mean - 1.96 * se, mean + 1.96 * se,
-                             n_cens, bias, usable=True)
+    # an overflowed beta^sigma leaves the spread inf - inf = nan
+    ci_high = math.inf if math.isinf(mean) else mean + 1.96 * se
+    return ExpMomentEstimate(mean, ci_high, n_cens, bias, usable=True)

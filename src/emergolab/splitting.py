@@ -28,16 +28,6 @@ T_975 = 2.045229642132703
 MC_CHUNK = 2 ** 14
 
 
-@dataclass(frozen=True)
-class SplitState:
-    x: float
-    d: int
-
-    def __post_init__(self):
-        if self.d not in (0, 1):
-            raise ValueError("d must be 0 or 1")
-
-
 def resolve_split_epsilon(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                           use_full_epsilon: bool = False) -> float:
     """Success probability used by the splitting.
@@ -91,17 +81,6 @@ def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
         out[pending[accept]] = y[accept]
         pending = pending[~accept]
     return out
-
-
-def sample_residual(spec: DriftSpec, eta: float, x: float,
-                    smallset: SmallSetSpec, eps: float, rng) -> float:
-    """One draw from the residual kernel (p - eps*nu)/(1 - eps) at x in C."""
-    if not smallset.contains(x):
-        raise ValueError("residual kernel is only defined for x in C")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    return float(_residual_draws(
-        Chain(spec, eta, eta), np.array([float(x)]), smallset, eps, rng)[0])
 
 
 def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
@@ -170,16 +149,6 @@ def _split_path(chain: Chain, smallset: SmallSetSpec, eps: float, x: float,
         xs.append(x)
         ds.append(d)
     return xs, ds
-
-
-def step_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
-               state: SplitState, rng, eps: Optional[float] = None) -> SplitState:
-    """One transition of the split kernel from (x, d)."""
-    if eps is None:
-        eps = resolve_split_epsilon(spec, eta, smallset)
-    xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, float(state.x),
-                         state.d, 1, rng)
-    return SplitState(xs[1], ds[1])
 
 
 @dataclass

@@ -56,9 +56,9 @@ def test_03_minorization(ou, smallset_ou):
 
 def test_04_exponential_return_moment(ou):
     dc = eg.derive_constants(ou, 0.1)
-    est = eg.exp_beta_sigma(ou, 0.1, 0.0, dc.beta_eta,
-                            (-dc.radius, dc.radius), 10 ** 5,
-                            horizon=10 ** 4, seed=20240817)
+    _, sigmas, censored = eg.return_times_ensemble(
+        ou, 0.1, 0.0, (-dc.radius, dc.radius), 10 ** 4, 10 ** 5, seed=20240817)
+    est = eg.exp_moment(sigmas, censored, dc.beta_eta, 10 ** 4)
     bound = eg.lyapunov(0.0) + dc.b_eta * dc.beta_eta
     ok = (abs(bound - 1.598) < 1e-3 and est.usable
           and est.mean < bound and est.ci_high < bound

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
-from emergolab import cli, kernel as ke, simulate
+from emergolab import cli, kernel as ke
 from emergolab.errors import ConfigError
 
 
@@ -453,6 +453,28 @@ class TestArtifacts:
             assert (f"tail_uncertainty[eta={row.eta!r}]="
                     f"{row.curve.tail_uncertainty!r}") in lines
 
+    def test_study_reports_each_eta(self, tmp_path):
+        # one delta_hat[eta=...] and one tail_uncertainty[eta=...] per eta,
+        # each equal to its study.csv row and its curve
+        cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                           "[grid]\nn_nodes = 513\n[experiment]\n"
+                           "eta_list = 0.5,0.2\nx0 = 3.0\nn_steps = 12\n")
+        out = tmp_path / "s"
+        assert cli.main(["study", "--config", cfg, "--out", str(out)]) == 0
+        values = _report(out)
+        header, *rows = (out / "study.csv").read_text().splitlines()
+        table = {row["eta"]: row for row in
+                 (dict(zip(header.split(","), line.split(","))) for line in rows)}
+        study = eg.step_size_study(eg.ornstein_uhlenbeck(), [0.5, 0.2], 3.0,
+                                   12, n_nodes=513)
+        assert sorted(k for k in values if k.startswith("delta_hat[")) \
+            == ["delta_hat[eta=0.2]", "delta_hat[eta=0.5]"]
+        for row in study:
+            eta = repr(row.eta)
+            assert values[f"delta_hat[eta={eta}]"] == table[eta]["delta_hat"]
+            assert values[f"tail_uncertainty[eta={eta}]"] \
+                == repr(row.curve.tail_uncertainty)
+
     def test_study_honours_grid_interval(self, tmp_path):
         # every eta reads its curve on [grid]'s interval; the default grid
         # at eta = 0.005 would span +-808 and need 45704 nodes
@@ -527,7 +549,9 @@ class TestArtifacts:
 
 
 def _report(out):
-    return dict(line.split("=", 1) for line in
+    """report.txt as a dict; a key such as delta_hat[eta=0.5] holds an '=',
+    so each line splits at its last one."""
+    return dict(line.rpartition("=")[::2] for line in
                 (out / "report.txt").read_text().splitlines())
 
 
@@ -567,23 +591,32 @@ def test_return_times_report_matches_exp_beta_sigma(tmp_path):
     out = tmp_path / "o"
     cli.main(["return-times", "--config", cfg, "--out", str(out),
               "--seed", "3"])
-    values = dict(line.split("=", 1) for line in
-                  (out / "report.txt").read_text().splitlines())
+    values = _report(out)
     spec = eg.ornstein_uhlenbeck(kappa=1.0, sigma=1.0)
     dc = eg.derive_constants(spec, 0.1)
-    est = eg.exp_beta_sigma(spec, 0.1, 20.0, dc.beta_eta,
-                            (-dc.radius, dc.radius), 200, horizon=100, seed=3)
+    _, sigmas, censored = eg.return_times_ensemble(
+        spec, 0.1, 20.0, (-dc.radius, dc.radius), 100, 200, seed=3)
+    est = eg.exp_moment(sigmas, censored, dc.beta_eta, 100)
     assert values["exp_moment_estimate"] == repr(est.mean)
     assert values["exp_moment_ci_high"] == repr(est.ci_high)
     assert len((out / "return_times.csv").read_text().splitlines()) == 201
 
 
-def test_return_times_writes_columns(tmp_path, monkeypatch):
-    # return_times.csv comes straight from the ensemble's arrays: no
-    # per-replicate ReturnTimeSample is built on the way
-    def refuse(*args, **kwargs):
-        raise AssertionError("return-times built a ReturnTimeSample")
-    monkeypatch.setattr(simulate, "ReturnTimeSample", refuse)
+def test_return_times_reports_an_overflowed_moment_as_inf(tmp_path):
+    # returns from x0 = 20000 take thousands of steps, so 1.5^sigma is beyond
+    # the float range: both values read inf, and no RuntimeWarning is raised
+    cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\n"
+                       "kappa = 0.001\n[experiment]\neta = 0.1\n"
+                       "x0 = 20000\nbeta = 1.5\nn_rep = 100\n")
+    out = tmp_path / "o"
+    assert cli.main(["return-times", "--config", cfg, "--out", str(out),
+                     "--seed", "5"]) == 1
+    values = _report(out)
+    assert values["exp_moment_estimate"] == values["exp_moment_ci_high"] == "inf"
+    assert values["check:exp_moment_below_bound"] == "FAIL"
+
+
+def test_return_times_writes_columns(tmp_path):
     cfg = write_config(tmp_path / "c.ini", RT_CFG)
     out = tmp_path / "o"
     assert cli.main(["return-times", "--config", cfg, "--out", str(out),
@@ -726,6 +759,34 @@ def test_package_namespace_matches_its_modules():
         assert getattr(eg, name) is expected, name
     with pytest.raises(AttributeError, match="no_such_name"):
         eg.no_such_name
+
+
+def test_public_surface_is_pinned():
+    # a public name is added or dropped on purpose, here
+    assert eg.__all__ == [
+        "AssumptionReport", "DecayCurve", "DerivedConstants", "DriftSpec",
+        "ExpMomentEstimate", "Grid", "GridMeasure", "PathConfig", "RateFit",
+        "RegenerationBlocks", "SmallSetSpec", "apply_kernel",
+        "atom_return_check", "atom_return_tail", "bounded_perturbation",
+        "check_assumptions", "closed_form_PV", "custom", "default_grid",
+        "derive_constants", "doeblin_rate", "drifts", "errors", "eval_drift",
+        "exp_moment", "fit_geometric_rate", "gaussian_on_grid",
+        "invariant_measure", "kernel", "lyapunov", "minorization_epsilon",
+        "n_step_from_point", "ornstein_uhlenbeck", "rates",
+        "regenerative_pi_estimate", "resolution_grid", "resolve_split_epsilon",
+        "return_times_ensemble", "run_split", "sample_nu", "sample_paths",
+        "simulate", "split_ensemble", "splitting", "step_size_study",
+        "summability_check", "transition_density", "tv_decay_curve",
+        "tv_distance", "uniform_sup_tv", "verify_drift_condition",
+        "whole_space_minorization"]
+
+
+@pytest.mark.parametrize("name", ["em_step", "return_time", "ReturnTimeSample",
+                                  "step_split", "SplitState", "sample_residual",
+                                  "exp_beta_sigma"])
+def test_removed_names_stay_removed(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(eg, name)
 
 
 class TestDeterminism:

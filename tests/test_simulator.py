@@ -113,15 +113,15 @@ class TestSamplePaths:
         assert abs(paths[:, 0].mean()) < 4.0 / math.sqrt(5000)
 
     def test_em_step_formula(self, ou):
-        got = eg.em_step(ou, 0.1, 2.0, 0.5)
+        got = Chain(ou, 0.1, 0.1).step(2.0, 0.5)
         assert got == pytest.approx(2.0 - 0.2 + math.sqrt(0.1) * 0.5)
 
 
 class TestReturnTimes:
     def test_whole_range_returns_immediately(self, ou):
-        rng = np.random.default_rng(0)
-        s = eg.return_time(ou, 0.1, 0.0, (-1e9, 1e9), 100, rng)
-        assert s.sigma == 1 and not s.censored
+        _, sigmas, censored = eg.return_times_ensemble(
+            ou, 0.1, 0.0, (-1e9, 1e9), 100, 1, seed=0)
+        assert sigmas.tolist() == [1] and not censored[0]
 
     def test_return_from_inside_almost_surely_one_step(self, ou):
         # one-step exit from 0 beyond +-11.6 has astronomically small mass
@@ -131,9 +131,9 @@ class TestReturnTimes:
         assert not censored.any()
 
     def test_censoring_is_data(self, ou):
-        rng = np.random.default_rng(0)
-        s = eg.return_time(ou, 0.1, 0.0, (50.0, 60.0), horizon=3, rng=rng)
-        assert s.censored and s.sigma == 3
+        _, sigmas, censored = eg.return_times_ensemble(
+            ou, 0.1, 0.0, (50.0, 60.0), horizon=3, n_rep=1, seed=0)
+        assert censored[0] and sigmas.tolist() == [3]
 
     def test_median_return_grows_with_distance(self, ou):
         meds = []
@@ -152,17 +152,18 @@ class TestReturnTimes:
 
 class TestExpMoment:
     def test_whole_range_gives_beta(self, ou):
-        est = eg.exp_beta_sigma(ou, 0.1, 0.0, 1.5, (-1e9, 1e9), 1000,
-                                horizon=50, seed=0)
+        _, sigmas, censored = eg.return_times_ensemble(
+            ou, 0.1, 0.0, (-1e9, 1e9), 50, 1000, seed=0)
+        est = eg.exp_moment(sigmas, censored, 1.5, 50)
         assert est.mean == pytest.approx(1.5)
         assert est.usable
         assert est.censor_bias_bound == 0.0
 
     def test_moment_bound_from_origin(self, ou):
         dc = eg.derive_constants(ou, 0.1)
-        est = eg.exp_beta_sigma(ou, 0.1, 0.0, dc.beta_eta,
-                                (-dc.radius, dc.radius), 20000,
-                                horizon=1000, seed=1)
+        _, sigmas, censored = eg.return_times_ensemble(
+            ou, 0.1, 0.0, (-dc.radius, dc.radius), 1000, 20000, seed=1)
+        est = eg.exp_moment(sigmas, censored, dc.beta_eta, 1000)
         bound = eg.lyapunov(0.0) + dc.b_eta * dc.beta_eta
         assert est.usable
         assert est.ci_high <= bound
@@ -171,16 +172,31 @@ class TestExpMoment:
         dc = eg.derive_constants(ou, 0.1)
         bound = (1.0 + dc.radius ** 2) + dc.b_eta * dc.beta_eta
         for x0 in np.linspace(-dc.radius, dc.radius, 5):
-            est = eg.exp_beta_sigma(ou, 0.1, float(x0), dc.beta_eta,
-                                    (-dc.radius, dc.radius), 2000,
-                                    horizon=1000, seed=3)
+            _, sigmas, censored = eg.return_times_ensemble(
+                ou, 0.1, float(x0), (-dc.radius, dc.radius), 1000, 2000,
+                seed=3)
+            est = eg.exp_moment(sigmas, censored, dc.beta_eta, 1000)
             assert est.ci_high <= bound
 
     def test_all_censored_flagged(self, ou):
-        est = eg.exp_beta_sigma(ou, 0.1, 0.0, 1.5, (50.0, 60.0), 100,
-                                horizon=3, seed=0)
+        _, sigmas, censored = eg.return_times_ensemble(
+            ou, 0.1, 0.0, (50.0, 60.0), 3, 100, seed=0)
+        est = eg.exp_moment(sigmas, censored, 1.5, 3)
         assert not est.usable
         assert est.n_censored == 100
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_beta_must_exceed_one(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            eg.exp_moment(np.array([1, 2]), np.zeros(2, dtype=bool), beta, 10)
+
+    def test_overflowed_moment_is_inf(self):
+        # 1.5^2000 is beyond the float range: the mean and its upper bound
+        # read inf, without numpy's overflow and inf - inf warnings
+        sigmas = np.array([3, 2000, 5])
+        est = eg.exp_moment(sigmas, np.zeros(3, dtype=bool), 1.5, 10 ** 6)
+        assert est.mean == math.inf and est.ci_high == math.inf
+        assert est.usable
 
 
 class TestCsvWriters:

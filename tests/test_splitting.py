@@ -66,11 +66,6 @@ class TestSamplers:
         stat = kstest(xs, "uniform", args=(-1.0, 2.0)).pvalue
         assert stat > 1e-4
 
-    def test_residual_requires_x_in_c(self, ou, smallset_ou):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            eg.sample_residual(ou, 0.5, 5.0, smallset_ou, 0.05, rng)
-
     def test_residual_mixture_identity(self, ou, smallset_ou):
         # eps*nu + (1-eps)*residual must reproduce the one-step law:
         # compare means at x = 0.8 (one-step mean 0.4)
@@ -93,18 +88,20 @@ class TestSamplers:
 
 
 class TestSplitStep:
+    """One split-kernel transition from (x, d): run_split with n_steps=1."""
+
     def test_atom_regenerates_from_nu(self, ou, smallset_ou):
         rng = np.random.default_rng(3)
-        xs = np.array([eg.step_split(ou, 0.5, smallset_ou,
-                                     eg.SplitState(0.3, 1), rng).x
+        xs = np.array([eg.run_split(ou, 0.5, smallset_ou, 0.3, 1, rng,
+                                    d0=1).xs[1]
                        for _ in range(5000)])
         assert xs.min() >= -1.0 and xs.max() <= 1.0
         assert kstest(xs, "uniform", args=(-1.0, 2.0)).pvalue > 1e-4
 
     def test_off_c_moves_like_plain_chain(self, ou, smallset_ou):
         rng = np.random.default_rng(4)
-        xs = np.array([eg.step_split(ou, 0.5, smallset_ou,
-                                     eg.SplitState(6.0, 0), rng).x
+        xs = np.array([eg.run_split(ou, 0.5, smallset_ou, 6.0, 1, rng,
+                                    d0=0).xs[1]
                        for _ in range(5000)])
         assert abs(xs.mean() - 3.0) <= 5 * math.sqrt(0.5 / 5000)
         assert abs(xs.std(ddof=1) - math.sqrt(0.5)) < 0.05
@@ -112,15 +109,11 @@ class TestSplitStep:
     def test_d_is_refreshed_bernoulli(self, ou, smallset_ou):
         rng = np.random.default_rng(5)
         eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
-        ds = np.array([eg.step_split(ou, 0.5, smallset_ou,
-                                     eg.SplitState(0.0, 0), rng).d
+        ds = np.array([eg.run_split(ou, 0.5, smallset_ou, 0.0, 1, rng,
+                                    d0=0).ds[1]
                        for _ in range(20000)])
         se = math.sqrt(eps * (1 - eps) / ds.size)
         assert abs(ds.mean() - eps) <= 4 * se
-
-    def test_invalid_d_rejected(self):
-        with pytest.raises(ValueError):
-            eg.SplitState(0.0, 2)
 
 
 class TestRunSplit:
@@ -379,8 +372,8 @@ def _split_case(kind, eta):
 
 
 class TestScalarLoop:
-    """run_split and step_split step one chain on Python floats; they must
-    draw the stream of a one-replicate split_ensemble run, bit for bit."""
+    """run_split steps one chain on Python floats; it must draw the stream
+    of a one-replicate split_ensemble run, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["ou", "bounded"])
     @pytest.mark.parametrize("eta", [0.5, 0.1])
@@ -401,22 +394,6 @@ class TestScalarLoop:
         assert blocks.ds.dtype == ds.dtype
         assert scalar.bit_generator.state == lockstep.bit_generator.state
 
-    @pytest.mark.parametrize("kind", ["ou", "bounded"])
-    @pytest.mark.parametrize("eta", [0.5, 0.1])
-    def test_chained_step_split_matches_ensemble(self, kind, eta):
-        spec, smallset = _split_case(kind, eta)
-        scalar, lockstep = np.random.default_rng(23), np.random.default_rng(23)
-        state = eg.SplitState(-0.2, 1)
-        path = [state]
-        for _ in range(50):
-            path.append(eg.step_split(spec, eta, smallset, path[-1], scalar))
-        xs, ds = eg.split_ensemble(spec, eta, smallset, [state.x], 50,
-                                   lockstep, d0=[state.d])
-        assert [s.x for s in path] == xs[:, 0].tolist()
-        assert [s.d for s in path] == ds[:, 0].tolist()
-        assert all(type(s.x) is float for s in path[1:])
-        assert scalar.bit_generator.state == lockstep.bit_generator.state
-
     def test_one_chain_avoids_the_lockstep_loop(self, ou, smallset_ou,
                                                 monkeypatch):
         from emergolab import splitting
@@ -427,8 +404,6 @@ class TestScalarLoop:
         monkeypatch.setattr(splitting, "_advance_x", lockstep)
         rng = np.random.default_rng(0)
         assert eg.run_split(ou, 0.5, smallset_ou, 0.0, 300, rng).xs.size == 301
-        assert eg.step_split(ou, 0.5, smallset_ou, eg.SplitState(0.0, 0),
-                             rng).d in (0, 1)
 
     def test_too_large_eps_raises_like_lockstep(self, ou, smallset_ou):
         for run in (lambda rng: eg.run_split(ou, 0.5, smallset_ou, 0.0, 2000,
@@ -443,9 +418,6 @@ class TestScalarLoop:
         rng = np.random.default_rng(2)
         with pytest.raises(ValueError, match="eps"):
             eg.run_split(ou, 0.5, smallset_ou, 0.0, 10, rng, eps=eps)
-        with pytest.raises(ValueError, match="eps"):
-            eg.step_split(ou, 0.5, smallset_ou, eg.SplitState(0.0, 0), rng,
-                          eps=eps)
 
     def test_explosive_chain_names_the_drift_argument(self):
         # mean -3.5*x: |x| overflows to inf, and the next step must stop
