@@ -12,12 +12,16 @@ reused are cached: those from a grid that is its own coarse grid (spacing
 sd/2 or coarser, see below) with both grids of up to DENSE_MATRIX_LIMIT
 nodes.  The cache holds 3, one chain's reuse: its sd/2 operator and its
 read-outs onto two requested grids (_off_grid keeps as many off-grid
-vectors).  Callers finish with one chain before the next, so 3 entries
-build no operator twice and drop the operators of finished chains: the
-bench's library sweep makes 25 builds and 734 hits, as with 8 entries,
-where 2 entries make 33 builds.  A step from a finer grid is a one-off
-(the first step of a density, a fixed-point check) and streams its blocks,
-so it holds one block of at most 128 rows at a time, never the operator.
+vectors).  Callers finish with one chain before the next, so a request
+from a chain other than the last one first drops the other chains'
+read-outs, before anything is built, and their sd/2 operators leave by
+least recent use (a chain that comes back still finds its own).  So 3
+entries build no operator twice and hold no finished chain's read-out
+while the next chain builds its own: the bench's library sweep makes 25
+builds, as with 8 entries, where 2 entries make 33 builds.  A step from
+a finer grid is a one-off (the first step of a density, a fixed-point
+check) and streams its blocks, so it holds one block of at most 128 rows
+at a time, never the operator.
 A cached operator's columns are the nodes of a grid no finer than sd/2,
 so its size follows the kernel and the interval, not the requested node
 count: a row holds about 70 entries where the mean map moves nodes
@@ -31,7 +35,8 @@ sd/2, where the trapezoid rule integrates a kernel step to about
 one more step (Nystrom; pi = pi P for the invariant measure).  A grid no
 finer than sd/2 is its own coarse grid.  Every propagated law comes from
 one entry, _laws, from points or from a density on any interval, and every
-TV distance from one rule, _tv.  All results carry an additive,
+TV distance from one rule, _tv, which overwrites the law block it is given
+so that a TV step holds one block.  All results carry an additive,
 conservative bound on the probability mass that has leaked off the grid,
 plus a bound on the quadrature mass the band drops (below 2e-16 per unit
 mass and step when the spacing is at most sd).
@@ -42,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,12 +283,46 @@ def _kernel_blocks(chain: Chain, grid: Grid, rows: Grid | None = None):
         del block  # not held while the next block is built
 
 
-@functools.lru_cache(maxsize=3)
-def _kernel_matrix(chain: Chain, grid: Grid, rows: Grid | None = None) -> tuple:
-    """The blocks of the banded quadrature matrix, held for reuse.  _matvec
-    asks for it only when grid is its own coarse grid, so that the columns
-    are nodes no finer than sd/2 (see the module docstring)."""
-    return tuple(_kernel_blocks(chain, grid, rows))
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _OperatorCache:
+    """The blocks of banded quadrature matrices, held for reuse: called as
+    (chain, grid, rows), it returns tuple(_kernel_blocks(chain, grid, rows)),
+    rows None meaning grid.  _matvec asks for it only when grid is its own
+    coarse grid, so that the columns are nodes no finer than sd/2.  It holds
+    maxsize operators, least recently used first out, and a request first
+    drops the other chains' read-outs (rows != grid; see the module
+    docstring).  cache_info() and cache_clear() are those of
+    functools.lru_cache."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def __call__(self, chain: Chain, grid: Grid, rows: Grid | None = None) -> tuple:
+        key = (chain, grid, grid if rows is None else rows)
+        for old in [k for k in self._held if k[0] != chain and k[2] != k[1]]:
+            del self._held[old]
+        if key in self._held:
+            self._hits += 1
+            self._held.move_to_end(key)
+            return self._held[key]
+        self._misses += 1
+        if len(self._held) == self.maxsize:  # dropped before the build
+            self._held.popitem(last=False)
+        self._held[key] = blocks = tuple(_kernel_blocks(*key))
+        return blocks
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._held))
+
+    def cache_clear(self) -> None:
+        self._held = OrderedDict()
+        self._hits = self._misses = 0
+
+
+_kernel_matrix = _OperatorCache(maxsize=3)
 
 
 def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
@@ -403,8 +443,8 @@ def _laws(chain: Chain, grid: Grid, start, n_list):
     _coarse(chain, grid); the law after n steps is one step from the coarse
     laws after n - 1, read on grid (Nystrom), so its node values are those
     of a step on grid itself to the trapezoid rule's accuracy at spacing
-    sd/2.  Each step rejects a grid as _step does.  A yielded block may be
-    the generator's own state: callers never write to it."""
+    sd/2.  Each step rejects a grid as _step does.  Each yielded block is
+    the caller's: it may write to it (_tv does)."""
     coarse = _coarse(chain, grid)
     n_max = n_list[-1] if n_list else 0
     if isinstance(start, GridMeasure):
@@ -419,7 +459,7 @@ def _laws(chain: Chain, grid: Grid, start, n_list):
         if coarse == grid:  # no coarser grid: step and report on grid
             laws = (grid, *step(grid))
             if n in n_list:
-                yield laws[1:]
+                yield laws[1].copy(), laws[2]
             continue
         if n in n_list:
             yield step(grid)  # not bound here while the next law is built
@@ -585,17 +625,18 @@ def _combine(coef: np.ndarray, chunks: list) -> np.ndarray:
 def _tv(laws: np.ndarray, density: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The package's one TV rule: 0.5 * |p - q| @ w for each column p of the
     (n, k) block laws against q = density, w the trapezoid weights, capped
-    at 1 (rounding can pass it).  Besides laws it holds one array of their
-    size: |p - q| is taken in place and halved after the product."""
-    diff = laws - density[:, None]
-    return np.minimum(0.5 * (np.abs(diff, out=diff).T @ w), 1.0)
+    at 1 (rounding can pass it).  |p - q| is written over laws, so a caller
+    passes a block of its own, and no second array of its size is held;
+    the sum is halved after the product."""
+    np.subtract(laws, density[:, None], out=laws)
+    return np.minimum(0.5 * (np.abs(laws, out=laws).T @ w), 1.0)
 
 
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:
     """Half the integrated absolute density difference, at most 1 (_tv)."""
     if a.grid != b.grid:
         raise ValueError("measures live on different grids")
-    return float(_tv(a.density[:, None], b.density, a.grid.weights)[0])
+    return float(_tv(a.density[:, None].copy(), b.density, a.grid.weights)[0])
 
 
 @dataclass(frozen=True)

@@ -227,21 +227,24 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
     read on grid (None: a density initial's grid, else default_grid(spec,
     eta, n_nodes) per eta).  The table juxtaposes delta_hat(eta); no
     equality claim across eta is made.  Rows where the curve floors
-    immediately carry delta_hat None, and rows with no Doeblin mass, or one
-    underflowed to 0, no envelope_rate.  An empty eta_list or a repeated
-    eta raises ValueError."""
+    immediately carry delta_hat None, a per-unit-time rate past the float
+    range reads inf, and rows with no Doeblin mass, or one underflowed to
+    0, no envelope_rate.  An empty eta_list or a repeated eta raises
+    ValueError."""
     rows = []
     for eta in _distinct(eta_list, "eta_list"):
         g = grid if grid is not None or isinstance(initial, GridMeasure) \
             else ke.default_grid(spec, eta, n_nodes=n_nodes)
         curve = tv_decay_curve(spec, eta, initial, N, grid=g, tol=tol)
         try:
-            fit = fit_geometric_rate(curve)
-            delta_hat = fit.delta_hat
-            per_unit = delta_hat ** (1.0 / eta)
+            delta_hat = fit_geometric_rate(curve).delta_hat
         except ValueError:
-            delta_hat = None
-            per_unit = None
+            delta_hat = per_unit = None
+        else:
+            try:
+                per_unit = delta_hat ** (1.0 / eta)
+            except OverflowError:  # a float power raises, not inf
+                per_unit = math.inf
         try:
             m = ke.whole_space_minorization(spec, eta)
         except ApplicabilityError:

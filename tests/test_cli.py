@@ -616,6 +616,23 @@ def test_return_times_reports_an_overflowed_moment_as_inf(tmp_path):
     assert values["check:exp_moment_below_bound"] == "FAIL"
 
 
+@pytest.mark.filterwarnings("ignore:lambda")
+def test_study_reports_an_overflowed_rate_as_inf(tmp_path):
+    # the per-step rate 2.4995 at eta = 0.001 is 2.4995^1000 per unit time,
+    # past the float range: it reads inf, and the run is not a failed check
+    cfg = write_config(tmp_path / "c.ini", "[drift]\nkind = ou\nkappa = 600\n"
+                       "sigma = 1\n[grid]\nlower = -2\nupper = 2\n"
+                       "n_nodes = 2049\n[experiment]\neta_list = 0.001\n"
+                       "x0 = 0.1\nn_steps = 40\n")
+    out = tmp_path / "o"
+    assert cli.main(["study", "--config", cfg, "--out", str(out)]) == 0
+    header, row = (out / "study.csv").read_text().splitlines()
+    assert header == "eta,delta_hat,delta_per_unit_time,m"
+    eta, delta_hat, per_unit, m = row.split(",")
+    assert float(delta_hat) == pytest.approx(2.4995, abs=1e-4)
+    assert per_unit == "inf"
+
+
 def test_return_times_writes_columns(tmp_path):
     cfg = write_config(tmp_path / "c.ini", RT_CFG)
     out = tmp_path / "o"

@@ -642,6 +642,52 @@ class TestTvDistance:
                            gaussian_on_grid(other, 0, 1))
 
 
+class TestTvInPlace:
+    """_tv writes |p - q| over the law block it is given, so every block it
+    gets is its caller's own."""
+
+    def test_tv_distance_writes_neither_measure(self, ou, grid12):
+        a = gaussian_on_grid(grid12, -1.0, 1.0)
+        b = eg.invariant_measure(ou, 0.5, grid12).measure  # read-only
+        before = a.density.copy(), b.density.copy()
+        assert eg.tv_distance(a, b) == eg.tv_distance(b, a) > 0.0
+        assert np.array_equal(a.density, before[0])
+        assert np.array_equal(b.density, before[1])
+
+    def test_yielded_block_is_not_the_state(self, ou):
+        # no grid is coarser than this one, so _laws steps on it and each
+        # law it reports is also the state it steps from next
+        chain = ke.Chain(ou, 0.5, 0.5)
+        grid = eg.Grid(-6.0, 6.0, 31)
+        assert ke._coarse(chain, grid) == grid
+        want = [c.copy() for c, _ in ke._laws(chain, grid, [0.0, 1.0], [1, 2, 3])]
+        got = []
+        for columns, _ in ke._laws(chain, grid, [0.0, 1.0], [1, 2, 3]):
+            got.append(columns.copy())
+            columns[:] = 0.0  # a caller may write over its block, as _tv does
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_table_holds_one_law_block(self, bp, operators, solves):
+        # 101 starts on the 2049-node grid: a law block is 1.6 MB and the
+        # operators 0.6 MB; the table also holds the coarse laws and a few
+        # row blocks of products (0.2 MB), where a copy of the block per TV
+        # step took a second 1.6 MB
+        import tracemalloc
+        xs = np.linspace(-5.0, 5.0, 101)
+        tracemalloc.start()
+        try:
+            rep = eg.uniform_sup_tv(bp, 0.5, xs, range(1, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.m is not None  # the 2049-node grid of the bounded mean
+        block = 2049 * xs.size * 8
+        built = {key: blocks for key, blocks in operators}
+        ops = sum(b.nbytes for blocks in built.values() for _, _, b in blocks)
+        assert len(built) == 2 and ops < block
+        assert peak < ops + 1.5 * block
+
+
 class TestMinorization:
     def test_epsilon_oracle(self, smallset_ou):
         # corner infimum at |y - x/2| = 1.5: eps = 2 exp(-2.25)/sqrt(pi)

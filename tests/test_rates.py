@@ -399,6 +399,23 @@ class TestStepSizeStudy:
         kept = list(last.values())[-info.currsize:]  # what the LRU holds
         assert sum(b.nbytes for blocks in kept for _, _, b in blocks) <= 2.9 * 2 ** 20
 
+    def test_no_earlier_read_out_is_held(self, ou, operators, solves):
+        # an eta's read-out onto 2049 rows is dropped when the next eta's
+        # chain first asks, before that chain builds anything; the solve
+        # operators leave by least recent use, and none is built twice
+        import weakref
+        import emergolab.kernel as ke
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eg.step_size_study(ou, [0.5, 0.2, 0.1, 0.05], 3.0, 40, n_nodes=2049)
+        assert ke._kernel_matrix.cache_info().misses == 8
+        alive = {key: weakref.ref(blocks[0][2]) for key, blocks in operators}
+        assert len(alive) == 8
+        operators.clear()  # now only the cache holds an operator
+        held = [key for key, ref in alive.items() if ref() is not None]
+        assert len(held) == ke._kernel_matrix.cache_info().currsize == 3
+        assert [chain.eta for chain, grid, rows in held if rows != grid] == [0.05]
+
     def test_repeated_eta_rejected(self, ou, solves):
         with pytest.raises(ValueError, match="eta_list .* 0.5 repeats"):
             eg.step_size_study(ou, [0.5, 0.2, 0.5], 3.0, 10, n_nodes=257)
