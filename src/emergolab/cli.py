@@ -149,13 +149,13 @@ def _required(cfg: dict, key: str):
     return cfg["experiment"][key]
 
 
-def build_grid(cfg: dict, spec, eta) -> ke.Grid:
+def build_grid(cfg: dict, spec, eta, x0: float = 0.0) -> ke.Grid:
     from . import kernel as ke
 
     g = cfg["grid"]
     n_nodes = g.get("n_nodes", ke.Grid.n_nodes)
     if "lower" not in g and "upper" not in g:
-        return ke.default_grid(spec, eta, n_nodes=n_nodes)
+        return ke.default_grid(spec, eta, n_nodes=n_nodes, x0=x0)
     if not g.get("lower", math.inf) < g.get("upper", -math.inf):
         raise ConfigError("grid.lower and grid.upper must be given together, "
                           "with lower < upper")
@@ -321,9 +321,9 @@ def run_tv_decay(cfg, spec, out, seed, rep):
     from . import kernel as ke, rates
 
     eta = _required(cfg, "eta")
-    grid = build_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     x0 = cfg["experiment"].get("x0", 0.0)
+    grid = build_grid(cfg, spec, eta, x0)
+    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     N = cfg["experiment"].get("n_steps", 30)
     curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid, tol=tol)
     _write_curve(out / "curve_main.csv", curve, "tv-decay")

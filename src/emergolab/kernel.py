@@ -34,9 +34,13 @@ sd/2, where the trapezoid rule integrates a kernel step to about
 2*exp(-8*pi^2); each reported law is then read on the requested nodes by
 one more step (Nystrom; pi = pi P for the invariant measure).  A grid no
 finer than sd/2 is its own coarse grid.  Every propagated law comes from
-one entry, _laws, from points or from a density on any interval, and every
-TV distance from one rule, _tv, which overwrites the law block it is given
-so that a TV step holds one block.  All results carry an additive,
+one entry, _laws, from points or from a density on any interval, as a
+read-out: its rows in pieces, each row block of the read-out step built
+once, so that a caller may reduce each piece and never hold the laws of
+every start on the requested nodes.  Every TV distance comes from one
+rule, _tv, which reduces such pieces.  default_grid sizes a grid from the
+chain's own scales: the stationary bulk and ten kernel sd beyond the
+start.  All results carry an additive,
 conservative bound on the probability mass that has leaked off the grid,
 plus a bound on the quadrature mass the band drops (below 2e-16 per unit
 mass and step when the spacing is at most sd).
@@ -66,6 +70,10 @@ BAND_SD = 8.5
 # only from 460800 entries, and a 4001-node solve in arrays of 64 vectors
 # ran about a quarter slower on 2 vCPUs
 KRYLOV_CHUNK = 128
+# entries of a law's rows that a TV table reduces at a time: for one start
+# the whole law on up to 32768 nodes, in one reduction per n; for the bench's
+# 101 starts on 2049 nodes, pieces of 2**16 entries peaked 0.7 MB higher
+READ_CHUNK = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -97,10 +105,14 @@ class Grid:
         return w
 
 
-def default_grid(spec: DriftSpec, eta: float, n_nodes: int = Grid.n_nodes) -> Grid:
-    """Grid sized to cover both the return set and the stationary bulk."""
-    radius = drifts.radius_of(spec, eta)
-    half = max(4.0 * radius, _bulk_half_width(spec))
+def default_grid(spec: DriftSpec, eta: float, n_nodes: int = Grid.n_nodes,
+                 x0: float = 0.0) -> Grid:
+    """Symmetric grid on the stationary bulk +-10 sigma/sqrt(K1), widened to
+    reach 10 kernel sd (sqrt(eta)*sigma) beyond the start point x0: its
+    width follows the chain's own scales, so that it neither grows like the
+    return set's radius (like 1/eta and sigma^2) nor coarsens as eta falls."""
+    sd = math.sqrt(eta) * spec.sigma
+    half = max(_bulk_half_width(spec), abs(x0) + 10.0 * sd)
     return Grid(-half, half, n_nodes)
 
 
@@ -223,28 +235,50 @@ def _normal_pdf(d, var: float = 1.0):
     return d
 
 
-def _start_laws(grid: Grid, means, var: float, chain: Chain | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The laws N(m, var), m in means, as the columns of an (n_nodes, k)
-    array, and each column's tail bound: its exact outside mass, or the
-    trapezoid rule's shortfall from 1 where that is larger (coarse grids),
-    so that every column validates as a GridMeasure.  When the laws are the
-    first steps of chain, one whose outside mass exceeds LEAK_TOL rejects
-    the grid, as every later step does (_reject_leak), and so does a grid
-    too coarse for chain's kernel (_reject_coarse)."""
+def _start_read(grid: Grid, means, var: float, chain: Chain | None = None,
+                cap: int | None = None) -> tuple:
+    """The laws N(m, var), m in means, on grid as a read-out (pieces,
+    tails): pieces yields the rows of the (n_nodes, k) block of columns in
+    order as (lo, part), cap rows at a time (None: the whole block), and
+    tails(mass) gives each column's tail bound from its trapezoid mass: its
+    exact outside mass, or the shortfall 1 - mass where that is larger
+    (coarse grids), so that every column validates as a GridMeasure.  When
+    the laws are the first steps of chain, one whose outside mass exceeds
+    LEAK_TOL rejects the grid, as every later step does (_reject_leak), and
+    so does a grid too coarse for chain's kernel (_reject_coarse), before
+    any row is built."""
     means = np.asarray(means, dtype=float)
-    columns = _normal_pdf(grid.nodes[:, None] - means[None, :], var)
-    deficit = 1.0 - grid.weights @ columns
     outside = _outside(grid.lower, grid.upper, means, math.sqrt(var))
     if chain is not None:
         _reject_coarse(chain, grid)
         _reject_leak(chain, grid, outside, means)
-    return columns, np.maximum(outside, deficit)
+    y, cap = grid.nodes, min(cap or grid.n_nodes, grid.n_nodes)
+
+    def pieces():  # each written over the last, in one buffer
+        buf = np.empty((cap, means.size))
+        for lo in range(0, y.size, cap):
+            d = buf[:min(cap, y.size - lo)]
+            np.subtract(y[lo:lo + cap, None], means[None, :], out=d)
+            yield lo, _normal_pdf(d, var)
+    return pieces(), lambda mass: np.maximum(outside, 1.0 - mass)
+
+
+def _whole(grid: Grid, pieces, tails) -> tuple:
+    """The columns and tails of a read-out on grid made whole (cap None),
+    whose one piece is the block of columns."""
+    (_, columns), = pieces
+    return columns, tails(grid.weights @ columns)
+
+
+def _start_laws(grid: Grid, means, var: float) -> tuple[np.ndarray, np.ndarray]:
+    """The laws N(m, var), m in means, as the columns of an (n_nodes, k)
+    array, and each column's tail bound (_start_read, whole)."""
+    return _whole(grid, *_start_read(grid, means, var))
 
 
 def gaussian_on_grid(grid: Grid, mean: float, variance: float) -> GridMeasure:
     """Normal density sampled on the grid; tail bound is the exact outside
-    mass, or the trapezoid deficit where larger (see _start_laws)."""
+    mass, or the trapezoid deficit where larger (see _start_read)."""
     columns, tails = _start_laws(grid, [mean], variance)
     return GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
 
@@ -325,25 +359,43 @@ class _OperatorCache:
 _kernel_matrix = _OperatorCache(maxsize=3)
 
 
-def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
-            rows: Grid | None = None) -> np.ndarray:
-    """K @ v over the band, v on grid and the result on rows (grid when
-    None).  The blocks are cached when grid is its own coarse grid and both
-    grids have up to DENSE_MATRIX_LIMIT nodes: the solve, propagation and
-    Nystrom read-out operators, which are reused.  Otherwise, for a step
-    from a finer grid or a grid past the limit, the same blocks are built
-    one at a time and dropped, so that K is never held whole."""
+def _products(chain: Chain, grid: Grid, v: np.ndarray,
+              rows: Grid | None = None, cap: int | None = None):
+    """K @ v over the band, v on grid and the result on rows (grid when None),
+    yielded in row order as (lo, part), part the product's rows from lo on:
+    each piece gathers whole row blocks of K (_kernel_blocks) up to cap
+    rows, or is one block that alone has more (cap None: one piece, the
+    whole product), and is written over by the next.  So every block is
+    built once however many columns v has, and the pieces take one buffer.
+    The blocks are cached when grid is its own coarse grid and both grids
+    have up to DENSE_MATRIX_LIMIT nodes: the solve, propagation and Nystrom
+    read-out operators, which are reused.  Otherwise, for a step from a
+    finer grid or a grid past the limit, the same blocks are built one at a
+    time and dropped, so that K is never held whole."""
     rows = grid if rows is None else rows
     if (_coarse(chain, grid) == grid
             and max(grid.n_nodes, rows.n_nodes) <= DENSE_MATRIX_LIMIT):
         blocks = _kernel_matrix(chain, grid, rows)
     else:
         blocks = _kernel_blocks(chain, grid, rows)
-    out = np.empty((rows.n_nodes,) + v.shape[1:])
+    cap, out, fill = cap or rows.n_nodes, None, 0
     for lo, jlo, block in blocks:
         r, c = block.shape
-        out[lo:lo + r] = block @ v[jlo:jlo + c]
+        if fill and fill + r > cap:
+            yield lo - fill, out[:fill]
+            fill = 0
+        if out is None:  # one buffer, each piece written over the last
+            out = np.empty((max(cap, r),) + v.shape[1:])
+        np.matmul(block, v[jlo:jlo + c], out=out[fill:fill + r])
+        fill += r
         del block  # a streamed block is freed before the next is built
+    yield rows.n_nodes - fill, out[:fill]
+
+
+def _matvec(chain: Chain, grid: Grid, v: np.ndarray,
+            rows: Grid | None = None) -> np.ndarray:
+    """K @ v over the band, whole (_products)."""
+    (_, out), = _products(chain, grid, v, rows)
     return out
 
 
@@ -411,19 +463,23 @@ def _reject_coarse(chain: Chain, grid: Grid) -> None:
 
 
 def _step(chain: Chain, grid: Grid, density: np.ndarray, tail,
-          rows: Grid | None = None):
+          rows: Grid | None = None, cap: int | None = None) -> tuple:
     """One kernel step of a density or an (n, k) block of density columns on
-    grid, read on rows (grid when None; possibly on another interval):
-    returns the new density and tail, the tail (a float, or one per column)
-    plus each column's certified leakage and band term (see _leak).  A column
-    that leaks more than LEAK_TOL rejects the grid (_reject_leak), as does
-    either grid when too coarse for the kernel (_reject_coarse)."""
+    grid, read on rows (grid when None; possibly on another interval), as a
+    read-out (pieces, tails): pieces yields the new density's rows, clipped
+    at 0, in pieces of up to cap rows (_products), and tails(mass) gives the
+    tail (a float, or one per column) plus each column's certified leakage
+    and band term (see _leak), whatever the mass.  A column that leaks more
+    than LEAK_TOL rejects the grid (_reject_leak), as does either grid when
+    too coarse for the kernel (_reject_coarse), before any row is built."""
     _reject_coarse(chain, grid)
     _reject_coarse(chain, grid if rows is None else rows)
     leak, band = _leak(chain, grid, density, rows)
     _reject_leak(chain, grid, leak)
-    new = _matvec(chain, grid, density, rows)
-    return np.maximum(new, 0.0, out=new), tail + leak + band
+    tail = tail + leak + band
+    pieces = ((lo, np.maximum(new, 0.0, out=new))
+              for lo, new in _products(chain, grid, density, rows, cap))
+    return pieces, lambda mass: tail
 
 
 def _coarse(chain: Chain, grid: Grid) -> Grid:
@@ -434,37 +490,45 @@ def _coarse(chain: Chain, grid: Grid) -> Grid:
     return Grid(grid.lower, grid.upper, n) if n < grid.n_nodes else grid
 
 
-def _laws(chain: Chain, grid: Grid, start, n_list):
-    """Yield (columns, tails), the laws after each n of the ascending n_list
-    (all n >= 1) from start, read on grid, a column and tail per start.
-    start is an array of points, whose first laws are the exact one-step
-    Gaussians (_start_laws), or a GridMeasure, stepped from its own grid,
-    which may span another interval (nu on C).  Later steps run on
-    _coarse(chain, grid); the law after n steps is one step from the coarse
-    laws after n - 1, read on grid (Nystrom), so its node values are those
-    of a step on grid itself to the trapezoid rule's accuracy at spacing
-    sd/2.  Each step rejects a grid as _step does.  Each yielded block is
-    the caller's: it may write to it (_tv does)."""
+def _laws(chain: Chain, grid: Grid, start, n_list, chunk: int | None = None):
+    """Yield (pieces, tails), the laws after each n of the ascending n_list
+    (all n >= 1) from start, read on grid, a column per start, as read-outs:
+    pieces yields their rows in order as (lo, part), a piece of about chunk
+    entries at a time (_products; None: one piece, the whole block), each
+    written over by the next, and tails(mass) gives each column's tail bound
+    from its trapezoid mass.  start is an array of points, whose first laws
+    are the exact one-step Gaussians (_start_read), or a GridMeasure,
+    stepped from its own grid, which may span another interval (nu on C).
+    Later steps run on _coarse(chain, grid); the law after n steps is one
+    step from the coarse laws after n - 1, read on grid (Nystrom), so its
+    node values are those of a step on grid itself to the trapezoid rule's
+    accuracy at spacing sd/2, and a caller that reduces each piece holds the
+    coarse laws and one piece, never the laws on grid.  Each step rejects a
+    grid as _step does.  The rows are read-only to the caller: on a grid
+    that is its own coarse grid they are the state the next step starts
+    from."""
     coarse = _coarse(chain, grid)
     n_max = n_list[-1] if n_list else 0
     if isinstance(start, GridMeasure):
-        laws = (start.grid, start.density[:, None], start.tail_bound)
+        laws, width = (start.grid, start.density[:, None], start.tail_bound), 1
     else:
         laws, means = None, chain.mean(np.asarray(start, dtype=float))
+        width = means.size
+    cap = None if chunk is None else max(1, chunk // width)
 
-    def step(g):  # the laws after one more step, read on g
-        return _start_laws(g, means, chain.var, chain) if laws is None \
-            else _step(chain, *laws, g)
+    def step(g, cap=None):  # the read-out of the laws after one more step, on g
+        return _start_read(g, means, chain.var, chain, cap) if laws is None \
+            else _step(chain, *laws, g, cap)
     for n in range(1, n_max + 1):
         if coarse == grid:  # no coarser grid: step and report on grid
-            laws = (grid, *step(grid))
+            laws = (grid, *_whole(grid, *step(grid)))
             if n in n_list:
-                yield laws[1].copy(), laws[2]
+                yield [(0, laws[1])], lambda mass, tail=laws[2]: tail
             continue
         if n in n_list:
-            yield step(grid)  # not bound here while the next law is built
+            yield step(grid, cap)
         if n < n_max:
-            laws = (coarse, *step(coarse))
+            laws = (coarse, *_whole(coarse, *step(coarse)))
 
 
 def _step_mass(chain: Chain, grid: Grid, density: np.ndarray, a: float,
@@ -486,7 +550,8 @@ def apply_kernel(spec: DriftSpec, eta: float, xi: GridMeasure) -> GridMeasure:
     certified off-grid leakage and the mass the band drops are added to the
     tail bound; a grid that leaks more than LEAK_TOL per step is rejected
     with suggested bounds."""
-    density, tail = _step(Chain(spec, eta, eta), xi.grid, xi.density, xi.tail_bound)
+    density, tail = _whole(xi.grid, *_step(Chain(spec, eta, eta), xi.grid,
+                                           xi.density, xi.tail_bound))
     return GridMeasure(xi.grid, density, tail_bound=float(tail))
 
 
@@ -501,7 +566,7 @@ def n_step_from_point(spec: DriftSpec, eta: float, x0: float, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    columns, tails = next(_laws(Chain(spec, eta, eta), grid, [x0], [n]))
+    columns, tails = _whole(grid, *next(_laws(Chain(spec, eta, eta), grid, [x0], [n])))
     return GridMeasure(grid, columns[:, 0], tail_bound=float(tails[0]))
 
 
@@ -514,7 +579,7 @@ class InvariantResult:
 
 def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
                       tol: float = INVARIANT_TOL) -> InvariantResult:
-    """Invariant density by GMRES from N(0, 1) to an estimated TV error
+    """Invariant density by GMRES from N(0, sigma^2) to an estimated TV error
     below tol (see _gmres), on the coarse grid of grid's interval and read
     on grid by one step (see _solved); iterations counts Krylov vectors.
     The tail bound is the one-step leakage of the solved density plus the
@@ -564,25 +629,29 @@ def _solved(chain: Chain, grid: Grid, tol: float):
 
 
 def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
-    """GMRES from pi = u on (I - K + u w^T) pi = u, u the N(0, 1) start with
-    w @ u = 1 (w the trapezoid weights): the u w^T term lifts I - K's
-    eigenvalue 0 to 1 and fixes w @ pi = 1.  Classical Gram-Schmidt, twice
-    over, builds the basis in arrays of KRYLOV_CHUNK vectors, each allocated
-    when the basis reaches it, so the basis is never copied to grow; Givens
-    rotations track the residual r.  It stops once 0.5*||w||*||r|| / g_hat
-    < tol, g_hat the smallest |Ritz value| (about 1 - lambda2), computed
-    when the bound passes with the last g_hat (1 at first).  Returns pi,
-    clipped at 0, and the vector count."""
+    """GMRES from pi = u on (I - K + u w^T) pi = u, u the N(0, sigma^2) start
+    with w @ u = 1 (w the trapezoid weights; at sigma's scale the start does
+    not underflow on a grid that resolves the kernel): the u w^T term lifts
+    I - K's eigenvalue 0 to 1 and fixes w @ pi = 1.  Classical Gram-Schmidt,
+    twice over, builds the basis in arrays of KRYLOV_CHUNK vectors, each
+    allocated when the basis reaches it, so the basis is never copied to
+    grow; Givens rotations track the residual r.  It stops once
+    0.5*||w||*||r|| / g_hat < tol, g_hat the smallest |Ritz value| (about
+    1 - lambda2), computed when the bound passes with the last g_hat (1 at
+    first).  Returns pi, clipped at 0, and the vector count; a residual that
+    is not finite, or no convergence within the budget, raises
+    ConvergenceError."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
     w, n = grid.weights, grid.n_nodes
-    u = gaussian_on_grid(grid, 0.0, 1.0).density
+    u = gaussian_on_grid(grid, 0.0, chain.spec.sigma ** 2).density
     u = u / float(w @ u)
     z = _matvec(chain, grid, u) - u  # the residual at pi = u
     res = norm = beta = float(np.linalg.norm(z))
     scale, gap, cols, rots = 0.5 * float(np.linalg.norm(w)), 1.0, [], []
-    budget = min(MAX_ITERS, 2 ** 23 // n)  # a basis under 64 MB
+    # a basis under 64 MB, and no more vectors than the space has
+    budget = min(MAX_ITERS, 2 ** 23 // n, n)
     chunks = []  # the basis, KRYLOV_CHUNK vectors to an array
     for k in range(budget):
         i = k % KRYLOV_CHUNK
@@ -603,6 +672,9 @@ def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
         rots.append(h[k:] / math.hypot(h[k], h[k + 1]))
         res *= abs(rots[-1][1])
+        if not math.isfinite(res):
+            raise ConvergenceError(f"GMRES residual {res!r} is not finite after {k + 1} "
+                                   "Krylov vectors", residual_bound=scale * res)
         if scale * res < tol * gap:
             hess = np.column_stack([np.pad(c, (0, k - j)) for j, c in enumerate(cols)])
             gap = float(np.min(np.abs(np.linalg.eigvals(hess[:-1]))))
@@ -622,21 +694,30 @@ def _combine(coef: np.ndarray, chunks: list) -> np.ndarray:
     return out
 
 
-def _tv(laws: np.ndarray, density: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The package's one TV rule: 0.5 * |p - q| @ w for each column p of the
-    (n, k) block laws against q = density, w the trapezoid weights, capped
-    at 1 (rounding can pass it).  |p - q| is written over laws, so a caller
-    passes a block of its own, and no second array of its size is held;
-    the sum is halved after the product."""
-    np.subtract(laws, density[:, None], out=laws)
-    return np.minimum(0.5 * (np.abs(laws, out=laws).T @ w), 1.0)
+def _tv(pieces, density: np.ndarray, w: np.ndarray) -> tuple:
+    """The package's one TV rule, with each column's mass: for the laws
+    whose rows pieces yields as (lo, part) (_laws), each column p's
+    trapezoid mass w @ p and its TV distance 0.5 * |p - q| @ w from
+    q = density, capped at 1 (rounding can pass it), w the trapezoid
+    weights.  Both are summed one piece at a time, so only a piece's
+    |p - q| is held, and the sum is halved after the product."""
+    mass = dist = 0.0
+    buf = np.empty(0)
+    for lo, p in pieces:
+        hi = lo + p.shape[0]
+        if buf.size < p.size:  # |p - q| of each piece in one buffer
+            buf = np.empty(p.size)
+        d = np.subtract(p, density[lo:hi, None], out=buf[:p.size].reshape(p.shape))
+        mass = mass + w[lo:hi] @ p
+        dist = dist + np.abs(d, out=d).T @ w[lo:hi]
+    return mass, np.minimum(0.5 * dist, 1.0)
 
 
 def tv_distance(a: GridMeasure, b: GridMeasure) -> float:
     """Half the integrated absolute density difference, at most 1 (_tv)."""
     if a.grid != b.grid:
         raise ValueError("measures live on different grids")
-    return float(_tv(a.density[:, None].copy(), b.density, a.grid.weights)[0])
+    return float(_tv([(0, a.density[:, None])], b.density, a.grid.weights)[1][0])
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,15 @@ def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasur
     """Quadrature decay curve from a point mass or a density.
 
     A density is stepped from the grid it lives on, and grid (that grid when
-    None) must be it.  The curve is the one-start read of the TV table that
+    None) must be it; a point's grid is default_grid(spec, eta, x0=initial)
+    when None.  The curve is the one-start read of the TV table that
     uniform_sup_tv reads for many starts (_tv_table).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     measure = isinstance(initial, GridMeasure)
     if grid is None:
-        grid = initial.grid if measure else ke.default_grid(spec, eta)
+        grid = initial.grid if measure else ke.default_grid(spec, eta, x0=float(initial))
     elif measure and grid != initial.grid:
         raise ValueError(f"the initial measure lives on {initial.grid!r}, "
                          f"not on grid={grid!r}")
@@ -69,14 +70,15 @@ def _tv_table(chain: ke.Chain, grid: Grid, start, n_list, pi: GridMeasure):
     """Yield (tv, tail) after each n of the ascending n_list (n >= 1), one
     entry per start: the TV distance from pi (kernel._tv) of its law after
     n steps (kernel._laws), and that distance's off-grid bound 0.5*(tail +
-    pi.tail_bound).  Each law's mass is checked as a GridMeasure's is.  One
-    law block is held at a time: it is dropped before the next is built."""
-    w = grid.weights
-    for columns, tails in ke._laws(chain, grid, start, n_list):
-        ke._check_mass(w @ columns, tails)
-        tv = ke._tv(columns, pi.density, w)
-        del columns
-        yield tv, 0.5 * (tails + pi.tail_bound)
+    pi.tail_bound).  Each law's mass is checked as a GridMeasure's is.  The
+    laws are reduced one piece of rows at a time, about kernel.READ_CHUNK
+    entries, so the table holds the coarse laws and one piece, never the
+    laws of every start on grid."""
+    for pieces, tails in ke._laws(chain, grid, start, n_list, ke.READ_CHUNK):
+        mass, tv = ke._tv(pieces, pi.density, grid.weights)
+        tail = tails(mass)
+        ke._check_mass(mass, tail)
+        yield tv, 0.5 * (tail + pi.tail_bound)
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
                     grid: Optional[Grid] = None) -> list[StudyRow]:
     """Per-step and per-unit-time fitted rates across step sizes, each curve
     read on grid (None: a density initial's grid, else default_grid(spec,
-    eta, n_nodes) per eta).  The table juxtaposes delta_hat(eta); no
+    eta, n_nodes, x0=initial) per eta).  The table juxtaposes delta_hat(eta); no
     equality claim across eta is made.  Rows where the curve floors
     immediately carry delta_hat None, a per-unit-time rate past the float
     range reads inf, and rows with no Doeblin mass, or one underflowed to
@@ -234,7 +236,7 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
     rows = []
     for eta in _distinct(eta_list, "eta_list"):
         g = grid if grid is not None or isinstance(initial, GridMeasure) \
-            else ke.default_grid(spec, eta, n_nodes=n_nodes)
+            else ke.default_grid(spec, eta, n_nodes=n_nodes, x0=float(initial))
         curve = tv_decay_curve(spec, eta, initial, N, grid=g, tol=tol)
         try:
             delta_hat = fit_geometric_rate(curve).delta_hat

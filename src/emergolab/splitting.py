@@ -284,7 +284,8 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     lo, hi = smallset.c_lower, smallset.c_upper
     nu = GridMeasure(c, np.full(c.n_nodes, 1.0 / smallset.length))
     exact_by_k = {1: eps, 2: eps * _step_mass(chain, c, nu.density, lo, hi)}
-    for k, (columns, _) in enumerate(_laws(chain, grid, nu, range(1, max(ks) - 1)), 3):
+    for k, (pieces, _) in enumerate(_laws(chain, grid, nu, range(1, max(ks) - 1)), 3):
+        (_, columns), = pieces  # grid is its own coarse grid: one piece
         exact_by_k[k] = eps * _step_mass(chain, grid, columns[:, 0], lo, hi)
 
     out = []

@@ -149,3 +149,61 @@ def test_11_determinism(tmp_path):
                   "config.resolved.ini"):
         ok &= ((runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes())
     report("determinism", ok)
+
+
+def normal_tv(m1, v1, m2, v2):
+    """Closed-form TV distance of N(m1, v1) and N(m2, v2): the densities
+    cross where a quadratic in x vanishes, and between its roots the sign of
+    p1 - p2 is fixed, so TV is half the sum of |P1(I) - P2(I)| over the
+    pieces I.  The roots come from the cancellation-free quadratic formula."""
+    a = 0.5 / v2 - 0.5 / v1
+    b = m1 / v1 - m2 / v2
+    c = 0.5 * m2 * m2 / v2 - 0.5 * m1 * m1 / v1 + 0.5 * math.log(v2 / v1)
+    if a == 0.0:
+        roots = [] if b == 0.0 else [-c / b]
+    elif b * b < 4.0 * a * c:
+        roots = []
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        roots = sorted([q / a, c / q] if q else [0.0])
+    edges = [-math.inf, *roots, math.inf]
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    return 0.5 * sum(abs((norm.cdf(hi, m1, s1) - norm.cdf(lo, m1, s1))
+                         - (norm.cdf(hi, m2, s2) - norm.cdf(lo, m2, s2)))
+                     for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def test_12_decay_curves_on_default_grids(ou):
+    # OU from x0 = 3: P^n(x0, .) = N(a^n x0, v (1 - a^(2n))) and pi = N(0, v),
+    # a = 1 - eta; default grids sized from the bulk and the start keep
+    # their spacing, and so the reported TV within 1e-5, as eta falls
+    x0, ns = 3.0, np.arange(1, 41)
+    curves = [row.curve for row in eg.step_size_study(ou, [0.5, 0.1, 0.05], x0,
+                                                       ns.size, n_nodes=2049)]
+    curves.append(eg.tv_decay_curve(ou, 0.02, x0, ns.size))  # 4097 nodes
+    worst = 0.0
+    for curve in curves:
+        a = 1.0 - curve.eta
+        v = curve.eta / (1.0 - a * a)
+        exact = [normal_tv(a ** n * x0, v * (1.0 - a ** (2 * n)), 0.0, v) for n in ns]
+        worst = max(worst, float(np.max(np.abs(curve.values - exact))))
+    report("decay-curves-on-default-grids", worst <= 1e-5)
+
+
+@pytest.mark.parametrize("sigma, eta", [(1.0, 0.005), (1000.0, 0.5)])
+def test_13_defaults_at_small_eta_and_large_sigma(tmp_path, sigma, eta):
+    # no [grid]: the default grid follows the bulk and the kernel sd, not
+    # the return set, whose radius grows like 1/eta and sigma^2
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[drift]\nkind = ou\nsigma = {sigma!r}\n[experiment]\n"
+                   f"eta = {eta!r}\neta_list = {eta!r}\n")
+    ok = True
+    for sub in ("invariant", "tv-decay", "study") if sigma == 1.0 else ("invariant",):
+        out = tmp_path / sub
+        ok &= cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (tmp_path / "invariant" / "report.txt").read_text().splitlines()
+    variance = float(next(l for l in lines if l.startswith("variance=")).partition("=")[2])
+    exact = eta * sigma ** 2 / (1.0 - (1.0 - eta) ** 2)
+    ok &= abs(variance - exact) <= 1e-6 * exact
+    ok &= "check:fixed_point=PASS" in lines
+    report(f"defaults-sigma-{sigma!r}-eta-{eta!r}", ok)

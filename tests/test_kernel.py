@@ -221,7 +221,7 @@ class TestBand:
 
     def test_cached_operator_is_banded(self, ou):
         import emergolab.kernel as ke
-        grid = eg.default_grid(ou, 0.1, n_nodes=2049)
+        grid = eg.Grid(-46.4, 46.4, 2049)  # its own coarse grid at eta = 0.1
         blocks = ke._kernel_matrix(ke.Chain(ou, 0.1, 0.1), grid)
         assert sum(block.size for _, _, block in blocks) < 0.2 * grid.n_nodes ** 2
 
@@ -599,6 +599,45 @@ class TestInvariantMeasure:
             ke._solved.cache_clear()  # keep the cut-short failure out
         assert err.value.residual_bound > 0
 
+    def test_start_at_sigma_scale(self, monkeypatch):
+        # sigma = 1000: the solve grid has 58 nodes at spacing 353, where an
+        # N(0, 1) start is 0 at every node; the N(0, sigma^2) start converges
+        # well inside a budget of 200 (v = eta sigma^2 / (1 - (1 - eta)^2))
+        monkeypatch.setattr(ke, "MAX_ITERS", 200)
+        ke._solved.cache_clear()
+        try:
+            with pytest.warns(UserWarning, match="lambda"):
+                res = eg.invariant_measure(eg.ornstein_uhlenbeck(sigma=1000.0), 0.5,
+                                           eg.Grid(-1e4, 1e4, 4097))
+        finally:
+            ke._solved.cache_clear()
+        assert res.solve_nodes == 58 and res.iterations <= 8
+        assert res.measure.variance() == pytest.approx(0.5e6 / 0.75, rel=1e-6)
+
+    def test_non_finite_residual_raises(self, ou, monkeypatch):
+        # a grid that misses the start's bulk: the start is 0 everywhere and
+        # the residual NaN, which stops the solve at once, not at the budget
+        # (cut to 200 so that a solve that runs on fails fast)
+        from emergolab.errors import ConvergenceError
+        monkeypatch.setattr(ke, "MAX_ITERS", 200)
+        ke._solved.cache_clear()
+        try:
+            with pytest.warns(RuntimeWarning, match="invalid value"), \
+                    pytest.raises(ConvergenceError, match="not finite after 1 Krylov"):
+                eg.invariant_measure(ou, 0.1, eg.Grid(100.0, 200.0, 1025))
+        finally:
+            ke._solved.cache_clear()
+
+    def test_budget_is_the_node_count(self, ou, monkeypatch):
+        # no more Krylov vectors than the space has, however small tol is
+        from emergolab.errors import ConvergenceError
+        monkeypatch.setattr(ke, "MAX_ITERS", 200)
+        chain = ke.Chain(ou, 0.5, 0.5)
+        grid = eg.Grid(-6.0, 6.0, 31)
+        assert ke._coarse(chain, grid) == grid
+        with pytest.raises(ConvergenceError, match="in 31 Krylov vectors"):
+            ke._gmres(chain, grid, 1e-300)
+
 
 class TestTvDistance:
     def test_clipped_at_one(self):
@@ -643,8 +682,8 @@ class TestTvDistance:
 
 
 class TestTvInPlace:
-    """_tv writes |p - q| over the law block it is given, so every block it
-    gets is its caller's own."""
+    """_tv writes to nothing it is given, and a TV table holds at most one
+    law block."""
 
     def test_tv_distance_writes_neither_measure(self, ou, grid12):
         a = gaussian_on_grid(grid12, -1.0, 1.0)
@@ -653,19 +692,6 @@ class TestTvInPlace:
         assert eg.tv_distance(a, b) == eg.tv_distance(b, a) > 0.0
         assert np.array_equal(a.density, before[0])
         assert np.array_equal(b.density, before[1])
-
-    def test_yielded_block_is_not_the_state(self, ou):
-        # no grid is coarser than this one, so _laws steps on it and each
-        # law it reports is also the state it steps from next
-        chain = ke.Chain(ou, 0.5, 0.5)
-        grid = eg.Grid(-6.0, 6.0, 31)
-        assert ke._coarse(chain, grid) == grid
-        want = [c.copy() for c, _ in ke._laws(chain, grid, [0.0, 1.0], [1, 2, 3])]
-        got = []
-        for columns, _ in ke._laws(chain, grid, [0.0, 1.0], [1, 2, 3]):
-            got.append(columns.copy())
-            columns[:] = 0.0  # a caller may write over its block, as _tv does
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_table_holds_one_law_block(self, bp, operators, solves):
         # 101 starts on the 2049-node grid: a law block is 1.6 MB and the
@@ -686,6 +712,83 @@ class TestTvInPlace:
         ops = sum(b.nbytes for blocks in built.values() for _, _, b in blocks)
         assert len(built) == 2 and ops < block
         assert peak < ops + 1.5 * block
+
+
+class TestRowPieces:
+    """A TV table reduces each law one piece of rows at a time: every row
+    block of the read-out is built once per n, whatever the number of
+    starts, and the laws of every start on the requested grid are never
+    held."""
+
+    ou = eg.ornstein_uhlenbeck(kappa=0.5)  # the EM chain itself, unbounded
+
+    @pytest.mark.parametrize("chunk", [7 * 50, 7 * 300, 2 ** 15])
+    def test_table_matches_whole_laws(self, monkeypatch, chunk):
+        # pieces of one 128-row block (50 rows asked), of two blocks, and
+        # of the whole law, against each start's law held whole
+        import emergolab.rates as ra
+        eta, grid = 0.1, eg.Grid(-15.0, 15.0, 2049)
+        chain = ke.Chain(self.ou, eta, eta)
+        assert ke._coarse(chain, grid) != grid
+        pi = eg.invariant_measure(self.ou, eta, grid).measure
+        xs, ns = np.linspace(-4.0, 4.0, 7), [1, 2, 5]
+        monkeypatch.setattr(ke, "READ_CHUNK", chunk)
+        for n, (tv, tail) in zip(ns, ra._tv_table(chain, grid, xs, ns, pi)):
+            for x, d, t in zip(xs, tv, tail):
+                law = eg.n_step_from_point(self.ou, eta, x, n, grid)
+                assert d == pytest.approx(eg.tv_distance(law, pi), rel=0, abs=1e-15)
+                # the first law's tail is its trapezoid deficit, rounding
+                # noise that a sum over more columns or pieces rounds anew
+                assert t == pytest.approx(0.5 * (law.tail_bound + pi.tail_bound),
+                                          rel=1e-12, abs=1e-15)
+
+    def test_each_row_block_built_once_per_n(self, monkeypatch):
+        # every step streams; 40 starts in pieces of a few rows build the
+        # same blocks as one start (a table chunked by columns would build
+        # the read-out once per chunk)
+        import emergolab.rates as ra
+        eta, grid = 0.1, eg.Grid(-15.0, 15.0, 2049)
+        chain = ke.Chain(self.ou, eta, eta)
+        pi = eg.invariant_measure(self.ou, eta, grid).measure
+        monkeypatch.setattr(ke, "DENSE_MATRIX_LIMIT", 1)
+        monkeypatch.setattr(ke, "READ_CHUNK", 64)
+        built, real = [], ke._kernel_blocks
+
+        def counting(*args):
+            for lo, jlo, block in real(*args):
+                built.append((args[1].n_nodes, args[2].n_nodes, lo))
+                yield lo, jlo, block
+        monkeypatch.setattr(ke, "_kernel_blocks", counting)
+        runs = []
+        for xs in ([0.0], np.linspace(-4.0, 4.0, 40)):
+            built.clear()
+            list(ra._tv_table(chain, grid, xs, [1, 2, 3], pi))
+            runs.append(sorted(built))
+        assert runs[0] == runs[1]
+        # each block once per n: the read-out at n = 2 and 3, the coarse
+        # step once
+        counts = {key: runs[1].count(key) for key in runs[1]}
+        assert sorted(set(counts.values())) == [1, 2]
+        assert all(rows == 2049 for (_, rows, _), c in counts.items() if c == 2)
+
+    def test_table_holds_one_piece(self, bp, operators, solves):
+        # 201 starts on 8193 nodes: the laws of every start would take
+        # 12.6 MB; the table holds the operators (2 MB), the coarse laws
+        # and a piece or two of READ_CHUNK entries
+        import tracemalloc
+        xs = np.linspace(-5.0, 5.0, 201)
+        grid = eg.Grid(-12.0, 12.0, 8193)
+        eg.uniform_sup_tv(bp, 0.5, xs, [1], grid=grid)  # the solve, outside
+        operators.clear()
+        tracemalloc.start()
+        try:
+            eg.uniform_sup_tv(bp, 0.5, xs, range(1, 11), grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        built = {key: blocks for key, blocks in operators}
+        ops = sum(b.nbytes for blocks in built.values() for _, _, b in blocks)
+        assert peak < ops + 1.5 * 2 ** 20 < 0.35 * 8193 * xs.size * 8
 
 
 class TestMinorization:
@@ -782,11 +885,18 @@ def test_epsilon_below_two_phi_one(kind, eta, c_lower, length):
 
 
 class TestDefaultGrid:
-    def test_covers_return_set(self, ou):
-        g = eg.default_grid(ou, 0.1)
-        r = eg.drifts.radius_of(ou, 0.1)
-        assert g.upper >= 4 * r
-        assert g.lower == -g.upper
+    def test_covers_bulk_and_start(self):
+        # the stationary bulk +-10 sigma/sqrt(K1) and 10 kernel sd beyond
+        # the start, symmetrically, and no wider: not the return set, whose
+        # radius grows like 1/eta and sigma^2
+        for sigma, eta, x0 in ((1.0, 0.1, 0.0), (1.0, 0.5, 3.0), (1.0, 0.005, -30.0),
+                               (1000.0, 0.5, 0.0), (0.01, 0.5, 2.0)):
+            spec = eg.ornstein_uhlenbeck(kappa=2.0, sigma=sigma)
+            g = eg.default_grid(spec, eta, n_nodes=513, x0=x0)
+            want = max(10.0 * sigma / math.sqrt(2.0),
+                       abs(x0) + 10.0 * math.sqrt(eta) * sigma)
+            assert (g.lower, g.upper, g.n_nodes) == (-want, want, 513)
+            assert eg.default_grid(spec, eta) == eg.default_grid(spec, eta, x0=0.0)
 
 
 class TestResolutionGrid:

@@ -384,7 +384,9 @@ class TestStepSizeStudy:
         # the study of the cli benchmark: per eta, the solve operator of the
         # sd/2 grid and its read-out onto 2049 rows (8 in all), each built
         # once; an eta's operators are dead once its curve ends, so the
-        # cache holds at most 3 (all 8 took 4.7 MB, these 2.9 MB)
+        # cache holds at most 3, read by weak reference (0.82 MB on the
+        # default grids of the bulk and the start)
+        import weakref
         import emergolab.kernel as ke
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -392,12 +394,12 @@ class TestStepSizeStudy:
         info = ke._kernel_matrix.cache_info()
         assert info.misses == len({key for key, _ in operators}) == 8
         assert info.currsize <= 3
-        last = {}  # each operator by its latest request, in that order
-        for key, blocks in operators:
-            last.pop(key, None)
-            last[key] = blocks
-        kept = list(last.values())[-info.currsize:]  # what the LRU holds
-        assert sum(b.nbytes for blocks in kept for _, _, b in blocks) <= 2.9 * 2 ** 20
+        size = {key: sum(b.nbytes for _, _, b in blocks) for key, blocks in operators}
+        alive = {key: weakref.ref(blocks[0][2]) for key, blocks in operators}
+        operators.clear()  # now only the cache holds an operator
+        held = [size[key] for key, ref in alive.items() if ref() is not None]
+        assert len(held) == info.currsize
+        assert sum(held) <= 1.0 * 2 ** 20
 
     def test_no_earlier_read_out_is_held(self, ou, operators, solves):
         # an eta's read-out onto 2049 rows is dropped when the next eta's
