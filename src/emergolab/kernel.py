@@ -646,7 +646,11 @@ def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
     _reject_coarse(chain, grid)
     w, n = grid.weights, grid.n_nodes
     u = gaussian_on_grid(grid, 0.0, chain.spec.sigma ** 2).density
-    u = u / float(w @ u)
+    mass = float(w @ u)
+    if not mass > 0.0:
+        raise ConvergenceError("the N(0, sigma^2) start has no mass: the grid "
+                               "misses the chain's bulk")
+    u = u / mass
     z = _matvec(chain, grid, u) - u  # the residual at pi = u
     res = norm = beta = float(np.linalg.norm(z))
     scale, gap, cols, rots = 0.5 * float(np.linalg.norm(w)), 1.0, [], []

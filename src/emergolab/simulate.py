@@ -9,15 +9,18 @@ regardless of scheduling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .drifts import DriftSpec
-from .kernel import Chain, GridMeasure
+from .drifts import Chain, DriftSpec
 
-Initial = Union[float, GridMeasure]
+if TYPE_CHECKING:  # only a measure start needs the quadrature layer
+    from .kernel import GridMeasure
+
+Initial = Union[float, "GridMeasure"]
 PATH_CHUNK = 1024
 
 
@@ -36,9 +39,9 @@ class PathConfig:
 
 
 def _initial_states(x0: Initial, n: int, rng) -> np.ndarray:
-    if isinstance(x0, GridMeasure):
-        return x0.sample(n, rng)
-    return np.full(n, float(x0))
+    if isinstance(x0, numbers.Real):
+        return np.full(n, float(x0))
+    return x0.sample(n, rng)  # a GridMeasure
 
 
 def sample_paths(spec: DriftSpec, config: PathConfig, n_paths: int) -> np.ndarray:

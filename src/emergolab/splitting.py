@@ -24,8 +24,13 @@ N_BATCHES = 30
 # half-width factor of the 95 % batch-means interval.  Change it with N_BATCHES.
 T_975 = 2.045229642132703
 # split chains per chunk of atom_return_check's ensemble: (k_max + 1) rows
-# of 9 bytes per chain, about 1.3 MB per chunk at k_max = 8
+# of 9 bytes per chain, and one step's draws (z, u, b, r and the bits) of
+# 33 bytes per chain, about 1.9 MB per chunk at k_max = 8
 MC_CHUNK = 2 ** 14
+# chain-steps per block of the split chain's draw schedule (_step_draws):
+# one chain draws STEP_DRAWS steps at a time, an ensemble of n chains
+# STEP_DRAWS // n steps (at least one)
+STEP_DRAWS = 4096
 
 
 def resolve_split_epsilon(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
@@ -62,7 +67,8 @@ def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
     """Vectorized rejection sampler for the residual kernel on C.
 
     Proposes one EM step and accepts with probability 1 - eps*nu(y)/p(x,y);
-    the acceptance rate is exactly 1 - eps.  A proposal with p < eps*nu
+    the acceptance rate is exactly 1 - eps.  Each round draws a normal, then
+    a uniform, for every pending chain.  A proposal with p < eps*nu
     indicates a wrong eps and raises.
     """
     mean = chain.mean(x)
@@ -83,71 +89,110 @@ def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
     return out
 
 
-def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
-               x: np.ndarray, d: np.ndarray, rng) -> np.ndarray:
-    """x-update of the split kernel for a whole ensemble.
+def _step_draws(chain: Chain, smallset: SmallSetSpec, eps: float,
+                n_steps: int, n_chains: int, rng):
+    """The split kernel's draw schedule: blocks (z, u, r, bits), each of
+    shape (steps, n_chains), steps = max(1, STEP_DRAWS // n_chains).
 
-    Groups are processed in a fixed order (atom, residual, off-C) so the
-    stream of random draws is deterministic for a given rng state.
+    Every chain takes one normal z, one uniform u and one bit-uniform b per
+    step; a block draws its normals, then its uniforms, then its
+    bit-uniforms.  r is a residual step's rejection ratio
+    eps*nu/p(x, y) = eps*sd*nu/phi(z) for a y in C, where u falls below it,
+    and 0 where the proposal is kept; bits is the next step's d = (b < eps).
+    A block is drawn only once the previous one is used up, so the
+    proposals that a block rejects re-propose (_residual_draws) from the
+    stream before the next block is drawn.
     """
-    in_c = np.asarray(smallset.contains(x))
-    new = np.empty_like(x)
-    m_atom = in_c & (d == 1)
-    m_res = in_c & (d == 0)
-    m_out = ~in_c
-    if m_atom.any():
-        new[m_atom] = sample_nu(smallset, rng, size=int(m_atom.sum()))
-    if m_res.any():
-        new[m_res] = _residual_draws(chain, x[m_res], smallset, eps, rng)
-    if m_out.any():
-        new[m_out] = chain.step(x[m_out], rng.standard_normal(int(m_out.sum())))
+    c = eps * chain.sd * (1.0 / smallset.length)
+    steps = max(1, STEP_DRAWS // n_chains)
+    for start in range(0, n_steps, steps):
+        shape = (min(steps, n_steps - start), n_chains)
+        z, u, b = (rng.standard_normal(shape), rng.random(shape),
+                   rng.random(shape))
+        r = _normal_pdf(z.copy())
+        np.divide(c, r, out=r)
+        r *= u < r
+        yield z, u, r, (b < eps).view(np.int8)
+
+
+def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
+               x: np.ndarray, d: np.ndarray, z: np.ndarray, u: np.ndarray,
+               r: np.ndarray, rng) -> np.ndarray:
+    """x-update of the split kernel for a whole ensemble, from one step's
+    draws of _step_draws.
+
+    Every chain proposes y = mean(x) + sd*z.  Off C, x' = y; at the atom
+    (x in C, d = 1), x' = lo + (hi - lo)*u; on the residual side (x in C,
+    d = 0) y is kept unless it lies in C and r > 0.  Only those rejected
+    proposals are gathered, and _residual_draws re-proposes them in chain
+    order.
+    """
+    lo, hi = smallset.c_lower, smallset.c_upper
+    y = chain.step(x, z)
+    in_c = (x >= lo) & (x <= hi)
+    new = np.where(in_c & (d == 1), lo + (hi - lo) * u, y)
+    rejected = np.flatnonzero(r > 0.0)
+    y_r = y[rejected]
+    rejected = rejected[in_c[rejected] & (d[rejected] == 0)
+                        & (y_r >= lo) & (y_r <= hi)]
+    if rejected.size:
+        # u < 1, so every ratio above 1 is a rejected one
+        if r[rejected].max() > 1.0 + 1e-12:
+            raise MinorizationError(_EPS_TOO_LARGE)
+        new[rejected] = _residual_draws(chain, x[rejected], smallset, eps, rng)
     return new
 
 
-def _residual_draw(chain: Chain, x: float, smallset: SmallSetSpec,
-                   eps: float, rng) -> float:
-    """_residual_draws for one Python float x, on floats."""
-    lo, hi = smallset.c_lower, smallset.c_upper
-    nu = 1.0 / smallset.length
-    mean, sd = chain.mean(x), chain.sd
-    while True:
-        z = rng.standard_normal()
-        y = mean + sd * z
-        ratio = eps * sd * (nu if lo <= y <= hi else 0.0) / _normal_pdf(z)
-        if ratio > 1.0 + 1e-12:
-            raise MinorizationError(_EPS_TOO_LARGE)
-        if rng.random() >= ratio:
-            return y
-
-
 def _split_path(chain: Chain, smallset: SmallSetSpec, eps: float, x: float,
-                d: int, n_steps: int, rng) -> tuple[list, list]:
-    """One split chain from (x, d) stepped on Python floats: the lists
+                d: int, n_steps: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One split chain from (x, d) stepped on Python floats: the arrays
     x_0..x_n and d_0..d_n.
 
     A single chain makes the array bookkeeping of split_ensemble cost more
-    than its arithmetic, so it gets this loop.  It draws the stream that
-    split_ensemble draws for one replicate, in the same order: an atom step
-    is one uniform on C, a residual proposal a normal then a uniform, an
-    off-C step one normal, and every step ends with its Bernoulli(eps) bit.
-    The residual ratio takes phi from libm exp, which can differ from
-    numpy's by an ulp; an acceptance could only differ if the uniform fell
-    in that ulp.
+    than its arithmetic, so it gets this loop over each block's tolist().
+    It consumes the draw schedule of a one-replicate split_ensemble
+    (_step_draws) and applies the same rule, so the two agree bit for bit,
+    generator state included.  A rejected proposal re-proposes as
+    _residual_draws does for one chain, a normal then a uniform per round;
+    its ratio takes phi from libm exp, which can differ from numpy's by an
+    ulp, so an acceptance could only differ if the uniform fell in that ulp.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     lo, hi = smallset.c_lower, smallset.c_upper
-    xs, ds = [x], [d]
-    for _ in range(n_steps):
-        if not lo <= x <= hi:
-            x = chain.step(x, rng.standard_normal())
-        elif d:
-            x = rng.uniform(lo, hi)
-        else:
-            x = _residual_draw(chain, x, smallset, eps, rng)
-        d = int(rng.random() < eps)
-        xs.append(x)
-        ds.append(d)
+    span, sd, mean = hi - lo, chain.sd, chain.mean
+    c = eps * sd * (1.0 / smallset.length)
+    xs, ds = np.empty(n_steps + 1), np.empty(n_steps + 1, dtype=np.int8)
+    xs[0], ds[0] = x, d
+    t = 1
+    for zs, us, rs, bits in _step_draws(chain, smallset, eps, n_steps, 1, rng):
+        k = bits.shape[0]
+        ds[t:t + k] = bits[:, 0]
+        block = []
+        for z, u, r, d_next in zip(zs[:, 0].tolist(), us[:, 0].tolist(),
+                                   rs[:, 0].tolist(), bits[:, 0].tolist()):
+            if not lo <= x <= hi:
+                x = mean(x) + sd * z
+            elif d:
+                x = lo + span * u
+            else:
+                m = mean(x)
+                x = m + sd * z
+                if r and lo <= x <= hi:
+                    if r > 1.0 + 1e-12:
+                        raise MinorizationError(_EPS_TOO_LARGE)
+                    while True:
+                        z = rng.standard_normal()
+                        x = m + sd * z
+                        ratio = c / _normal_pdf(z) if lo <= x <= hi else 0.0
+                        if ratio > 1.0 + 1e-12:
+                            raise MinorizationError(_EPS_TOO_LARGE)
+                        if rng.random() >= ratio:
+                            break
+            d = d_next
+            block.append(x)
+        xs[t:t + k] = block
+        t += k
     return xs, ds
 
 
@@ -189,17 +234,17 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
               ) -> RegenerationBlocks:
     """Simulate one split-chain trajectory of n_steps transitions.
 
-    Steps on Python floats (_split_path) and draws the same stream as a
-    one-replicate split_ensemble run.  x0 may be a float or a GridMeasure
-    (one draw); d0 defaults to a Bernoulli(eps) draw, matching an initial
-    law xi (x) b_eps.
+    Steps on Python floats (_split_path) over the draw schedule of
+    _step_draws, in blocks of STEP_DRAWS steps, and equals a one-replicate
+    split_ensemble run bit for bit, generator state included.  x0 may be a
+    float or a GridMeasure (one draw); d0 defaults to a Bernoulli(eps) draw,
+    matching an initial law xi (x) b_eps.
     """
     if eps is None:
         eps = resolve_split_epsilon(spec, eta, smallset)
     x = float(x0.sample(1, rng)[0]) if isinstance(x0, GridMeasure) else float(x0)
     d = int(rng.random() < eps) if d0 is None else int(_initial_bits(d0))
     xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, x, d, n_steps, rng)
-    xs, ds = np.array(xs), np.array(ds, dtype=np.int8)
     in_c = np.asarray(smallset.contains(xs))
     visits = np.flatnonzero(in_c & (ds == 1))
     return RegenerationBlocks(xs=xs, ds=ds, in_c=in_c, atom_visit_times=visits)
@@ -212,7 +257,10 @@ def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Many independent split chains advanced in lockstep.
 
-    Returns (xs, ds) with shape (n_steps + 1, n_replicates).
+    The chains consume the draw schedule of _step_draws, in blocks of
+    max(1, STEP_DRAWS // n_replicates) steps, and each step is one
+    _advance_x over all of them.  Returns (xs, ds) with shape
+    (n_steps + 1, n_replicates).
     """
     if eps is None:
         eps = resolve_split_epsilon(spec, eta, smallset)
@@ -224,9 +272,13 @@ def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     ds[0] = (rng.uniform(size=n) < eps).astype(np.int8) if d0 is None \
         else _initial_bits(d0)
     chain = Chain(spec, eta, eta)
-    for t in range(1, n_steps + 1):
-        xs[t] = _advance_x(chain, smallset, eps, xs[t - 1], ds[t - 1], rng)
-        ds[t] = (rng.uniform(size=n) < eps).astype(np.int8)
+    t = 0
+    for z, u, r, bits in _step_draws(chain, smallset, eps, n_steps, n, rng):
+        ds[t + 1:t + 1 + bits.shape[0]] = bits
+        for z_t, u_t, r_t in zip(z, u, r):
+            xs[t + 1] = _advance_x(chain, smallset, eps, xs[t], ds[t], z_t,
+                                   u_t, r_t, rng)
+            t += 1
     return xs, ds
 
 

@@ -762,6 +762,18 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     assert not loaded["study"] & {"emergolab.simulate", "emergolab.splitting"}
 
 
+def test_return_times_loads_no_quadrature_layer(tmp_path):
+    # a point start needs only the EM chain, not kernel's grids and measures
+    cfg = write_config(tmp_path / "r.ini", "[drift]\nkind = ou\n[experiment]\n"
+                       "eta = 0.1\nn_rep = 200\nhorizon = 1000\n")
+    argvs = [("return-times", ["return-times", "--config", cfg,
+                               "--out", str(tmp_path / "r")])]
+    steps = json.loads(_fresh_python(_IMPORT_STEPS, json.dumps(argvs)))
+    status, modules = steps["return-times"]
+    assert status == 0
+    assert set(modules) & LAYERS == {"emergolab.drifts", "emergolab.simulate"}
+
+
 def test_package_namespace_matches_its_modules():
     star = {}
     exec("from emergolab import *", star)

@@ -615,16 +615,18 @@ class TestInvariantMeasure:
         assert res.measure.variance() == pytest.approx(0.5e6 / 0.75, rel=1e-6)
 
     def test_non_finite_residual_raises(self, ou, monkeypatch):
-        # a grid that misses the start's bulk: the start is 0 everywhere and
-        # the residual NaN, which stops the solve at once, not at the budget
-        # (cut to 200 so that a solve that runs on fails fast)
+        # a grid that misses the start's bulk: the start is 0 everywhere,
+        # which stops the solve before any division, not at the budget (cut
+        # to 200 so that a solve that runs on fails fast), and warns nothing
         from emergolab.errors import ConvergenceError
         monkeypatch.setattr(ke, "MAX_ITERS", 200)
         ke._solved.cache_clear()
         try:
-            with pytest.warns(RuntimeWarning, match="invalid value"), \
-                    pytest.raises(ConvergenceError, match="not finite after 1 Krylov"):
-                eg.invariant_measure(ou, 0.1, eg.Grid(100.0, 200.0, 1025))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceError, match="no mass: the grid "
+                                   "misses the chain's bulk"):
+                    eg.invariant_measure(ou, 0.1, eg.Grid(100.0, 200.0, 1025))
         finally:
             ke._solved.cache_clear()
 

@@ -80,6 +80,24 @@ class TestSamplers:
         one_step_sd = math.sqrt(0.5)
         assert abs(mix.mean() - one_step_mean) <= 5 * one_step_sd / math.sqrt(n)
 
+    def test_residual_step_law(self, ou, smallset_ou):
+        # one step of 10**5 residual chains (x = 0.8, d = 0) against the
+        # residual CDF (Phi((y - m)/sd) - eps*nu((-inf, y]))/(1 - eps)
+        from emergolab import splitting
+        n, chain = 100000, Chain(ou, 0.5, 0.5)
+        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        rng = np.random.default_rng(19)
+        (z, u, r, _), = splitting._step_draws(chain, smallset_ou, eps, 1, n, rng)
+        y = splitting._advance_x(chain, smallset_ou, eps, np.full(n, 0.8),
+                                 np.zeros(n, dtype=np.int8), z[0], u[0], r[0],
+                                 rng)
+        m, sd = 0.4, math.sqrt(0.5)
+
+        def cdf(v):
+            nu = np.clip((v + 1.0) / 2.0, 0.0, 1.0)
+            return (norm.cdf((v - m) / sd) - eps * nu) / (1.0 - eps)
+        assert kstest(y, cdf).pvalue > 1e-6
+
     def test_wrong_eps_detected(self, ou, smallset_ou):
         rng = np.random.default_rng(2)
         with pytest.raises(MinorizationError):
@@ -412,6 +430,45 @@ class TestScalarLoop:
                                                   2000, rng, eps=0.95)):
             with pytest.raises(MinorizationError):
                 run(np.random.default_rng(1))
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    def test_matches_ensemble_across_blocks(self, kind, monkeypatch):
+        # blocks of 7 steps: 200 steps cross 28 block boundaries, and the
+        # rejected proposals re-propose between them
+        from emergolab import splitting
+        spec, smallset = _split_case(kind, 0.5)
+        monkeypatch.setattr(splitting, "STEP_DRAWS", 7)
+        rejected = []
+        residual = splitting._residual_draws
+
+        def count(chain, x, *args):
+            rejected.append(x.size)
+            return residual(chain, x, *args)
+        monkeypatch.setattr(splitting, "_residual_draws", count)
+        scalar, lockstep = np.random.default_rng(23), np.random.default_rng(23)
+        blocks = eg.run_split(spec, 0.5, smallset, 0.4, 200, scalar)
+        xs, ds = eg.split_ensemble(spec, 0.5, smallset, [0.4], 200, lockstep)
+        assert rejected  # the lockstep side re-proposed at least once
+        assert np.array_equal(blocks.xs, xs[:, 0])
+        assert np.array_equal(blocks.ds, ds[:, 0])
+        assert scalar.bit_generator.state == lockstep.bit_generator.state
+
+    def test_too_large_eps_raises_inside_a_block(self, ou):
+        # on C = [-0.2, 0.2] at eps = 0.5, eps*nu/p(x, y) > 1 for every y in
+        # C, so the first residual proposal in C raises before any
+        # re-proposal: the generator has drawn one block of 200 steps, no more
+        narrow = eg.SmallSetSpec(-0.2, 0.2, 0.01)
+        reference = np.random.default_rng(5)
+        for draw in (reference.standard_normal, reference.random, reference.random):
+            draw(200)
+        for run in (lambda rng: eg.run_split(ou, 0.5, narrow, 0.0, 200, rng,
+                                             eps=0.5, d0=0),
+                    lambda rng: eg.split_ensemble(ou, 0.5, narrow, [0.0], 200,
+                                                  rng, eps=0.5, d0=[0])):
+            rng = np.random.default_rng(5)
+            with pytest.raises(MinorizationError):
+                run(rng)
+            assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
     def test_eps_outside_unit_interval(self, ou, smallset_ou, eps):
