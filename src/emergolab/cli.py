@@ -7,8 +7,8 @@ pass/fail lines, and CSV artifacts.  Exit status: 0 all checks pass,
 1 a check failed, 2 config error, 3 numerical failure.
 
 Each runner imports the layers it uses when it runs, so argument parsing,
-config parsing and validation (and the exit 2 they give) and emit-plotdata
-load no numpy.
+config parsing and validation (and the exit 2 they give), emit-plotdata,
+constants and verify-assumptions load no numpy.
 """
 
 from __future__ import annotations
@@ -259,16 +259,20 @@ def _add_constants(rep: Report, dc) -> None:
     rep.add("eta0", dc.eta0)
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) on Python floats, value for value."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
 def run_verify_assumptions(cfg, spec, out, seed, rep):
     import dataclasses
-    import numpy as np
     from . import drifts
 
     eta = cfg["experiment"].get("eta", 0.1)
     radius = abs(drifts.radius_of(spec, eta))
     span = max(10.0 * radius, 10.0)
-    probes = np.linspace(-span, span, 4001)
-    report = drifts.check_assumptions(spec, probes)
+    report = drifts.check_assumptions(spec, _linspace(-span, span, 4001))
     for key, value in dataclasses.asdict(report).items():
         rep.add(key, value)
     rep.check("lipschitz", report.lipschitz_ok)
@@ -277,7 +281,6 @@ def run_verify_assumptions(cfg, spec, out, seed, rep):
 
 
 def run_constants(cfg, spec, out, seed, rep):
-    import numpy as np
     from . import drifts
 
     eta = _required(cfg, "eta")
@@ -287,7 +290,7 @@ def run_constants(cfg, spec, out, seed, rep):
     if dc.beta_valid:
         span = 10.0 * abs(dc.radius)
         cond = drifts.verify_drift_condition(spec, eta,
-                                             np.linspace(-span, span, 10 ** 4))
+                                             _linspace(-span, span, 10 ** 4))
         rep.add("drift_condition_worst_margin", cond.worst_margin)
         rep.add("drift_condition_worst_x", cond.worst_x)
         rep.check("drift_condition", cond.all_pass)
@@ -400,11 +403,11 @@ def run_split_sim(cfg, spec, out, seed, rep):
     eps = splitting.resolve_split_epsilon(spec, eta, smallset)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     blocks = splitting.run_split(spec, eta, smallset, x0, n_steps, rng, eps=eps)
-    atom = np.zeros(blocks.xs.size, dtype=int)
+    atom = np.zeros(blocks.xs.size, dtype=np.int8)
     atom[blocks.atom_visit_times] = 1
     write_csv(out / "trace.csv", ("step", "x", "d", "in_C", "atom_visit"),
               (range(blocks.xs.size), blocks.xs, blocks.ds,
-               blocks.in_c.astype(int), atom))
+               blocks.in_c.astype(np.int8), atom))
     in_c_vals = blocks.in_c.astype(float)
     write_csv(out / "blocks.csv", ("block", "length", "sum"),
               (range(blocks.n_blocks), blocks.block_lengths(),

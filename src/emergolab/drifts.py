@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .errors import PreconditionError
 
@@ -61,7 +60,7 @@ class DriftSpec:
 
     @property
     def g0(self) -> float:
-        return float(eval_drift(self, 0.0))
+        return _g(self, 0.0)
 
 
 def ornstein_uhlenbeck(kappa: float = 1.0, sigma: float = 1.0) -> DriftSpec:
@@ -98,19 +97,20 @@ def custom(g: Callable[[float], float], sigma: float, L: float, K1: float,
 
 
 def eval_drift(spec: DriftSpec, x):
-    """Evaluate g at x (scalar or array).
+    """Evaluate g at x (scalar or array), with the chain's values.
 
     A Python float x of a built-in drift stays on Python floats, with the
-    same values as the array path (np.tanh, not math.tanh, which differs by
-    an ulp on about a quarter of inputs): one split chain calls this once
-    per step.
+    same values as the array path: one split chain calls this once per
+    step.  So the bounded drift takes np.tanh, not math.tanh, which differs
+    by an ulp on some inputs; numpy loads on the first bounded or array call.
     """
     if type(x) is float and spec.kind in (OU, BOUNDED):
         if not math.isfinite(x):
             raise ValueError("drift argument must be finite")
         if spec.kind == OU:
             return -spec.kappa * x
-        return -spec.kappa * x + spec.a * float(np.tanh(x))
+        return -spec.kappa * x + spec.a * float(_np_tanh(x))
+    import numpy as np
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("drift argument must be finite")
@@ -121,6 +121,25 @@ def eval_drift(spec: DriftSpec, x):
     else:
         out = np.vectorize(spec.custom_g, otypes=[float])(x)
     return out if out.ndim else float(out)
+
+
+def _np_tanh(x):
+    """np.tanh: the first call imports it in this function's place, so that
+    a bounded step of the chain runs no import statement."""
+    global _np_tanh
+    from numpy import tanh as _np_tanh
+    return _np_tanh(x)
+
+
+def _g(spec: DriftSpec, x: float) -> float:
+    """g at a float, for the audits and g0: Python floats, libm tanh."""
+    if not math.isfinite(x):
+        raise ValueError("drift argument must be finite")
+    if spec.kind == OU:
+        return -spec.kappa * x
+    if spec.kind == BOUNDED:
+        return -spec.kappa * x + spec.a * math.tanh(x)
+    return float(spec.custom_g(x))
 
 
 @dataclass(frozen=True)
@@ -188,47 +207,48 @@ def check_assumptions(spec: DriftSpec, probe_points) -> AssumptionReport:
     held to its constant up to the rounding of the terms it is formed from
     (ROUNDING machine epsilons of each), so that an exact constant passes
     at any probe span; the reported maxima are the values as computed.
+    probe_points is any sequence of floats; the audit runs on Python floats
+    with libm tanh (see _g), so it loads no numpy.
     """
-    pts = np.sort(np.asarray(probe_points, dtype=float))
-    if pts.size < 2:
+    pts = sorted(map(float, probe_points))
+    n = len(pts)
+    if n < 2:
         raise ValueError("need at least 2 probe points")
-    g = eval_drift(spec, pts)
+    g = [_g(spec, x) for x in pts]
+    u = ROUNDING * sys.float_info.epsilon
 
     # local pairs (consecutive probe points), then global pairs drawn by
     # the stdlib so that numpy.random is not loaded
     rnd = random.Random(20240817)
-    i = np.array(rnd.choices(range(pts.size), k=4096))
-    j = np.array(rnd.choices(range(pts.size), k=4096))
-    step = np.arange(1, pts.size)
-    a, b = np.concatenate([step, i]), np.concatenate([step - 1, j])
-    keep = pts[a] != pts[b]
-    a, b = a[keep], b[keep]
-    dx, dg = pts[a] - pts[b], g[a] - g[b]
-    adx, adg = np.abs(dx), np.abs(dg)
-    g_size = np.abs(g[a]) + np.abs(g[b]) + adg  # what dg's rounding scales with
-    quot = adg / adx
-    dissip = dg * dx + spec.K1 * dx ** 2
-    quad = pts * g + 0.5 * spec.K1 * pts ** 2
+    i = rnd.choices(range(n), k=4096)
+    j = rnd.choices(range(n), k=4096)
+    pairs = [(pts[a] - pts[b], g[a] - g[b], abs(g[a]) + abs(g[b]))
+             for a, b in zip([*range(1, n), *i], [*range(n - 1), *j])
+             if pts[a] != pts[b]]
+    quot = [abs(dg) / abs(dx) for dx, dg, _ in pairs]
+    dissip = [dg * dx + spec.K1 * (dx * dx) for dx, dg, _ in pairs]
+    quad = [x * gx + 0.5 * spec.K1 * (x * x) for x, gx in zip(pts, g)]
 
-    u = ROUNDING * np.finfo(float).eps
-    lip_ok = np.max(quot - u * g_size / adx) <= spec.L
-    dis_ok = np.max(dissip - u * (adx * g_size + spec.K1 * dx ** 2)) <= spec.K2
-    quad_ok = np.max(quad - u * (np.abs(pts * g) + 0.5 * spec.K1 * pts ** 2)) \
-        <= spec.c_offset
+    # |g(x)| + |g(y)| + |dg| is what dg's rounding scales with
+    lip_ok = max(q - u * (g_ab + abs(dg)) / abs(dx)
+                 for q, (dx, dg, g_ab) in zip(quot, pairs)) <= spec.L
+    dis_ok = max(d - u * (abs(dx) * (g_ab + abs(dg)) + spec.K1 * (dx * dx))
+                 for d, (dx, dg, g_ab) in zip(dissip, pairs)) <= spec.K2
+    quad_ok = max(q - u * (abs(x * gx) + 0.5 * spec.K1 * (x * x))
+                  for q, x, gx in zip(quad, pts, g)) <= spec.c_offset
 
-    steps = np.diff(pts)
-    steps = steps[steps > 0]
-    h = min(max(1e-5, float(np.min(steps)) if steps.size else 1e-5), 1e-3)
-    gpp = (eval_drift(spec, pts + h) - 2.0 * g + eval_drift(spec, pts - h)) / h ** 2
-    gpp_max = float(np.max(np.abs(gpp)))
+    h = min(max(1e-5, min((y - x for x, y in zip(pts, pts[1:]) if y > x),
+                          default=1e-5)), 1e-3)
+    gpp_max = max(abs((_g(spec, x + h) - 2.0 * gx + _g(spec, x - h)) / h ** 2)
+                  for x, gx in zip(pts, g))
 
     return AssumptionReport(
-        lipschitz_max=float(np.max(quot)),
-        lipschitz_ok=bool(lip_ok),
-        dissipativity_max=float(np.max(dissip)),
-        dissipativity_ok=bool(dis_ok),
-        quadratic_max=float(np.max(quad)),
-        quadratic_ok=bool(quad_ok),
+        lipschitz_max=max(quot),
+        lipschitz_ok=lip_ok,
+        dissipativity_max=max(dissip),
+        dissipativity_ok=dis_ok,
+        quadratic_max=max(quad),
+        quadratic_ok=quad_ok,
         second_derivative_max=gpp_max,
     )
 
@@ -248,29 +268,26 @@ class DerivedConstants:
     eta0: float
 
 
-def lambda_of(spec: DriftSpec, eta) -> float:
+# The scalars below take a float or an array and return the same kind; a
+# square is v * v, as numpy's array v ** 2 is, so the two agree bit for bit.
+def lambda_of(spec: DriftSpec, eta):
     """Contraction factor lambda(eta) = 1 - K1*eta/2 + 2*L^2*eta^2."""
-    eta = np.asarray(eta, dtype=float)
-    out = 1.0 - 0.5 * spec.K1 * eta + 2.0 * spec.L ** 2 * eta ** 2
-    return out if out.ndim else float(out)
+    return 1.0 - 0.5 * spec.K1 * eta + 2.0 * spec.L ** 2 * (eta * eta)
 
 
-def b_of(spec: DriftSpec, eta) -> float:
+def b_of(spec: DriftSpec, eta):
     """Drift-condition offset
     b_eta = K1*L/2 - 2*L^2*eta^2 + 2*g(0)^2*eta^2 + eta*sigma^2 + 2*c*eta.
     """
-    eta = np.asarray(eta, dtype=float)
-    out = (0.5 * spec.K1 * spec.L - 2.0 * spec.L ** 2 * eta ** 2
-           + 2.0 * spec.g0 ** 2 * eta ** 2 + eta * spec.sigma ** 2
-           + 2.0 * spec.c_offset * eta)
-    return out if out.ndim else float(out)
+    eta2 = eta * eta
+    return (0.5 * spec.K1 * spec.L - 2.0 * spec.L ** 2 * eta2
+            + 2.0 * spec.g0 ** 2 * eta2 + eta * spec.sigma ** 2
+            + 2.0 * spec.c_offset * eta)
 
 
-def radius_of(spec: DriftSpec, eta) -> float:
+def radius_of(spec: DriftSpec, eta):
     """Half-width f1(eta) = 2*b_eta/(K1*eta) of the return set D_eta."""
-    eta = np.asarray(eta, dtype=float)
-    out = 2.0 * b_of(spec, eta) / (spec.K1 * eta)
-    return out if out.ndim else float(out)
+    return 2.0 * b_of(spec, eta) / (spec.K1 * eta)
 
 
 def eta_thresholds(spec: DriftSpec) -> tuple[float, float, float]:
@@ -319,9 +336,7 @@ def derive_constants(spec: DriftSpec, eta: float) -> DerivedConstants:
 
 def lyapunov(x):
     """V(x) = 1 + x^2."""
-    x = np.asarray(x, dtype=float)
-    out = 1.0 + x ** 2
-    return out if out.ndim else float(out)
+    return 1.0 + x * x
 
 
 def closed_form_PV(spec: DriftSpec, eta: float, x):
@@ -329,10 +344,11 @@ def closed_form_PV(spec: DriftSpec, eta: float, x):
 
     One step from x is Gaussian with mean x + eta*g(x) and variance
     eta*sigma^2 (Chain), so P V(x) = 1 + (x + eta*g(x))^2 + eta*sigma^2.
+    g is the chain's (eval_drift), so a float and an array agree.
     """
     chain = Chain(spec, eta, eta)
-    out = 1.0 + chain.mean(np.asarray(x, dtype=float)) ** 2 + chain.var
-    return out if out.ndim else float(out)
+    mean = chain.mean(x)
+    return 1.0 + mean * mean + chain.var
 
 
 @dataclass(frozen=True)
@@ -350,22 +366,25 @@ def verify_drift_condition(spec: DriftSpec, eta: float,
     """Check P V(x) <= lambda(eta) V(x) + b_eta 1_{|x|<=radius} pointwise.
 
     The indicator uses the closed set |x| <= radius.  The margin reported is
-    min over x of rhs - lhs; negative margin means a violation.
+    min over x of rhs - lhs, first attained at worst_x; negative margin means
+    a violation.  x_grid is any sequence; it runs on Python floats (see _g).
     """
     dc = derive_constants(spec, eta)
     if not (0.0 < dc.lambda_eta < 1.0):
         raise PreconditionError(
             f"lambda(eta)={dc.lambda_eta!r} not in (0,1); "
             f"the drift condition requires eta <= eta0={dc.eta0!r}")
-    x = np.asarray(x_grid, dtype=float)
-    lhs = closed_form_PV(spec, eta, x)
-    indicator = (np.abs(x) <= dc.radius).astype(float)
-    rhs = dc.lambda_eta * lyapunov(x) + dc.b_eta * indicator
-    margin = rhs - lhs
-    worst = int(np.argmin(margin))
+    xs = list(map(float, x_grid))
+    var = Chain(spec, eta, eta).var
+    margin = []
+    for x in xs:
+        mean = x + eta * _g(spec, x)
+        rhs = dc.lambda_eta * lyapunov(x) + dc.b_eta * (abs(x) <= dc.radius)
+        margin.append(rhs - (1.0 + mean * mean + var))
+    worst = min(range(len(xs)), key=margin.__getitem__)
     return DriftConditionReport(
-        all_pass=bool(np.all(margin >= -1e-12)),
-        worst_margin=float(margin[worst]),
-        worst_x=float(x[worst]),
-        n_violations=int(np.sum(margin < -1e-12)),
+        all_pass=all(m >= -1e-12 for m in margin),
+        worst_margin=margin[worst],
+        worst_x=xs[worst],
+        n_violations=sum(m < -1e-12 for m in margin),
     )

@@ -207,3 +207,55 @@ def test_13_defaults_at_small_eta_and_large_sigma(tmp_path, sigma, eta):
     ok &= abs(variance - exact) <= 1e-6 * exact
     ok &= "check:fixed_point=PASS" in lines
     report(f"defaults-sigma-{sigma!r}-eta-{eta!r}", ok)
+
+
+# Baseline defects with exact oracles, as strict xfails: a change that
+# mends one turns its xfail into an XPASS failure and removes the marker.
+
+def _ou_run(tmp_path, sub, experiment):
+    cfg = tmp_path / f"{sub}.ini"
+    cfg.write_text("[drift]\nkind = ou\n[experiment]\n" + "".join(
+        f"{k} = {v}\n" for k, v in experiment.items()))
+    out = tmp_path / sub
+    assert cli.main([sub, "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[2:]]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_study_rate_per_unit_time_is_exact(tmp_path):
+    # OU's spectral gap is kappa*eta, so the per-unit-time rate at
+    # eta = 0.02 is (1 - eta)^(-1/eta) = 2.746; the fitted slope gives 1.666
+    out = _ou_run(tmp_path, "study", {"eta_list": 0.02, "x0": 3.0,
+                                      "n_steps": 40})
+    header, row = (out / "study.csv").read_text().splitlines()
+    rate = float(dict(zip(header.split(","), row.split(",")))
+                 ["delta_per_unit_time"])
+    assert abs(rate - (1.0 - 0.02) ** (-1.0 / 0.02)) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("eta", [0.5, 0.1, 0.02, 0.005])
+def test_tv_decay_matches_closed_form(tmp_path, eta):
+    # P^n(3, .) = N(a^n 3, v (1 - a^(2n))) and pi = N(0, v), a = 1 - eta
+    out = _ou_run(tmp_path, "tv-decay", {"eta": eta, "x0": 3.0, "n_steps": 20})
+    rows = _csv_rows(out / "curve_main.csv")
+    a = 1.0 - eta
+    v = eta / (1.0 - a * a)
+    for n in (1, 2, 5, 20):
+        exact = normal_tv(a ** n * 3.0, v * (1.0 - a ** (2 * n)), 0.0, v)
+        assert abs(float(rows[n - 1][1]) - exact) <= 1e-8, n
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+def test_tv_decay_writes_an_envelope(tmp_path):
+    out = _ou_run(tmp_path, "tv-decay", {"eta": 0.5, "x0": 3.0, "n_steps": 20})
+    rows = _csv_rows(out / "curve_main.csv")
+    assert all(envelope for _, _, envelope in rows)
+    a, v = 0.5, 0.5 / 0.75
+    assert all(float(envelope) >= normal_tv(a ** n * 3.0, v * (1.0 - a ** (2 * n)),
+                                            0.0, v)
+               for n, (_, _, envelope) in enumerate(rows, 1))

@@ -745,19 +745,27 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
                          "--out", str(tmp_path / "u")]),
         ("constants", ["constants", "--config", constants,
                        "--out", str(tmp_path / "c")]),
+        *((f"verify-assumptions {kind}", [
+            "verify-assumptions", "--out", str(tmp_path / kind), "--config",
+            write_config(tmp_path / f"{kind}.ini", f"[drift]\nkind = {kind}\n")])
+          for kind in ("ou", "bounded")),
         ("study", ["study", "--config", study, "--out", str(tmp_path / "s")]),
     ]
     steps = json.loads(_fresh_python(_IMPORT_STEPS, json.dumps(argvs)))
     statuses = {name: status for name, (status, _) in steps.items()}
     assert statuses == {"import emergolab": 0, "import emergolab.cli": 0,
                         "emit-plotdata": 0, "unknown key": 2, "constants": 0,
-                        "study": 0}
+                        "verify-assumptions ou": 0,
+                        "verify-assumptions bounded": 0, "study": 0}
     loaded = {name: set(modules) for name, (_, modules) in steps.items()}
     for name in ("import emergolab", "import emergolab.cli", "emit-plotdata",
                  "unknown key"):
         assert not loaded[name] & (LAYERS | {"numpy"}), name
-    assert "emergolab.drifts" in loaded["constants"]
-    assert not loaded["constants"] & (LAYERS - {"emergolab.drifts"})
+    # the audits run on Python floats
+    for name in ("constants", "verify-assumptions ou",
+                 "verify-assumptions bounded"):
+        assert "emergolab.drifts" in loaded[name]
+        assert not loaded[name] & (LAYERS - {"emergolab.drifts"} | {"numpy"}), name
     assert {"emergolab.kernel", "emergolab.rates"} <= loaded["study"]
     assert not loaded["study"] & {"emergolab.simulate", "emergolab.splitting"}
 

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import emergolab as eg
-from emergolab.drifts import eta_thresholds, eval_drift, lambda_of, radius_of
+from emergolab.drifts import (ROUNDING, b_of, eta_thresholds, eval_drift,
+                              lambda_of, radius_of)
 from emergolab.errors import PreconditionError
 
 
@@ -201,3 +204,162 @@ def test_eval_drift_float_matches_array(spec, x):
 def test_eval_drift_float_rejects_nonfinite(spec, x):
     with pytest.raises(ValueError, match="drift argument must be finite"):
         eg.drifts.eval_drift(spec, x)
+
+
+# kappa = 9 makes lambda's 2*L^2*eta^2 the leading term, so that an ulp of
+# eta^2 shows in lambda(eta)
+_BUILTINS = [eg.ornstein_uhlenbeck(kappa=9.0, sigma=0.8),
+             eg.bounded_perturbation(kappa=1.0, a=0.5, sigma=1.1)]
+
+
+@pytest.mark.parametrize("spec", _BUILTINS, ids=["ou", "bounded"])
+def test_scalars_float_matches_array(spec):
+    # a float gives a float equal to the element of the 1-element array
+    # result; a float v ** 2 (libm pow) misses the array's v * v on about
+    # one input in a thousand, so the points are many and full-mantissa
+    rnd = random.Random(7)
+    etas = [rnd.uniform(1e-3, 0.999) for _ in range(3000)]
+    xs = [rnd.uniform(-50.0, 50.0) for _ in range(3000)]
+    cases = [(f, eta) for eta in etas for f in (
+        lambda v: lambda_of(spec, v), lambda v: b_of(spec, v),
+        lambda v: radius_of(spec, v))]
+    cases += [(eg.lyapunov, x) for x in xs]
+    cases += [(lambda v, eta=eta: eg.closed_form_PV(spec, eta, v), x)
+              for eta in (0.01, 0.1, 0.3) for x in xs[:1000]]
+    for f, v in cases:
+        one = f(v)
+        assert type(one) is float
+        assert one == f(np.array([v]))[0], v
+
+
+def _allowance(values, tol):
+    """A bound on |max(values) - max(other)| when each |values_i - other_i|
+    is at most tol_i: either maximum sits where values is within 2 max(tol)
+    of its own."""
+    return float(np.max(tol[values >= np.max(values) - 2.0 * np.max(tol)]))
+
+
+def _numpy_audit(spec, probe_points):
+    """check_assumptions on numpy arrays (the chain's g, np.tanh), with the
+    rounding allowance of each reported maximum."""
+    pts = np.sort(np.asarray(probe_points, dtype=float))
+    g = eval_drift(spec, pts)
+    rnd = random.Random(20240817)
+    i = np.array(rnd.choices(range(pts.size), k=4096))
+    j = np.array(rnd.choices(range(pts.size), k=4096))
+    step = np.arange(1, pts.size)
+    a, b = np.concatenate([step, i]), np.concatenate([step - 1, j])
+    keep = pts[a] != pts[b]
+    a, b = a[keep], b[keep]
+    dx, dg = pts[a] - pts[b], g[a] - g[b]
+    adx, adg = np.abs(dx), np.abs(dg)
+    g_size = np.abs(g[a]) + np.abs(g[b]) + adg
+    quot = adg / adx
+    dissip = dg * dx + spec.K1 * dx ** 2
+    quad = pts * g + 0.5 * spec.K1 * pts ** 2
+    u = ROUNDING * np.finfo(float).eps
+    steps = np.diff(pts)
+    steps = steps[steps > 0]
+    h = min(max(1e-5, float(np.min(steps)) if steps.size else 1e-5), 1e-3)
+    g_hi, g_lo = eval_drift(spec, pts + h), eval_drift(spec, pts - h)
+    gpp = np.abs((g_hi - 2.0 * g + g_lo) / h ** 2)
+    report = eg.AssumptionReport(
+        lipschitz_max=float(np.max(quot)),
+        lipschitz_ok=bool(np.max(quot - u * g_size / adx) <= spec.L),
+        dissipativity_max=float(np.max(dissip)),
+        dissipativity_ok=bool(np.max(
+            dissip - u * (adx * g_size + spec.K1 * dx ** 2)) <= spec.K2),
+        quadratic_max=float(np.max(quad)),
+        quadratic_ok=bool(np.max(quad - u * (
+            np.abs(pts * g) + 0.5 * spec.K1 * pts ** 2)) <= spec.c_offset),
+        second_derivative_max=float(np.max(gpp)))
+    allowed = {
+        "lipschitz_max": _allowance(quot, u * g_size / adx),
+        "dissipativity_max": _allowance(
+            dissip, u * (adx * g_size + spec.K1 * dx ** 2)),
+        "quadratic_max": _allowance(
+            quad, u * (np.abs(pts * g) + 0.5 * spec.K1 * pts ** 2)),
+        "second_derivative_max": _allowance(
+            gpp, u * (np.abs(g_hi) + 2.0 * np.abs(g) + np.abs(g_lo)) / h ** 2)}
+    return report, allowed
+
+
+def _numpy_drift_condition(spec, eta, x_grid):
+    """verify_drift_condition on numpy arrays (the chain's P V), with the
+    rounding allowance of the worst margin."""
+    dc = eg.derive_constants(spec, eta)
+    x = np.asarray(x_grid, dtype=float)
+    lhs = eg.closed_form_PV(spec, eta, x)
+    rhs = dc.lambda_eta * eg.lyapunov(x) + dc.b_eta * (np.abs(x) <= dc.radius)
+    margin = rhs - lhs
+    worst = int(np.argmin(margin))
+    report = eg.drifts.DriftConditionReport(
+        all_pass=bool(np.all(margin >= -1e-12)),
+        worst_margin=float(margin[worst]),
+        worst_x=float(x[worst]),
+        n_violations=int(np.sum(margin < -1e-12)))
+    u = ROUNDING * np.finfo(float).eps
+    return report, _allowance(-margin, u * (lhs + np.abs(rhs)))
+
+
+def _audit_cases():
+    ou = eg.ornstein_uhlenbeck(kappa=2.5, sigma=0.7)
+    bounded = eg.bounded_perturbation(kappa=3.0, a=-2.0, sigma=0.3)
+    rnd = random.Random(11)
+    shuffled = [rnd.uniform(-40.0, 40.0) for _ in range(3001)]
+    for span in (10.0, 116.0, 1e5):
+        grid = np.linspace(-span, span, 4001)
+        yield "ou", ou, grid
+        yield "ou", eg.ornstein_uhlenbeck(), grid
+        yield "ou", dataclasses.replace(ou, K1=ou.K1 * (1.0 + 1e-12)), grid
+        yield "bounded", bounded, grid
+        yield "bounded", eg.bounded_perturbation(), grid
+        yield "bounded", dataclasses.replace(bounded, L=2.0), grid
+    yield "ou", eg.ornstein_uhlenbeck(kappa=0.7), shuffled
+    yield "bounded", eg.bounded_perturbation(a=0.9), shuffled
+    yield "custom", eg.custom(lambda x: -x + math.sin(x), sigma=1.0, L=1.5,
+                              K1=0.5, K2=8.0, c_offset=4.0), shuffled
+
+
+def test_audit_matches_numpy_reference():
+    # the float audit against the array computation: every field equal on
+    # OU and a custom drift; on the bounded drift (libm tanh against
+    # np.tanh) every flag equal and each maximum within its allowance
+    for kind, spec, pts in _audit_cases():
+        got = eg.check_assumptions(spec, pts)
+        ref, allowed = _numpy_audit(spec, pts)
+        if kind != "bounded":
+            assert got == ref, spec
+            continue
+        for f in dataclasses.fields(ref):
+            mine, theirs = getattr(got, f.name), getattr(ref, f.name)
+            if f.name.endswith("_ok"):
+                assert mine is theirs, (spec, f.name)
+            else:
+                assert type(mine) is float
+                assert abs(mine - theirs) <= allowed[f.name], (spec, f.name)
+
+
+@pytest.mark.parametrize("spec", _BUILTINS, ids=["ou", "bounded"])
+def test_drift_condition_matches_numpy_reference(spec):
+    eta0 = eta_thresholds(spec)[2]
+    for eta in (eta0 / 4, eta0 / 2, eta0):
+        r = radius_of(spec, eta)
+        for grid in (np.linspace(-10 * r, 10 * r, 10 ** 4),
+                     np.linspace(-0.5 * r, 3 * r, 777)):
+            got = eg.verify_drift_condition(spec, eta, grid)
+            ref, allowed = _numpy_drift_condition(spec, eta, grid)
+            if spec.kind == "ou":
+                assert got == ref
+            else:
+                assert (got.all_pass, got.n_violations) == (ref.all_pass,
+                                                            ref.n_violations)
+                assert abs(got.worst_margin - ref.worst_margin) <= allowed
+
+
+def test_audits_reject_nonfinite_points(ou, bp):
+    for spec in (ou, bp):
+        with pytest.raises(ValueError, match="drift argument must be finite"):
+            eg.check_assumptions(spec, [0.0, 1.0, math.nan])
+        with pytest.raises(ValueError, match="drift argument must be finite"):
+            eg.verify_drift_condition(spec, 0.01, [0.0, math.inf])

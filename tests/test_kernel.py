@@ -689,7 +689,8 @@ class TestTvInPlace:
 
     def test_tv_distance_writes_neither_measure(self, ou, grid12):
         a = gaussian_on_grid(grid12, -1.0, 1.0)
-        b = eg.invariant_measure(ou, 0.5, grid12).measure  # read-only
+        with pytest.warns(UserWarning, match=r"lambda\(eta\)=1\.25"):
+            b = eg.invariant_measure(ou, 0.5, grid12).measure  # read-only
         before = a.density.copy(), b.density.copy()
         assert eg.tv_distance(a, b) == eg.tv_distance(b, a) > 0.0
         assert np.array_equal(a.density, before[0])

@@ -249,8 +249,9 @@ class TestColumnarWriters:
         (tmp_path / "c.ini").write_text(
             "[drift]\nkind = ou\n[experiment]\neta = 0.5\nx0 = 0.25\n"
             "n_steps = 2000\n")
-        assert cli.main(["split-sim", "--config", str(tmp_path / "c.ini"),
-                         "--out", str(tmp_path / "o"), "--seed", "3"]) in (0, 1)
+        with pytest.warns(UserWarning, match=r"lambda\(eta\)=1\.25"):
+            assert cli.main(["split-sim", "--config", str(tmp_path / "c.ini"),
+                             "--out", str(tmp_path / "o"), "--seed", "3"]) in (0, 1)
         smallset = eg.minorization_epsilon(ou, 0.5, -1.0, 1.0)
         eps = eg.resolve_split_epsilon(ou, 0.5, smallset)
         rng = np.random.default_rng(np.random.SeedSequence(3))
