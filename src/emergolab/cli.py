@@ -77,7 +77,6 @@ _SCHEMA = {
     ("grid", "lower"): _Number(float, "(-inf, inf)"),
     ("grid", "upper"): _Number(float, "(-inf, inf)"),
     ("grid", "n_nodes"): _Number(int, "[16, 65537]"),
-    ("grid", "invariant_tol"): _Number(float, "(0.0, inf)"),
     ("experiment", "kind"): str,
     ("experiment", "eta"): _Number(float, "(0.0, 1.0)"),
     ("experiment", "eta_list"): _Number(float, "(0.0, 1.0)", many=True),
@@ -301,8 +300,7 @@ def run_invariant(cfg, spec, out, seed, rep):
 
     eta = _required(cfg, "eta")
     grid = build_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
-    result = ke.invariant_measure(spec, eta, grid, tol=tol)
+    result = ke.invariant_measure(spec, eta, grid)
     pi = result.measure
     g = pi.grid
     write_csv(out / "invariant_density.csv", ("x", "density"),
@@ -316,7 +314,7 @@ def run_invariant(cfg, spec, out, seed, rep):
     rep.add("tail_bound", pi.tail_bound)
     fixed = ke.tv_distance(pi, ke.apply_kernel(spec, eta, pi))
     rep.add("fixed_point_tv", fixed)
-    rep.check("fixed_point", fixed <= 10.0 * tol)
+    rep.check("fixed_point", fixed <= 10.0 * ke.INVARIANT_TOL)
 
 
 def run_tv_decay(cfg, spec, out, seed, rep):
@@ -326,9 +324,8 @@ def run_tv_decay(cfg, spec, out, seed, rep):
     eta = _required(cfg, "eta")
     x0 = cfg["experiment"].get("x0", 0.0)
     grid = build_grid(cfg, spec, eta, x0)
-    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     N = cfg["experiment"].get("n_steps", 30)
-    curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid, tol=tol)
+    curve = rates.tv_decay_curve(spec, eta, x0, N, grid=grid)
     _write_curve(out / "curve_main.csv", curve, "tv-decay")
     rep.add("eta", eta)
     rep.add("x0", x0)
@@ -340,7 +337,7 @@ def run_tv_decay(cfg, spec, out, seed, rep):
         rep.add("residual_rms", fit.residual_rms)
     except ValueError:
         rep.add("delta_hat", "undefined (curve at numeric floor)")
-    mono = bool(np.all(np.diff(curve.values) <= 10.0 * tol))
+    mono = bool(np.all(np.diff(curve.values) <= 10.0 * ke.INVARIANT_TOL))
     rep.check("tv_monotone", mono)
 
 
@@ -352,7 +349,6 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
     grid = build_grid(cfg, spec, eta)
     if not grid.lower < 0.0 < grid.upper:
         raise ConfigError("uniform-sup needs a [grid] with lower < 0 < upper")
-    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     pts = cfg["experiment"].get("x_grid_points", 201)
     radius = drifts.radius_of(spec, eta)
     default_span = 5.0 * radius if radius > 0 else ke._bulk_half_width(spec)
@@ -361,7 +357,7 @@ def run_uniform_sup(cfg, spec, out, seed, rep):
     n_list = cfg["experiment"].get("n_list", list(range(1, 11)))
     # without [grid] the Doeblin path sizes its grid from the mean range
     table = rates.uniform_sup_tv(spec, eta, np.linspace(-span, span, pts), n_list,
-                                 grid=grid if _places_grid(cfg) else None, tol=tol)
+                                 grid=grid if _places_grid(cfg) else None)
     write_csv(out / "uniform_sup.csv", ("n", "sup_d_tv", "spread", "envelope"),
               (table.n_list, table.sup_tv, table.spread, [None] * len(table.n_list)
                if table.envelope is None else table.envelope),
@@ -396,13 +392,12 @@ def run_split_sim(cfg, spec, out, seed, rep):
 
     eta = _required(cfg, "eta")
     grid = _atom_grid(cfg, spec, eta)
-    tol = cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL)
     smallset = _smallset(cfg, spec, eta)
     n_steps = cfg["experiment"].get("n_steps", 20000)
     x0 = cfg["experiment"].get("x0", 0.0)
-    eps = splitting.resolve_split_epsilon(spec, eta, smallset)
+    eps = splitting.resolve_split_epsilon(smallset)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    blocks = splitting.run_split(spec, eta, smallset, x0, n_steps, rng, eps=eps)
+    blocks = splitting.run_split(spec, eta, smallset, x0, n_steps, rng)
     atom = np.zeros(blocks.xs.size, dtype=np.int8)
     atom[blocks.atom_visit_times] = 1
     write_csv(out / "trace.csv", ("step", "x", "d", "in_C", "atom_visit"),
@@ -422,7 +417,7 @@ def run_split_sim(cfg, spec, out, seed, rep):
     rep.check("d_frequency_matches_eps", abs(d_freq - eps) <= 4.0 * se)
     if blocks.n_blocks >= 30:
         est = splitting.regenerative_pi_estimate(blocks, values=in_c_vals)
-        pi = rates.invariant_cached(spec, eta, grid, tol)
+        pi = rates.invariant_cached(spec, eta, grid)
         oracle = ke._step_mass(ke.Chain(spec, eta, eta), grid, pi.density,
                                smallset.c_lower, smallset.c_upper)
         rep.add("pi_C_regenerative", est.value)
@@ -444,7 +439,7 @@ def run_atom_check(cfg, spec, out, seed, rep):
     fields = ("k", "empirical", "exact", "se")
     write_csv(out / "atom_check.csv", fields,
               [[getattr(c, f) for c in checks] for f in fields])
-    rep.add("epsilon_split", splitting.resolve_split_epsilon(spec, eta, smallset))
+    rep.add("epsilon_split", splitting.resolve_split_epsilon(smallset))
     _add_grid(rep, grid)
     for c in checks:
         rep.add(f"k{c.k}_empirical", c.empirical)
@@ -491,7 +486,6 @@ def run_study(cfg, spec, out, seed, rep):
                                  cfg["experiment"].get("x0", 3.0),
                                  cfg["experiment"].get("n_steps", 40),
                                  n_nodes=cfg["grid"].get("n_nodes", ke.Grid.n_nodes),
-                                 tol=cfg["grid"].get("invariant_tol", ke.INVARIANT_TOL),
                                  grid=build_grid(cfg, spec, None)
                                  if cfg["grid"].keys() & {"lower", "upper"} else None)
     fields = ("eta", "delta_hat", "delta_per_unit_time", "m")
@@ -576,12 +570,15 @@ def emit_plotdata(run_dir: str) -> int:
                     continue
                 try:
                     n, d_tv, env = line.split(",")
-                    rows.append((experiment, eta, int(n), d_tv, env))
+                    # eta sorts as a number, and a file without one first
+                    rows.append((experiment, eta, int(n), d_tv, env,
+                                 float(eta or "-inf")))
                 except ValueError:
                     raise ConfigError(
                         f"{run_path / name}, line {lineno}: {line!r} is not "
-                        "an n,d_tv,envelope row with an integer n") from None
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+                        "an n,d_tv,envelope row with an integer n under a "
+                        "numeric eta") from None
+    rows.sort(key=lambda r: (r[0], r[5], r[2]))
     header = ("experiment", "eta", "n", "d_tv", "envelope")
     write_csv(run_path / "curves.csv", header,
               [[r[i] for r in rows] for i in range(len(header))])

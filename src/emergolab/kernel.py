@@ -29,9 +29,10 @@ little (OU at small eta), and a read-out onto 8192 rows at most 8192
 times the coarse node count where it gathers them all into one band.
 
 Solves and propagation run on two grids of one interval: the GMRES solve
-for pi and every step but the last run on _coarse, the grid at spacing
-sd/2, where the trapezoid rule integrates a kernel step to about
-2*exp(-8*pi^2); each reported law is then read on the requested nodes by
+for pi, to the lab's one TV tolerance INVARIANT_TOL (checks on a solved pi
+allow 10*INVARIANT_TOL), and every step but the last run on _coarse, the
+grid at spacing sd/2, where the trapezoid rule integrates a kernel step to
+about 2*exp(-8*pi^2); each reported law is then read on the requested nodes by
 one more step (Nystrom; pi = pi P for the invariant measure).  A grid no
 finer than sd/2 is its own coarse grid.  Every propagated law comes from
 one entry, _laws, from points or from a density on any interval, as a
@@ -577,17 +578,17 @@ class InvariantResult:
     solve_nodes: int  # nodes of the grid the GMRES solve ran on
 
 
-def invariant_measure(spec: DriftSpec, eta: float, grid: Grid,
-                      tol: float = INVARIANT_TOL) -> InvariantResult:
+def invariant_measure(spec: DriftSpec, eta: float, grid: Grid) -> InvariantResult:
     """Invariant density by GMRES from N(0, sigma^2) to an estimated TV error
-    below tol (see _gmres), on the coarse grid of grid's interval and read
-    on grid by one step (see _solved); iterations counts Krylov vectors.
+    below INVARIANT_TOL (see _gmres), on the coarse grid of grid's interval
+    and read on grid by one step (see _solved); iterations counts Krylov
+    vectors.
     The tail bound is the one-step leakage of the solved density plus the
     bound on the mass the band drops.  A solved density that leaks more
     than LEAK_TOL rejects the grid.  Solves go through the cache (_invariant).
     """
     _warn_lambda(spec, eta)
-    return _invariant(Chain(spec, eta, eta), grid, tol)
+    return _invariant(Chain(spec, eta, eta), grid)
 
 
 def _warn_lambda(spec: DriftSpec, eta: float) -> None:
@@ -599,23 +600,23 @@ def _warn_lambda(spec: DriftSpec, eta: float) -> None:
             stacklevel=3)  # at the public solver's caller
 
 
-def _invariant(chain: Chain, grid: Grid, tol: float) -> InvariantResult:
+def _invariant(chain: Chain, grid: Grid) -> InvariantResult:
     """The solve, cached with its failures (_solved): a hit returns the same
     result (density read-only) or raises the same error."""
-    out = _solved(chain, grid, tol)
+    out = _solved(chain, grid)
     if isinstance(out, Exception):
         raise out.with_traceback(None)  # not the last caller's frames
     return out
 
 
 @functools.lru_cache(maxsize=8)
-def _solved(chain: Chain, grid: Grid, tol: float):
-    """The GMRES solve on _coarse(chain, grid), its density read on grid
-    by one step (pi = pi P) and normalized there, with the tail bound and
-    leakage check of that density on grid."""
+def _solved(chain: Chain, grid: Grid):
+    """The GMRES solve to INVARIANT_TOL on _coarse(chain, grid), its density
+    read on grid by one step (pi = pi P) and normalized there, with the tail
+    bound and leakage check of that density on grid."""
     coarse = _coarse(chain, grid)
     try:
-        dens, iterations = _gmres(chain, coarse, tol)
+        dens, iterations = _gmres(chain, coarse, INVARIANT_TOL)
         if coarse != grid:
             dens = np.maximum(_matvec(chain, coarse, dens, grid), 0.0)
         dens /= float(np.sum(grid.weights * dens))
@@ -641,8 +642,6 @@ def _gmres(chain: Chain, grid: Grid, tol: float) -> tuple:
     first).  Returns pi, clipped at 0, and the vector count; a residual that
     is not finite, or no convergence within the budget, raises
     ConvergenceError."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     _reject_coarse(chain, grid)
     w, n = grid.weights, grid.n_nodes
     u = gaussian_on_grid(grid, 0.0, chain.spec.sigma ** 2).density

@@ -1,4 +1,5 @@
-"""TV decay curves, fitted geometric rates, and uniform-ergodicity tables."""
+"""TV decay curves, fitted geometric rates, and uniform-ergodicity tables,
+each read against the invariant measure solved to kernel.INVARIANT_TOL."""
 
 from __future__ import annotations
 
@@ -15,17 +16,17 @@ from .errors import ApplicabilityError, _distinct
 from .kernel import Grid, GridMeasure
 
 
-def invariant_cached(spec: DriftSpec, eta: float, grid: Grid,
-                     tol: float = ke.INVARIANT_TOL) -> GridMeasure:
+def invariant_cached(spec: DriftSpec, eta: float, grid: Grid) -> GridMeasure:
     """The EM chain's invariant measure from the solve cache it shares with
     kernel.invariant_measure; warns about lambda(eta) as that does."""
     ke._warn_lambda(spec, eta)
-    return ke._invariant(ke.Chain(spec, eta, eta), grid, tol).measure
+    return ke._invariant(ke.Chain(spec, eta, eta), grid).measure
 
 
 @dataclass
 class DecayCurve:
-    """d_n = d_TV(xi P^n, pi) for n = 1..N."""
+    """d_n = d_TV(xi P^n, pi) for n = 1..N; floor is the numeric floor,
+    10*INVARIANT_TOL on a computed curve."""
 
     initial: str
     eta: float
@@ -39,8 +40,7 @@ class DecayCurve:
 
 
 def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasure],
-                   N: int, grid: Optional[Grid] = None,
-                   tol: float = ke.INVARIANT_TOL) -> DecayCurve:
+                   N: int, grid: Optional[Grid] = None) -> DecayCurve:
     """Quadrature decay curve from a point mass or a density.
 
     A density is stepped from the grid it lives on, and grid (that grid when
@@ -56,14 +56,15 @@ def tv_decay_curve(spec: DriftSpec, eta: float, initial: Union[float, GridMeasur
     elif measure and grid != initial.grid:
         raise ValueError(f"the initial measure lives on {initial.grid!r}, "
                          f"not on grid={grid!r}")
-    pi = invariant_cached(spec, eta, grid, tol)
+    pi = invariant_cached(spec, eta, grid)
     start = initial if measure else [float(initial)]
     # rows n = 1..N, each (tv, tail) of the one start
     table = np.array(list(_tv_table(ke.Chain(spec, eta, eta), grid, start,
                                     range(1, N + 1), pi)))
     return DecayCurve(initial="measure" if measure else f"point:{float(initial)!r}",
                       eta=eta, values=table[:, 0, 0],
-                      tail_uncertainty=float(table[:, 1, 0].max()), floor=10.0 * tol)
+                      tail_uncertainty=float(table[:, 1, 0].max()),
+                      floor=10.0 * ke.INVARIANT_TOL)
 
 
 def _tv_table(chain: ke.Chain, grid: Grid, start, n_list, pi: GridMeasure):
@@ -157,8 +158,7 @@ class UniformSupReport:
 
 
 def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
-                   grid: Optional[Grid] = None,
-                   tol: float = ke.INVARIANT_TOL) -> UniformSupReport:
+                   grid: Optional[Grid] = None) -> UniformSupReport:
     """sup over x of d_TV(P^n(x,.), pi) for each n, with the Doeblin envelope.
 
     When the whole-space minorization applies, propagation runs under the
@@ -191,7 +191,7 @@ def uniform_sup_tv(spec: DriftSpec, eta: float, x_grid, n_list,
         m = ke._doeblin_mass(chain, lo, hi)
         if grid is None:
             grid = Grid(lo - 12.0 * chain.sd - 1.0, hi + 12.0 * chain.sd + 1.0, 2049)
-    solve = ke._invariant(chain, grid, tol)
+    solve = ke._invariant(chain, grid)
     reported = [n for n in n_list if n > 0]
     by_n = {0: (1.0, 0.0)}  # point mass against a density
     worst_tail = 0.0
@@ -217,27 +217,25 @@ class StudyRow:
     delta_hat: Optional[float]
     delta_per_unit_time: Optional[float]
     m: Optional[float]
-    envelope_rate: Optional[float]
     curve: DecayCurve
 
 
 def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
                     n_nodes: int = Grid.n_nodes,
-                    tol: float = ke.INVARIANT_TOL,
                     grid: Optional[Grid] = None) -> list[StudyRow]:
     """Per-step and per-unit-time fitted rates across step sizes, each curve
     read on grid (None: a density initial's grid, else default_grid(spec,
     eta, n_nodes, x0=initial) per eta).  The table juxtaposes delta_hat(eta); no
     equality claim across eta is made.  Rows where the curve floors
     immediately carry delta_hat None, a per-unit-time rate past the float
-    range reads inf, and rows with no Doeblin mass, or one underflowed to
-    0, no envelope_rate.  An empty eta_list or a repeated eta raises
+    range reads inf, and m is the whole-space Doeblin mass (None where it
+    does not apply).  An empty eta_list or a repeated eta raises
     ValueError."""
     rows = []
     for eta in _distinct(eta_list, "eta_list"):
         g = grid if grid is not None or isinstance(initial, GridMeasure) \
             else ke.default_grid(spec, eta, n_nodes=n_nodes, x0=float(initial))
-        curve = tv_decay_curve(spec, eta, initial, N, grid=g, tol=tol)
+        curve = tv_decay_curve(spec, eta, initial, N, grid=g)
         try:
             delta_hat = fit_geometric_rate(curve).delta_hat
         except ValueError:
@@ -251,8 +249,6 @@ def step_size_study(spec: DriftSpec, eta_list, initial, N: int,
             m = ke.whole_space_minorization(spec, eta)
         except ApplicabilityError:
             m = None
-        env = ke.doeblin_rate(m) if m else None
         rows.append(StudyRow(eta=eta, delta_hat=delta_hat,
-                             delta_per_unit_time=per_unit, m=m,
-                             envelope_rate=env, curve=curve))
+                             delta_per_unit_time=per_unit, m=m, curve=curve))
     return rows

@@ -2,8 +2,9 @@
 
 The split kernel moves the x-coordinate with the residual kernel or the
 minorizing uniform law while the bit is refreshed i.i.d. Bernoulli(eps)
-every step.  Visits to the atom C x {1} are regeneration times; the block
-statistics between visits drive the regenerative estimators.
+every step, eps being half the set's minorization constant.  Visits to the
+atom C x {1} are regeneration times; the block statistics between visits
+drive the regenerative estimators.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .drifts import DriftSpec
 from .errors import MinorizationError, _distinct
 from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _coarse, _laws,
-                     _normal_pdf, _step_mass, minorization_epsilon)
+                     _normal_pdf, _step_mass)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
@@ -33,24 +34,14 @@ MC_CHUNK = 2 ** 14
 STEP_DRAWS = 4096
 
 
-def resolve_split_epsilon(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
-                          use_full_epsilon: bool = False) -> float:
-    """Success probability used by the splitting.
-
-    The default halves the minorization constant so that C is a
-    (1, 2*eps*nu)-small set verbatim.  With use_full_epsilon the sharper
-    constant is used; it needs p >= 2*eps*nu on C^2, so it is rejected unless
-    the exact minorization_epsilon of C reaches 2*eps - 1e-12*Leb(C).
-    """
-    if use_full_epsilon:
-        exact = minorization_epsilon(spec, eta, smallset.c_lower,
-                                     smallset.c_upper).epsilon
-        if exact < 2.0 * smallset.epsilon - 1e-12 * smallset.length:
-            raise MinorizationError(
-                "p < 2*eps*nu somewhere on C^2: the full minorization "
-                "constant cannot drive the splitting for this set")
-        return smallset.epsilon
-    return 0.5 * smallset.epsilon
+def resolve_split_epsilon(smallset: SmallSetSpec) -> float:
+    """Success probability of the splitting: half the set's minorization
+    constant, so that C is a (1, 2*eps*nu)-small set verbatim; one outside
+    (0, 1) raises ValueError."""
+    eps = 0.5 * smallset.epsilon
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"split constant eps={eps!r} must lie in (0, 1)")
+    return eps
 
 
 def sample_nu(smallset: SmallSetSpec, rng, size=None):
@@ -157,8 +148,6 @@ def _split_path(chain: Chain, smallset: SmallSetSpec, eps: float, x: float,
     its ratio takes phi from libm exp, which can differ from numpy's by an
     ulp, so an acceptance could only differ if the uniform fell in that ulp.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
     lo, hi = smallset.c_lower, smallset.c_upper
     span, sd, mean = hi - lo, chain.sd, chain.mean
     c = eps * sd * (1.0 / smallset.length)
@@ -230,8 +219,7 @@ def _initial_bits(d0) -> np.ndarray:
 
 
 def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: int,
-              rng, eps: Optional[float] = None, d0: Optional[int] = None
-              ) -> RegenerationBlocks:
+              rng, d0: Optional[int] = None) -> RegenerationBlocks:
     """Simulate one split-chain trajectory of n_steps transitions.
 
     Steps on Python floats (_split_path) over the draw schedule of
@@ -240,8 +228,7 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
     float or a GridMeasure (one draw); d0 defaults to a Bernoulli(eps) draw,
     matching an initial law xi (x) b_eps.
     """
-    if eps is None:
-        eps = resolve_split_epsilon(spec, eta, smallset)
+    eps = resolve_split_epsilon(smallset)
     x = float(x0.sample(1, rng)[0]) if isinstance(x0, GridMeasure) else float(x0)
     d = int(rng.random() < eps) if d0 is None else int(_initial_bits(d0))
     xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, x, d, n_steps, rng)
@@ -252,7 +239,6 @@ def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: 
 
 def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
                    x0: np.ndarray, n_steps: int, rng,
-                   eps: Optional[float] = None,
                    d0: Optional[np.ndarray] = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Many independent split chains advanced in lockstep.
@@ -262,8 +248,7 @@ def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     _advance_x over all of them.  Returns (xs, ds) with shape
     (n_steps + 1, n_replicates).
     """
-    if eps is None:
-        eps = resolve_split_epsilon(spec, eta, smallset)
+    eps = resolve_split_epsilon(smallset)
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     xs = np.empty((n_steps + 1, n))
@@ -315,7 +300,7 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     ks = sorted(_distinct((int(k) for k in ks), "ks"))
     if ks[0] < 1:
         raise ValueError("k must be >= 1")
-    eps = resolve_split_epsilon(spec, eta, smallset)
+    eps = resolve_split_epsilon(smallset)
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     hits = dict.fromkeys(ks, 0)
@@ -324,7 +309,7 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
         rng = np.random.default_rng(ss)
         m = min(MC_CHUNK, n_mc - i * MC_CHUNK)
         x0 = sample_nu(smallset, rng, size=m)
-        xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng, eps=eps,
+        xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng,
                                 d0=np.ones(m, dtype=np.int8))
         for k in ks:
             hits[k] += int(np.count_nonzero(smallset.contains(xs[k]) & (ds[k] == 1)))

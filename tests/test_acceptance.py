@@ -81,7 +81,7 @@ def test_05_split_marginal(ou, smallset_ou, grid12):
 def test_06_atom_identity(ou, smallset_ou, grid12):
     checks = eg.atom_return_check(ou, 0.5, smallset_ou, [1, 2, 3, 5],
                                   20000, grid12, seed=7)
-    eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+    eps = eg.resolve_split_epsilon(smallset_ou)
     ok = checks[0].exact == pytest.approx(eps)
     for c in checks:
         ok &= abs(c.empirical - c.exact) <= 3 * c.se
@@ -222,7 +222,9 @@ def _ou_run(tmp_path, sub, experiment):
 
 
 def _csv_rows(path):
-    return [line.split(",") for line in path.read_text().splitlines()[2:]]
+    """A CSV artifact's data rows, below its comment and header lines."""
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")][1:]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
@@ -259,3 +261,70 @@ def test_tv_decay_writes_an_envelope(tmp_path):
     assert all(float(envelope) >= normal_tv(a ** n * 3.0, v * (1.0 - a ** (2 * n)),
                                             0.0, v)
                for n, (_, _, envelope) in enumerate(rows, 1))
+
+
+def _report_values(out):
+    """report.txt as {key: value}, split at the last '='."""
+    lines = (out / "report.txt").read_text().splitlines()
+    return dict(line.rpartition("=")[::2] for line in lines)
+
+
+def _split_sim_power(out, rep):
+    # Kac: the path's expected atom visits are eps times its steps in C,
+    # and the regenerative check needs 30 blocks
+    in_c = sum(int(row[3]) for row in _csv_rows(out / "trace.csv")[1:])
+    return float(rep["epsilon_split"]) * in_c >= 30
+
+
+def _atom_check_power(out, rep):
+    # the identity check at k can fail only if no hit at all would fail it
+    return all(float(exact) > 3.0 * max(float(se), 1e-12)
+               for _, _, exact, se in _csv_rows(out / "atom_check.csv"))
+
+
+def _uniform_sup_power(out, rep):
+    # the envelope at the last n bounds something and is not already 0
+    return 0.0 < float(_csv_rows(out / "uniform_sup.csv")[-1][3]) <= 0.5
+
+
+def _return_times_power(out, rep):
+    # the expected replicates whose first step leaves D = [-r, r]; OU at
+    # eta = 0.005 steps from x0 to N(0.995 x0, 0.005)
+    rows = _csv_rows(out / "return_times.csv")
+    mean, r, sd = 0.995 * float(rows[0][1]), float(rep["radius"]), math.sqrt(0.005)
+    return len(rows) * (norm.sf((r - mean) / sd) + norm.cdf((-r - mean) / sd)) >= 10
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+@pytest.mark.parametrize("sub, kind, power", [
+    ("split-sim", "ou", _split_sim_power),
+    ("atom-check", "ou", _atom_check_power),
+    ("uniform-sup", "bounded", _uniform_sup_power),
+    ("uniform-sup", "ou", _uniform_sup_power),
+    ("return-times", "ou", _return_times_power)],
+    ids=["split-sim", "atom-check", "uniform-sup-bounded", "uniform-sup-ou",
+         "return-times"])
+def test_small_eta_defaults_have_power(tmp_path, sub, kind, power):
+    # eta = 0.005 with every other setting at its default, seed 5: a check
+    # with no power must say VACUOUS rather than PASS
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(f"[drift]\nkind = {kind}\n[experiment]\neta = 0.005\n")
+    out = tmp_path / "o"
+    assert cli.main([sub, "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) in (0, 1)
+    rep = _report_values(out)
+    assert "VACUOUS" in {v for k, v in rep.items() if k.startswith("check:")} \
+        or power(out, rep)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+@pytest.mark.parametrize("eta", [0.5, 0.1, 0.02, 0.005])
+def test_invariant_reports_a_certified_pi_error(tmp_path, eta):
+    # the true TV distance of the computed pi to N(0, v), on its own nodes
+    out = _ou_run(tmp_path, "invariant", {"eta": eta})
+    x, p = np.array(_csv_rows(out / "invariant_density.csv"), dtype=float).T
+    w = np.full(x.size, x[1] - x[0])
+    w[[0, -1]] *= 0.5
+    v = eta / (1.0 - (1.0 - eta) ** 2)
+    true_tv = 0.5 * float(w @ np.abs(p - norm.pdf(x, scale=math.sqrt(v))))
+    assert float(_report_values(out)["pi_error_bound"]) >= true_tv

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import math
@@ -237,9 +238,12 @@ class TestExitCodes:
                       "c_lower = -30\nc_upper = 30\nn_steps = 100\n"),
         ("invariant", "[drift]\nkind = ou\n[grid]\ninvariant_tol = 0\n"
                       "[experiment]\neta = 0.1\n"),
+        # the solve tolerance is fixed: any value is an unknown key
+        ("invariant", "[drift]\nkind = ou\n[grid]\ninvariant_tol = 1e-9\n"
+                      "[experiment]\neta = 0.1\n"),
         ("constants", "[drift]\nkind = ou\nsigma = inf\n[experiment]\neta = 0.1\n"),
     ], ids=["zero-sigma", "wide-small-set", "zero-invariant-tol",
-            "infinite-sigma"])
+            "invariant-tol", "infinite-sigma"])
     def test_invalid_drift_or_wide_small_set_two(self, tmp_path, capsys,
                                                  sub, text):
         cfg = write_config(tmp_path / "c.ini", text)
@@ -511,6 +515,23 @@ class TestArtifacts:
         assert ((tmp_path / "curves.csv").read_text()
                 == "experiment,eta,n,d_tv,envelope\n")
 
+    def test_emit_plotdata_sorts_eta_as_a_number(self, tmp_path):
+        # file names and eta headers sort 0.0001, 0.5, 5e-05 as text
+        for eta in ("0.5", "0.0001", "5e-05"):
+            (tmp_path / f"curve_eta_{eta}.csv").write_text(
+                f"# experiment=study eta={eta}\nn,d_tv,envelope\n2,0.1,\n1,0.2,\n")
+        assert cli.main(["emit-plotdata", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "curves.csv").read_text().splitlines()[1:]
+        assert [tuple(r.split(",")[1:3]) for r in rows] == [
+            (eta, n) for eta in ("5e-05", "0.0001", "0.5") for n in "12"]
+
+    def test_emit_plotdata_non_numeric_eta_two(self, tmp_path, capsys):
+        (tmp_path / "curve_x.csv").write_text(
+            "# experiment=tv-decay eta=small\nn,d_tv,envelope\n1,0.5,\n")
+        assert cli.main(["emit-plotdata", "--out", str(tmp_path)]) == 2
+        assert "curve_x.csv, line 3" in capsys.readouterr().err
+        assert not (tmp_path / "curves.csv").exists()
+
     def test_write_csv_zero_rows(self, tmp_path):
         cli.write_csv(tmp_path / "a.csv", ("n", "x"), ([], np.empty(0)))
         assert (tmp_path / "a.csv").read_text() == "n,x\n"
@@ -674,6 +695,21 @@ def test_verify_assumptions_exact_constants_at_small_eta(tmp_path):
                       "check:quadratic_bound=PASS"]
 
 
+@pytest.mark.parametrize("drift, failed", [
+    ("kind = bounded\nl = 0.5\n", "lipschitz"),
+    ("kind = ou\nk1 = 1.5\n", "dissipativity")], ids=["l", "k1"])
+def test_verify_assumptions_failed_audit_one(tmp_path, drift, failed):
+    # a constant the drift violates fails its check, and only that one
+    cfg = write_config(tmp_path / "v.ini", f"[drift]\n{drift}"
+                       "[experiment]\neta = 0.1\n")
+    out = tmp_path / "o"
+    assert cli.main(["verify-assumptions", "--config", cfg, "--out", str(out)]) == 1
+    checks = [line for line in (out / "report.txt").read_text().splitlines()
+              if line.startswith("check:")]
+    assert checks == [f"check:{c}={'FAIL' if c == failed else 'PASS'}"
+                      for c in ("lipschitz", "dissipativity", "quadratic_bound")]
+
+
 def test_verify_assumptions_report_lines(tmp_path, monkeypatch):
     # the AssumptionReport's fields, in field order, as Report.add writes
     # them: a float as its repr, a flag as True or False
@@ -824,6 +860,18 @@ def test_public_surface_is_pinned():
 def test_removed_names_stay_removed(name):
     with pytest.raises(AttributeError, match=name):
         getattr(eg, name)
+
+
+@pytest.mark.parametrize("fn, keyword", [
+    (eg.invariant_measure, "tol"), (eg.rates.invariant_cached, "tol"),
+    (eg.tv_decay_curve, "tol"), (eg.uniform_sup_tv, "tol"),
+    (eg.step_size_study, "tol"), (eg.run_split, "eps"),
+    (eg.split_ensemble, "eps"), (eg.resolve_split_epsilon, "use_full_epsilon")],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_removed_keywords_stay_removed(fn, keyword):
+    # the solve tolerance is kernel.INVARIANT_TOL and the split constant
+    # half the small set's, with no option to pass another
+    assert keyword not in inspect.signature(fn).parameters
 
 
 class TestDeterminism:

@@ -513,7 +513,7 @@ def test_apply_kernel_never_creates_mass(case):
 
 class TestInvariantMeasure:
     def test_fixed_point(self, ou, grid12):
-        pi = eg.invariant_measure(ou, 0.1, grid12, tol=1e-9).measure
+        pi = eg.invariant_measure(ou, 0.1, grid12).measure
         assert eg.tv_distance(pi, eg.apply_kernel(ou, 0.1, pi)) <= 1e-8
 
     def test_seed_independence(self, ou, grid12, monkeypatch):
@@ -542,8 +542,8 @@ class TestInvariantMeasure:
         assert len(solves) == 1
         with pytest.raises(ValueError, match="read-only"):
             first.measure.density[0] = 1.0
-        # the cache keys on tol, too
-        eg.invariant_measure(ou, 0.1, grid12, tol=1e-8)
+        # the cache keys on the chain and the grid
+        eg.invariant_measure(ou, 0.1, eg.Grid(-12.0, 12.0, 2049))
         assert len(solves) == 2
 
     @pytest.mark.parametrize("eta, h", [(0.5, 0.5), (0.05, 0.05), (0.5, 1.0)])
@@ -559,7 +559,7 @@ class TestInvariantMeasure:
         vals, vecs = np.linalg.eig(K)
         ref = vecs[:, np.argmin(np.abs(vals - 1.0))].real
         ref /= w @ ref
-        got = ke._invariant(ke.Chain(bp, eta, h), g, ke.INVARIANT_TOL).measure
+        got = ke._invariant(ke.Chain(bp, eta, h), g).measure
         assert 0.5 * float(w @ np.abs(got.density - ref)) <= 1e-10
 
     def test_basis_grows_in_chunks(self, bp):

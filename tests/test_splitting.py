@@ -14,33 +14,40 @@ from emergolab.splitting import _residual_draws
 
 
 class TestSplitEpsilon:
-    def test_default_is_half(self, ou, smallset_ou):
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+    def test_default_is_half(self, smallset_ou):
+        eps = eg.resolve_split_epsilon(smallset_ou)
         assert eps == pytest.approx(smallset_ou.epsilon / 2.0)
 
-    def test_full_epsilon_rejected_when_not_dominated(self, ou, smallset_ou):
-        # p >= 2 eps nu fails at the corners of C^2 for the sharp eps
+    def test_oversized_set_is_detected(self, ou, smallset_ou):
+        # a hand-built C claiming four times the sharp constant splits at
+        # twice it: p < eps*nu at the corners of C^2, which the residual
+        # draws from the corner x = 1 reach
+        oversized = eg.SmallSetSpec(-1.0, 1.0, 4.0 * smallset_ou.epsilon)
+        eps = eg.resolve_split_epsilon(oversized)
         with pytest.raises(MinorizationError):
-            eg.resolve_split_epsilon(ou, 0.5, smallset_ou, use_full_epsilon=True)
+            _residual_draws(Chain(ou, 0.5, 0.5), np.ones(10 ** 4), oversized,
+                            eps, np.random.default_rng(0))
 
-    def test_full_epsilon_accepted_when_dominated(self, ou):
-        loose = eg.SmallSetSpec(-1.0, 1.0, 0.02)
-        eps = eg.resolve_split_epsilon(ou, 0.5, loose, use_full_epsilon=True)
-        assert eps == pytest.approx(0.02)
+    def test_hand_built_set_gives_half(self):
+        assert eg.resolve_split_epsilon(eg.SmallSetSpec(-1.0, 1.0, 0.04)) == 0.02
 
 
 class TestFullEpsilonThreshold:
-    # accepted iff the exact constant reaches 2*eps - 1e-12*Leb(C)
+    # a hand-built C whose constant is twice the exact one splits with the
+    # full exact constant, p >= eps*nu on C^2; a fifth more is detected
     @pytest.mark.parametrize("kind", ["ou", "bounded"])
     def test_either_side_of_threshold(self, kind):
         spec, exact = _split_case(kind, 0.5)
-        exact = exact.epsilon
-        inside = eg.SmallSetSpec(-1.0, 1.0, exact / 2.0 + 0.5e-12)
-        assert eg.resolve_split_epsilon(spec, 0.5, inside,
-                                        use_full_epsilon=True) == inside.epsilon
-        outside = eg.SmallSetSpec(-1.0, 1.0, exact / 2.0 + 2e-12)
+        chain, corner = Chain(spec, 0.5, 0.5), np.ones(10 ** 4)
+        inside = eg.SmallSetSpec(-1.0, 1.0, 2.0 * exact.epsilon)
+        assert eg.resolve_split_epsilon(inside) == exact.epsilon
+        _residual_draws(chain, corner, inside, exact.epsilon,
+                        np.random.default_rng(0))
+        outside = eg.SmallSetSpec(-1.0, 1.0, 2.4 * exact.epsilon)
         with pytest.raises(MinorizationError):
-            eg.resolve_split_epsilon(spec, 0.5, outside, use_full_epsilon=True)
+            _residual_draws(chain, corner, outside,
+                            eg.resolve_split_epsilon(outside),
+                            np.random.default_rng(0))
 
 
 class TestInitialBits:
@@ -70,7 +77,7 @@ class TestSamplers:
         # eps*nu + (1-eps)*residual must reproduce the one-step law:
         # compare means at x = 0.8 (one-step mean 0.4)
         rng = np.random.default_rng(1)
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        eps = eg.resolve_split_epsilon(smallset_ou)
         n = 100000
         res = _residual_draws(Chain(ou, 0.5, 0.5), np.full(n, 0.8), smallset_ou,
                               eps, rng)
@@ -85,7 +92,7 @@ class TestSamplers:
         # residual CDF (Phi((y - m)/sd) - eps*nu((-inf, y]))/(1 - eps)
         from emergolab import splitting
         n, chain = 100000, Chain(ou, 0.5, 0.5)
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        eps = eg.resolve_split_epsilon(smallset_ou)
         rng = np.random.default_rng(19)
         (z, u, r, _), = splitting._step_draws(chain, smallset_ou, eps, 1, n, rng)
         y = splitting._advance_x(chain, smallset_ou, eps, np.full(n, 0.8),
@@ -126,7 +133,7 @@ class TestSplitStep:
 
     def test_d_is_refreshed_bernoulli(self, ou, smallset_ou):
         rng = np.random.default_rng(5)
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        eps = eg.resolve_split_epsilon(smallset_ou)
         ds = np.array([eg.run_split(ou, 0.5, smallset_ou, 0.0, 1, rng,
                                     d0=0).ds[1]
                        for _ in range(20000)])
@@ -253,9 +260,9 @@ class TestColumnarWriters:
             assert cli.main(["split-sim", "--config", str(tmp_path / "c.ini"),
                              "--out", str(tmp_path / "o"), "--seed", "3"]) in (0, 1)
         smallset = eg.minorization_epsilon(ou, 0.5, -1.0, 1.0)
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset)
+        eps = eg.resolve_split_epsilon(smallset)
         rng = np.random.default_rng(np.random.SeedSequence(3))
-        blocks = eg.run_split(ou, 0.5, smallset, 0.25, 2000, rng, eps=eps)
+        blocks = eg.run_split(ou, 0.5, smallset, 0.25, 2000, rng)
         assert (tmp_path / "o" / "trace.csv").read_text() == _trace_rows(blocks)
         assert ((tmp_path / "o" / "blocks.csv").read_text()
                 == _blocks_rows(blocks, blocks.in_c.astype(float)))
@@ -264,7 +271,7 @@ class TestAtomReturn:
     def test_k1_exact_epsilon(self, ou, smallset_ou, grid12):
         checks = eg.atom_return_check(ou, 0.5, smallset_ou, [1], 5000,
                                       grid12, seed=0)
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        eps = eg.resolve_split_epsilon(smallset_ou)
         assert checks[0].exact == pytest.approx(eps)
 
     def test_identity_within_three_se(self, ou, smallset_ou, grid12):
@@ -275,7 +282,7 @@ class TestAtomReturn:
 
     def test_k2_matches_adaptive_quadrature(self, ou, smallset_ou, grid12):
         # eps/|C| * int_C P(x, C) dx, P(x, .) = N(x/2, 1/2) at eta = 0.5
-        eps = eg.resolve_split_epsilon(ou, 0.5, smallset_ou)
+        eps = eg.resolve_split_epsilon(smallset_ou)
         sd = math.sqrt(0.5)
         mass, _ = quad(lambda x: norm.cdf((1.0 - 0.5 * x) / sd)
                        - norm.cdf((-1.0 - 0.5 * x) / sd), -1.0, 1.0,
@@ -424,11 +431,11 @@ class TestScalarLoop:
         rng = np.random.default_rng(0)
         assert eg.run_split(ou, 0.5, smallset_ou, 0.0, 300, rng).xs.size == 301
 
-    def test_too_large_eps_raises_like_lockstep(self, ou, smallset_ou):
-        for run in (lambda rng: eg.run_split(ou, 0.5, smallset_ou, 0.0, 2000,
-                                             rng, eps=0.95),
-                    lambda rng: eg.split_ensemble(ou, 0.5, smallset_ou, [0.0],
-                                                  2000, rng, eps=0.95)):
+    def test_too_large_eps_raises_like_lockstep(self, ou):
+        loose = eg.SmallSetSpec(-1.0, 1.0, 1.9)  # eps = 0.95
+        for run in (lambda rng: eg.run_split(ou, 0.5, loose, 0.0, 2000, rng),
+                    lambda rng: eg.split_ensemble(ou, 0.5, loose, [0.0], 2000,
+                                                  rng)):
             with pytest.raises(MinorizationError):
                 run(np.random.default_rng(1))
 
@@ -458,24 +465,27 @@ class TestScalarLoop:
         # on C = [-0.2, 0.2] at eps = 0.5, eps*nu/p(x, y) > 1 for every y in
         # C, so the first residual proposal in C raises before any
         # re-proposal: the generator has drawn one block of 200 steps, no more
-        narrow = eg.SmallSetSpec(-0.2, 0.2, 0.01)
+        narrow = eg.SmallSetSpec(-0.2, 0.2, 1.0)  # eps = 0.5
         reference = np.random.default_rng(5)
         for draw in (reference.standard_normal, reference.random, reference.random):
             draw(200)
         for run in (lambda rng: eg.run_split(ou, 0.5, narrow, 0.0, 200, rng,
-                                             eps=0.5, d0=0),
+                                             d0=0),
                     lambda rng: eg.split_ensemble(ou, 0.5, narrow, [0.0], 200,
-                                                  rng, eps=0.5, d0=[0])):
+                                                  rng, d0=[0])):
             rng = np.random.default_rng(5)
             with pytest.raises(MinorizationError):
                 run(rng)
             assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
-    def test_eps_outside_unit_interval(self, ou, smallset_ou, eps):
+    def test_eps_outside_unit_interval(self, ou, eps):
         rng = np.random.default_rng(2)
+        smallset = eg.SmallSetSpec(-1.0, 1.0, 2.0 * eps)
         with pytest.raises(ValueError, match="eps"):
-            eg.run_split(ou, 0.5, smallset_ou, 0.0, 10, rng, eps=eps)
+            eg.run_split(ou, 0.5, smallset, 0.0, 10, rng)
+        with pytest.raises(ValueError, match="eps"):  # the lockstep chains too
+            eg.split_ensemble(ou, 0.5, smallset, [0.0, 0.5], 10, rng)
 
     def test_explosive_chain_names_the_drift_argument(self):
         # mean -3.5*x: |x| overflows to inf, and the next step must stop
