@@ -1,36 +1,38 @@
 """Split chain on R x {0,1} built from a one-step small set.
 
-The split kernel moves the x-coordinate with the residual kernel or the
-minorizing uniform law while the bit is refreshed i.i.d. Bernoulli(eps)
-every step, eps being half the set's minorization constant.  Visits to the
-atom C x {1} are regeneration times; the block statistics between visits
-drive the regenerative estimators.
+The x-coordinate is the plain EM chain, and each move x -> y is marked
+after it is made (Mykland, Tierney & Yu, JASA 1995): from C the bit is 1
+with probability eps*nu(y)/p(x, y), elsewhere with probability eps, eps
+being half the set's minorization constant.  That is the law of (x, d)
+under the split kernel, which draws the bit first and moves from the atom
+C x {1} by nu and from the rest of C by the residual kernel.  Visits to the
+atom are regeneration times; the block statistics between visits drive the
+regenerative estimators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .drifts import DriftSpec
 from .errors import MinorizationError, _distinct
 from .kernel import (Chain, Grid, GridMeasure, SmallSetSpec, _coarse, _laws,
-                     _normal_pdf, _step_mass)
+                     _normal_pdf, _step_mass, minorization_epsilon)
 
 N_BATCHES = 30
 # Student-t 0.975 quantile with N_BATCHES - 1 = 29 degrees of freedom: the
 # half-width factor of the 95 % batch-means interval.  Change it with N_BATCHES.
 T_975 = 2.045229642132703
-# split chains per chunk of atom_return_check's ensemble: (k_max + 1) rows
-# of 9 bytes per chain, and one step's draws (z, u, b, r and the bits) of
-# 33 bytes per chain, about 1.9 MB per chunk at k_max = 8
+# split chains per chunk of atom_return_check's ensemble: k_max rows of 9
+# bytes per chain, and one step's draws and marks (z, u, the ratio and its
+# masks) of about 41 bytes per chain, about 1.8 MB per chunk at k_max = 8
 MC_CHUNK = 2 ** 14
-# chain-steps per block of the split chain's draw schedule (_step_draws):
-# one chain draws STEP_DRAWS steps at a time, an ensemble of n chains
-# STEP_DRAWS // n steps (at least one)
+# chain-steps per block of the split chain's draws (_split_path): one chain
+# draws STEP_DRAWS steps at a time, an ensemble of n chains STEP_DRAWS // n
+# steps (at least one)
 STEP_DRAWS = 4096
 
 
@@ -53,135 +55,72 @@ _EPS_TOO_LARGE = ("kernel density below eps*nu on the small set; "
                   "eps is too large for this interval")
 
 
-def _residual_draws(chain: Chain, x: np.ndarray, smallset: SmallSetSpec,
-                    eps: float, rng) -> np.ndarray:
-    """Vectorized rejection sampler for the residual kernel on C.
-
-    Proposes one EM step and accepts with probability 1 - eps*nu(y)/p(x,y);
-    the acceptance rate is exactly 1 - eps.  Each round draws a normal, then
-    a uniform, for every pending chain.  A proposal with p < eps*nu
-    indicates a wrong eps and raises.
-    """
-    mean = chain.mean(x)
-    sd = chain.sd
-    out = np.empty_like(mean)
-    pending = np.arange(mean.size)
-    while pending.size:
-        z = rng.standard_normal(pending.size)
-        y = mean[pending] + sd * z
-        # eps*nu(y)/p(x, y), with p(x, y) = phi(z)/sd
-        ratio = eps * sd * np.asarray(smallset.nu_pdf(y)) / _normal_pdf(z)
-        if np.any(ratio > 1.0 + 1e-12):
-            raise MinorizationError(_EPS_TOO_LARGE)
-        u = rng.uniform(size=pending.size)
-        accept = u >= ratio
-        out[pending[accept]] = y[accept]
-        pending = pending[~accept]
-    return out
+def _split_constant(spec: DriftSpec, eta: float, smallset: SmallSetSpec) -> float:
+    """The eps of resolve_split_epsilon, checked against the exact constant
+    of C (minorization_epsilon): a hand-built set that claims more than the
+    kernel's constant raises MinorizationError before any draw."""
+    eps = resolve_split_epsilon(smallset)
+    lo, hi = smallset.c_lower, smallset.c_upper
+    exact = minorization_epsilon(spec, eta, lo, hi).epsilon
+    if eps > exact:
+        raise MinorizationError(
+            f"split constant eps={eps!r} exceeds the exact constant {exact!r} "
+            f"of [{lo!r}, {hi!r}]: " + _EPS_TOO_LARGE)
+    return eps
 
 
-def _step_draws(chain: Chain, smallset: SmallSetSpec, eps: float,
-                n_steps: int, n_chains: int, rng):
-    """The split kernel's draw schedule: blocks (z, u, r, bits), each of
-    shape (steps, n_chains), steps = max(1, STEP_DRAWS // n_chains).
+def _marks(chain: Chain, smallset: SmallSetSpec, eps: float, x: np.ndarray,
+           y: np.ndarray, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The split bits (int8) of the moves x -> y = mean(x) + sd*z.
 
-    Every chain takes one normal z, one uniform u and one bit-uniform b per
-    step; a block draws its normals, then its uniforms, then its
-    bit-uniforms.  r is a residual step's rejection ratio
-    eps*nu/p(x, y) = eps*sd*nu/phi(z) for a y in C, where u falls below it,
-    and 0 where the proposal is kept; bits is the next step's d = (b < eps).
-    A block is drawn only once the previous one is used up, so the
-    proposals that a block rejects re-propose (_residual_draws) from the
-    stream before the next block is drawn.
-    """
-    c = eps * chain.sd * (1.0 / smallset.length)
-    steps = max(1, STEP_DRAWS // n_chains)
-    for start in range(0, n_steps, steps):
-        shape = (min(steps, n_steps - start), n_chains)
-        z, u, b = (rng.standard_normal(shape), rng.random(shape),
-                   rng.random(shape))
-        r = _normal_pdf(z.copy())
-        np.divide(c, r, out=r)
-        r *= u < r
-        yield z, u, r, (b < eps).view(np.int8)
-
-
-def _advance_x(chain: Chain, smallset: SmallSetSpec, eps: float,
-               x: np.ndarray, d: np.ndarray, z: np.ndarray, u: np.ndarray,
-               r: np.ndarray, rng) -> np.ndarray:
-    """x-update of the split kernel for a whole ensemble, from one step's
-    draws of _step_draws.
-
-    Every chain proposes y = mean(x) + sd*z.  Off C, x' = y; at the atom
-    (x in C, d = 1), x' = lo + (hi - lo)*u; on the residual side (x in C,
-    d = 0) y is kept unless it lies in C and r > 0.  Only those rejected
-    proposals are gathered, and _residual_draws re-proposes them in chain
-    order.
+    From C the bit is 1{u < eps*nu(y)/p(x, y)}, with p(x, y) = phi(z)/sd,
+    and elsewhere 1{u < eps}.  A ratio above 1 on a move from C into C
+    means p < eps*nu there, so eps is too large: it raises.
     """
     lo, hi = smallset.c_lower, smallset.c_upper
-    y = chain.step(x, z)
-    in_c = (x >= lo) & (x <= hi)
-    new = np.where(in_c & (d == 1), lo + (hi - lo) * u, y)
-    rejected = np.flatnonzero(r > 0.0)
-    y_r = y[rejected]
-    rejected = rejected[in_c[rejected] & (d[rejected] == 0)
-                        & (y_r >= lo) & (y_r <= hi)]
-    if rejected.size:
-        # u < 1, so every ratio above 1 is a rejected one
-        if r[rejected].max() > 1.0 + 1e-12:
-            raise MinorizationError(_EPS_TOO_LARGE)
-        new[rejected] = _residual_draws(chain, x[rejected], smallset, eps, rng)
-    return new
+    ratio = _normal_pdf(z.copy())
+    np.divide(eps * chain.sd / smallset.length, ratio, out=ratio)
+    ratio = np.where((x >= lo) & (x <= hi),
+                     np.where((y >= lo) & (y <= hi), ratio, 0.0), eps)
+    if ratio.max() > 1.0 + 1e-12:  # eps < 1, so a move from C into C
+        raise MinorizationError(_EPS_TOO_LARGE)
+    return (u < ratio).view(np.int8)
 
 
-def _split_path(chain: Chain, smallset: SmallSetSpec, eps: float, x: float,
-                d: int, n_steps: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One split chain from (x, d) stepped on Python floats: the arrays
-    x_0..x_n and d_0..d_n.
+def _split_path(chain: Chain, smallset: SmallSetSpec, eps: float, x0,
+                n_steps: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """n_steps moves of split chains from x0: xs and ds of shape
+    (n_steps + 1, n), n = x0.size.
 
-    A single chain makes the array bookkeeping of split_ensemble cost more
-    than its arithmetic, so it gets this loop over each block's tolist().
-    It consumes the draw schedule of a one-replicate split_ensemble
-    (_step_draws) and applies the same rule, so the two agree bit for bit,
-    generator state included.  A rejected proposal re-proposes as
-    _residual_draws does for one chain, a normal then a uniform per round;
-    its ratio takes phi from libm exp, which can differ from numpy's by an
-    ulp, so an acceptance could only differ if the uniform fell in that ulp.
+    Blocks of max(1, STEP_DRAWS // n) steps draw a normal z per chain and
+    step, then a uniform u.  The chains move to mean(x) + sd*z, and _marks
+    sets each move's bit from u; the last bit, whose move is not made, is a
+    Bernoulli(eps) draw after the last block.  One chain steps on Python
+    floats, since the array bookkeeping of a step would cost more than its
+    arithmetic; many step in lockstep by chain.step.
     """
-    lo, hi = smallset.c_lower, smallset.c_upper
-    span, sd, mean = hi - lo, chain.sd, chain.mean
-    c = eps * sd * (1.0 / smallset.length)
-    xs, ds = np.empty(n_steps + 1), np.empty(n_steps + 1, dtype=np.int8)
-    xs[0], ds[0] = x, d
-    t = 1
-    for zs, us, rs, bits in _step_draws(chain, smallset, eps, n_steps, 1, rng):
-        k = bits.shape[0]
-        ds[t:t + k] = bits[:, 0]
-        block = []
-        for z, u, r, d_next in zip(zs[:, 0].tolist(), us[:, 0].tolist(),
-                                   rs[:, 0].tolist(), bits[:, 0].tolist()):
-            if not lo <= x <= hi:
-                x = mean(x) + sd * z
-            elif d:
-                x = lo + span * u
-            else:
-                m = mean(x)
-                x = m + sd * z
-                if r and lo <= x <= hi:
-                    if r > 1.0 + 1e-12:
-                        raise MinorizationError(_EPS_TOO_LARGE)
-                    while True:
-                        z = rng.standard_normal()
-                        x = m + sd * z
-                        ratio = c / _normal_pdf(z) if lo <= x <= hi else 0.0
-                        if ratio > 1.0 + 1e-12:
-                            raise MinorizationError(_EPS_TOO_LARGE)
-                        if rng.random() >= ratio:
-                            break
-            d = d_next
-            block.append(x)
-        xs[t:t + k] = block
-        t += k
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    xs = np.empty((n_steps + 1, n))
+    ds = np.empty((n_steps + 1, n), dtype=np.int8)
+    xs[0] = x0
+    steps = max(1, STEP_DRAWS // n)
+    for t in range(0, n_steps, steps):
+        shape = (min(steps, n_steps - t), n)
+        z, u = rng.standard_normal(shape), rng.random(shape)
+        end = t + shape[0]
+        if n == 1:
+            x, mean, sd, path = float(xs[t, 0]), chain.mean, chain.sd, []
+            for z_s in z[:, 0].tolist():
+                x = mean(x) + sd * z_s
+                path.append(x)
+            xs[t + 1:end + 1, 0] = path
+        else:
+            for s in range(t, end):
+                xs[s + 1] = chain.step(xs[s], z[s - t])
+        ds[t:end] = _marks(chain, smallset, eps, xs[t:end], xs[t + 1:end + 1],
+                           z, u)
+    ds[n_steps] = rng.random(n) < eps
     return xs, ds
 
 
@@ -212,59 +151,31 @@ class RegenerationBlocks:
         return cum[t[1:] + 1] - cum[t[:-1] + 1]
 
 
-def _initial_bits(d0) -> np.ndarray:
-    if not np.all(np.isin(d0, (0, 1))):
-        raise ValueError(f"d0={d0!r}: every initial bit must be 0 or 1")
-    return np.asarray(d0, dtype=np.int8)
-
-
 def run_split(spec: DriftSpec, eta: float, smallset: SmallSetSpec, x0, n_steps: int,
-              rng, d0: Optional[int] = None) -> RegenerationBlocks:
+              rng) -> RegenerationBlocks:
     """Simulate one split-chain trajectory of n_steps transitions.
 
-    Steps on Python floats (_split_path) over the draw schedule of
-    _step_draws, in blocks of STEP_DRAWS steps, and equals a one-replicate
-    split_ensemble run bit for bit, generator state included.  x0 may be a
-    float or a GridMeasure (one draw); d0 defaults to a Bernoulli(eps) draw,
-    matching an initial law xi (x) b_eps.
+    x0 may be a float or a GridMeasure (one draw).  The chain steps on
+    Python floats (_split_path), as a one-replicate split_ensemble does, and
+    equals that run bit for bit, generator state included.
     """
-    eps = resolve_split_epsilon(smallset)
-    x = float(x0.sample(1, rng)[0]) if isinstance(x0, GridMeasure) else float(x0)
-    d = int(rng.random() < eps) if d0 is None else int(_initial_bits(d0))
-    xs, ds = _split_path(Chain(spec, eta, eta), smallset, eps, x, d, n_steps, rng)
+    eps = _split_constant(spec, eta, smallset)
+    x = x0.sample(1, rng)[0] if isinstance(x0, GridMeasure) else float(x0)
+    xs, ds = (a[:, 0] for a in _split_path(Chain(spec, eta, eta), smallset,
+                                           eps, x, n_steps, rng))
     in_c = np.asarray(smallset.contains(xs))
     visits = np.flatnonzero(in_c & (ds == 1))
     return RegenerationBlocks(xs=xs, ds=ds, in_c=in_c, atom_visit_times=visits)
 
 
 def split_ensemble(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
-                   x0: np.ndarray, n_steps: int, rng,
-                   d0: Optional[np.ndarray] = None
+                   x0: np.ndarray, n_steps: int, rng
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Many independent split chains advanced in lockstep.
-
-    The chains consume the draw schedule of _step_draws, in blocks of
-    max(1, STEP_DRAWS // n_replicates) steps, and each step is one
-    _advance_x over all of them.  Returns (xs, ds) with shape
-    (n_steps + 1, n_replicates).
+    """Independent split chains from the starts x0, advanced in lockstep
+    (_split_path).  Returns (xs, ds) with shape (n_steps + 1, n_replicates).
     """
-    eps = resolve_split_epsilon(smallset)
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    xs = np.empty((n_steps + 1, n))
-    ds = np.empty((n_steps + 1, n), dtype=np.int8)
-    xs[0] = x0
-    ds[0] = (rng.uniform(size=n) < eps).astype(np.int8) if d0 is None \
-        else _initial_bits(d0)
-    chain = Chain(spec, eta, eta)
-    t = 0
-    for z, u, r, bits in _step_draws(chain, smallset, eps, n_steps, n, rng):
-        ds[t + 1:t + 1 + bits.shape[0]] = bits
-        for z_t, u_t, r_t in zip(z, u, r):
-            xs[t + 1] = _advance_x(chain, smallset, eps, xs[t], ds[t], z_t,
-                                   u_t, r_t, rng)
-            t += 1
-    return xs, ds
+    eps = _split_constant(spec, eta, smallset)
+    return _split_path(Chain(spec, eta, eta), smallset, eps, x0, n_steps, rng)
 
 
 @dataclass(frozen=True)
@@ -286,8 +197,10 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     """Compare empirical k-step atom-to-atom mass with eps * (nu P^{k-1})(C),
     eps the split constant of resolve_split_epsilon.
 
-    Empirical: n_mc split chains started at the atom (x ~ nu, d = 1); the
-    statistic at k is the fraction sitting in C x {1} after exactly k steps.
+    Empirical: n_mc split chains started at the atom; the statistic at k is
+    the fraction sitting in C x {1} after exactly k steps.  A chain at the
+    atom moves to nu, so each chain starts from nu and its step k - 1 is
+    the atom chain's step k.
     The chains run in chunks of MC_CHUNK, each chunk on its own child of
     SeedSequence(seed), and only their atom-hit counts are kept.
     Exact: k = 1 is eps * nu(C) = eps; every other k takes (nu P^{k-2})
@@ -308,11 +221,11 @@ def atom_return_check(spec: DriftSpec, eta: float, smallset: SmallSetSpec,
     for i, ss in enumerate(chunks):
         rng = np.random.default_rng(ss)
         m = min(MC_CHUNK, n_mc - i * MC_CHUNK)
-        x0 = sample_nu(smallset, rng, size=m)
-        xs, ds = split_ensemble(spec, eta, smallset, x0, max(ks), rng,
-                                d0=np.ones(m, dtype=np.int8))
+        xs, ds = split_ensemble(spec, eta, smallset, sample_nu(smallset, rng, m),
+                                max(ks) - 1, rng)
         for k in ks:
-            hits[k] += int(np.count_nonzero(smallset.contains(xs[k]) & (ds[k] == 1)))
+            hits[k] += int(np.count_nonzero(smallset.contains(xs[k - 1])
+                                            & (ds[k - 1] == 1)))
         del xs, ds  # freed before the next chunk and the quadrature below
     p_hats = {k: hits[k] / n_mc for k in ks}
 

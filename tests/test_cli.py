@@ -866,11 +866,13 @@ def test_removed_names_stay_removed(name):
     (eg.invariant_measure, "tol"), (eg.rates.invariant_cached, "tol"),
     (eg.tv_decay_curve, "tol"), (eg.uniform_sup_tv, "tol"),
     (eg.step_size_study, "tol"), (eg.run_split, "eps"),
-    (eg.split_ensemble, "eps"), (eg.resolve_split_epsilon, "use_full_epsilon")],
+    (eg.split_ensemble, "eps"), (eg.resolve_split_epsilon, "use_full_epsilon"),
+    (eg.run_split, "d0"), (eg.split_ensemble, "d0")],
     ids=lambda v: getattr(v, "__name__", v))
 def test_removed_keywords_stay_removed(fn, keyword):
     # the solve tolerance is kernel.INVARIANT_TOL and the split constant
-    # half the small set's, with no option to pass another
+    # half the small set's, with no option to pass another; a split chain's
+    # bits are the marks of its moves, with no initial bit to pass
     assert keyword not in inspect.signature(fn).parameters
 
 

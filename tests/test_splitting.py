@@ -7,10 +7,27 @@ from scipy.integrate import quad
 from scipy.stats import kstest, norm
 
 import emergolab as eg
-from emergolab import cli
+from emergolab import cli, splitting
 from emergolab.errors import MinorizationError
 from emergolab.kernel import Chain
-from emergolab.splitting import _residual_draws
+
+
+def _split_case(kind, eta):
+    spec = eg.ornstein_uhlenbeck(kappa=1.0) if kind == "ou" \
+        else eg.bounded_perturbation(kappa=1.0, a=0.5)
+    return spec, eg.minorization_epsilon(spec, eta, -1.0, 1.0)
+
+
+def _marked_moves(spec, smallset, x, n, seed, eps=None):
+    """n EM moves from x at eta = 0.5 and their split bits (splitting._marks),
+    eps defaulting to the set's split constant."""
+    chain, rng = Chain(spec, 0.5, 0.5), np.random.default_rng(seed)
+    if eps is None:
+        eps = eg.resolve_split_epsilon(smallset)
+    x = np.full(n, x)
+    z = rng.standard_normal(n)
+    y = chain.step(x, z)
+    return y, splitting._marks(chain, smallset, eps, x, y, z, rng.random(n))
 
 
 class TestSplitEpsilon:
@@ -18,15 +35,29 @@ class TestSplitEpsilon:
         eps = eg.resolve_split_epsilon(smallset_ou)
         assert eps == pytest.approx(smallset_ou.epsilon / 2.0)
 
-    def test_oversized_set_is_detected(self, ou, smallset_ou):
+    def test_oversized_set_is_detected(self):
         # a hand-built C claiming four times the sharp constant splits at
-        # twice it: p < eps*nu at the corners of C^2, which the residual
-        # draws from the corner x = 1 reach
-        oversized = eg.SmallSetSpec(-1.0, 1.0, 4.0 * smallset_ou.epsilon)
-        eps = eg.resolve_split_epsilon(oversized)
-        with pytest.raises(MinorizationError):
-            _residual_draws(Chain(ou, 0.5, 0.5), np.ones(10 ** 4), oversized,
-                            eps, np.random.default_rng(0))
+        # twice it: p < eps*nu at the corners of C^2, which the marks of the
+        # moves from the corner x = 1 reach
+        for kind in ("ou", "bounded"):
+            spec, exact = _split_case(kind, 0.5)
+            oversized = eg.SmallSetSpec(-1.0, 1.0, 4.0 * exact.epsilon)
+            with pytest.raises(MinorizationError):
+                _marked_moves(spec, oversized, 1.0, 10 ** 4, 0)
+
+    def test_slight_excess_raises_before_any_draw(self, ou, smallset_ou):
+        # 1e-6 above the exact constant: p < eps*nu only on a sliver at the
+        # corners of C^2 that no run meets, so the constant itself is checked
+        excess = eg.SmallSetSpec(-1.0, 1.0,
+                                 2.0 * smallset_ou.epsilon * (1.0 + 1e-6))
+        for run in (lambda rng: eg.run_split(ou, 0.5, excess, 1.0, 2000, rng),
+                    lambda rng: eg.split_ensemble(ou, 0.5, excess, [1.0, 0.0],
+                                                  2000, rng)):
+            rng = np.random.default_rng(4)
+            with pytest.raises(MinorizationError, match="exact constant"):
+                run(rng)
+            assert rng.bit_generator.state == \
+                np.random.default_rng(4).bit_generator.state
 
     def test_hand_built_set_gives_half(self):
         assert eg.resolve_split_epsilon(eg.SmallSetSpec(-1.0, 1.0, 0.04)) == 0.02
@@ -38,31 +69,13 @@ class TestFullEpsilonThreshold:
     @pytest.mark.parametrize("kind", ["ou", "bounded"])
     def test_either_side_of_threshold(self, kind):
         spec, exact = _split_case(kind, 0.5)
-        chain, corner = Chain(spec, 0.5, 0.5), np.ones(10 ** 4)
         inside = eg.SmallSetSpec(-1.0, 1.0, 2.0 * exact.epsilon)
         assert eg.resolve_split_epsilon(inside) == exact.epsilon
-        _residual_draws(chain, corner, inside, exact.epsilon,
-                        np.random.default_rng(0))
+        _marked_moves(spec, inside, 1.0, 10 ** 4, 0)
+        eg.run_split(spec, 0.5, inside, 1.0, 2000, np.random.default_rng(0))
         outside = eg.SmallSetSpec(-1.0, 1.0, 2.4 * exact.epsilon)
         with pytest.raises(MinorizationError):
-            _residual_draws(chain, corner, outside,
-                            eg.resolve_split_epsilon(outside),
-                            np.random.default_rng(0))
-
-
-class TestInitialBits:
-    @pytest.mark.parametrize("d0", [[2], [1, 2], [-1], [0.5], [256]])
-    def test_split_ensemble_rejects_bad_bits(self, ou, smallset_ou, d0):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="d0"):
-            eg.split_ensemble(ou, 0.5, smallset_ou, [0.2] * len(d0), 3, rng,
-                              d0=d0)
-
-    @pytest.mark.parametrize("d0", [2, -1, 0.5])
-    def test_run_split_rejects_bad_bit(self, ou, smallset_ou, d0):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="d0"):
-            eg.run_split(ou, 0.5, smallset_ou, 0.2, 3, rng, d0=d0)
+            _marked_moves(spec, outside, 1.0, 10 ** 4, 0)
 
 
 class TestSamplers:
@@ -73,72 +86,75 @@ class TestSamplers:
         stat = kstest(xs, "uniform", args=(-1.0, 2.0)).pvalue
         assert stat > 1e-4
 
-    def test_residual_mixture_identity(self, ou, smallset_ou):
-        # eps*nu + (1-eps)*residual must reproduce the one-step law:
-        # compare means at x = 0.8 (one-step mean 0.4)
-        rng = np.random.default_rng(1)
-        eps = eg.resolve_split_epsilon(smallset_ou)
+    def test_residual_mixture_identity(self):
+        # eps*nu + (1-eps)*residual is the one-step law from x = 0.8, so the
+        # moves marked 1 have nu's mean 0 and those marked 0 the residual
+        # mean m/(1 - eps), m the one-step mean
         n = 100000
-        res = _residual_draws(Chain(ou, 0.5, 0.5), np.full(n, 0.8), smallset_ou,
-                              eps, rng)
-        nu = eg.sample_nu(smallset_ou, rng, size=n)
-        mix = np.where(rng.random(n) < eps, nu, res)
-        one_step_mean = 0.4
-        one_step_sd = math.sqrt(0.5)
-        assert abs(mix.mean() - one_step_mean) <= 5 * one_step_sd / math.sqrt(n)
+        for kind in ("ou", "bounded"):
+            spec, smallset = _split_case(kind, 0.5)
+            eps = eg.resolve_split_epsilon(smallset)
+            m = Chain(spec, 0.5, 0.5).mean(0.8)
+            y, d = _marked_moves(spec, smallset, 0.8, n, 1)
+            atom, rest = y[d == 1], y[d == 0]
+            assert abs(atom.mean()) <= 5 * math.sqrt(1.0 / 3.0 / atom.size)
+            assert abs(rest.mean() - m / (1.0 - eps)) \
+                <= 5 * rest.std() / math.sqrt(rest.size)
 
-    def test_residual_step_law(self, ou, smallset_ou):
-        # one step of 10**5 residual chains (x = 0.8, d = 0) against the
+    def test_residual_step_law(self):
+        # the moves of 10**5 chains from x = 0.8 marked 0 against the
         # residual CDF (Phi((y - m)/sd) - eps*nu((-inf, y]))/(1 - eps)
-        from emergolab import splitting
-        n, chain = 100000, Chain(ou, 0.5, 0.5)
-        eps = eg.resolve_split_epsilon(smallset_ou)
-        rng = np.random.default_rng(19)
-        (z, u, r, _), = splitting._step_draws(chain, smallset_ou, eps, 1, n, rng)
-        y = splitting._advance_x(chain, smallset_ou, eps, np.full(n, 0.8),
-                                 np.zeros(n, dtype=np.int8), z[0], u[0], r[0],
-                                 rng)
-        m, sd = 0.4, math.sqrt(0.5)
+        sd = math.sqrt(0.5)
+        for kind in ("ou", "bounded"):
+            spec, smallset = _split_case(kind, 0.5)
+            eps = eg.resolve_split_epsilon(smallset)
+            m = Chain(spec, 0.5, 0.5).mean(0.8)
+            y, d = _marked_moves(spec, smallset, 0.8, 100000, 19)
 
-        def cdf(v):
-            nu = np.clip((v + 1.0) / 2.0, 0.0, 1.0)
-            return (norm.cdf((v - m) / sd) - eps * nu) / (1.0 - eps)
-        assert kstest(y, cdf).pvalue > 1e-6
+            def cdf(v):
+                nu = np.clip((v + 1.0) / 2.0, 0.0, 1.0)
+                return (norm.cdf((v - m) / sd) - eps * nu) / (1.0 - eps)
+            assert kstest(y[d == 0], cdf).pvalue > 1e-6
 
-    def test_wrong_eps_detected(self, ou, smallset_ou):
-        rng = np.random.default_rng(2)
-        with pytest.raises(MinorizationError):
-            _residual_draws(Chain(ou, 0.5, 0.5), np.zeros(1000), smallset_ou,
-                            0.9, rng)
+    def test_wrong_eps_detected(self):
+        for kind in ("ou", "bounded"):
+            spec, smallset = _split_case(kind, 0.5)
+            with pytest.raises(MinorizationError):
+                _marked_moves(spec, smallset, 0.0, 1000, 2, eps=0.9)
 
 
 class TestSplitStep:
-    """One split-kernel transition from (x, d): run_split with n_steps=1."""
+    """One split-kernel transition: an EM move and its mark."""
 
-    def test_atom_regenerates_from_nu(self, ou, smallset_ou):
-        rng = np.random.default_rng(3)
-        xs = np.array([eg.run_split(ou, 0.5, smallset_ou, 0.3, 1, rng,
-                                    d0=1).xs[1]
-                       for _ in range(5000)])
-        assert xs.min() >= -1.0 and xs.max() <= 1.0
-        assert kstest(xs, "uniform", args=(-1.0, 2.0)).pvalue > 1e-4
+    def test_atom_regenerates_from_nu(self):
+        # the moves from x = 0.3 in C that are marked 1 are nu draws
+        for kind in ("ou", "bounded"):
+            spec, smallset = _split_case(kind, 0.5)
+            y, d = _marked_moves(spec, smallset, 0.3, 100000, 3)
+            atom = y[d == 1]
+            assert atom.size > 1000
+            assert atom.min() >= -1.0 and atom.max() <= 1.0
+            assert kstest(atom, "uniform", args=(-1.0, 2.0)).pvalue > 1e-4
 
     def test_off_c_moves_like_plain_chain(self, ou, smallset_ou):
-        rng = np.random.default_rng(4)
-        xs = np.array([eg.run_split(ou, 0.5, smallset_ou, 6.0, 1, rng,
-                                    d0=0).xs[1]
-                       for _ in range(5000)])
-        assert abs(xs.mean() - 3.0) <= 5 * math.sqrt(0.5 / 5000)
-        assert abs(xs.std(ddof=1) - math.sqrt(0.5)) < 0.05
+        xs, _ = eg.split_ensemble(ou, 0.5, smallset_ou, np.full(5000, 6.0), 1,
+                                  np.random.default_rng(4))
+        assert abs(xs[1].mean() - 3.0) <= 5 * math.sqrt(0.5 / 5000)
+        assert abs(xs[1].std(ddof=1) - math.sqrt(0.5)) < 0.05
 
-    def test_d_is_refreshed_bernoulli(self, ou, smallset_ou):
-        rng = np.random.default_rng(5)
-        eps = eg.resolve_split_epsilon(smallset_ou)
-        ds = np.array([eg.run_split(ou, 0.5, smallset_ou, 0.0, 1, rng,
-                                    d0=0).ds[1]
-                       for _ in range(20000)])
-        se = math.sqrt(eps * (1 - eps) / ds.size)
-        assert abs(ds.mean() - eps) <= 4 * se
+    def test_d_is_refreshed_bernoulli(self):
+        # the bits of moves from C (x = 0) and off C (x = 6), and the last
+        # bit, whose move is not made, are each Bernoulli(eps)
+        n = 20000
+        for kind in ("ou", "bounded"):
+            spec, smallset = _split_case(kind, 0.5)
+            eps = eg.resolve_split_epsilon(smallset)
+            se = math.sqrt(eps * (1 - eps) / n)
+            for x0, seed in ((0.0, 5), (6.0, 6)):
+                _, ds = eg.split_ensemble(spec, 0.5, smallset, np.full(n, x0),
+                                          1, np.random.default_rng(seed))
+                for bits in ds:
+                    assert abs(bits.mean() - eps) <= 4 * se
 
 
 class TestRunSplit:
@@ -302,7 +318,6 @@ class TestAtomReturn:
                                               monkeypatch):
         # the (k_max + 1) x n_mc ensemble must not be held while nu P is
         # built (kernel._laws), which is the largest allocation of the check
-        from emergolab import splitting
         held = []
         ensemble, laws = splitting.split_ensemble, splitting._laws
 
@@ -328,15 +343,15 @@ class TestAtomReturn:
         # each chunk of MC_CHUNK chains runs on its own child of
         # SeedSequence(seed), so the first chunks of an ensemble are the
         # whole of a smaller one, as sample_paths' path chunks are
-        from emergolab import splitting
         sizes, hits = [], []
         ensemble = splitting.split_ensemble
 
         def record(spec, eta, smallset, x0, *args, **kwargs):
             xs, ds = ensemble(spec, eta, smallset, x0, *args, **kwargs)
             sizes.append(x0.size)
-            hits.append(int(np.count_nonzero(smallset.contains(xs[3])
-                                             & (ds[3] == 1))))
+            # step 3 of a chain from the atom is step 2 of one from nu
+            hits.append(int(np.count_nonzero(smallset.contains(xs[2])
+                                             & (ds[2] == 1))))
             return xs, ds
         monkeypatch.setattr(splitting, "split_ensemble", record)
         monkeypatch.setattr(splitting, "MC_CHUNK", 400)
@@ -370,7 +385,6 @@ class TestRegenerativeEstimator:
 
     def test_t_quantile_constant(self):
         from scipy.stats import t
-        from emergolab import splitting
         assert splitting.T_975 == t.ppf(0.975, splitting.N_BATCHES - 1)
 
     def test_constant_function_degenerate(self, ou, smallset_ou):
@@ -391,10 +405,32 @@ class TestAtomReturnTail:
         assert 0.0 < fit.decay_factor < 1.0
 
 
-def _split_case(kind, eta):
-    spec = eg.ornstein_uhlenbeck(kappa=1.0) if kind == "ou" \
-        else eg.bounded_perturbation(kappa=1.0, a=0.5)
-    return spec, eg.minorization_epsilon(spec, eta, -1.0, 1.0)
+def _reference_split(spec, eta, smallset, x0, n_steps, seed, block):
+    """The split chain from x0 rebuilt from its draw schedule: blocks of
+    `block` steps draw their normals, then their uniforms; x follows the EM
+    recursion (chain.step on arrays), a move from C is marked 1 when
+    u < eps*sd*nu(y)/phi(z) and any other when u < eps, and the last bit is
+    one more uniform below eps.  Returns xs, ds and the generator."""
+    chain, eps = Chain(spec, eta, eta), eg.resolve_split_epsilon(smallset)
+    lo, hi = smallset.c_lower, smallset.c_upper
+    rng = np.random.default_rng(seed)
+    xs, ds = [np.array([float(x0)])], []
+    for t in range(0, n_steps, block):
+        k = min(block, n_steps - t)
+        z, u = rng.standard_normal(k), rng.random(k)
+        for z_s, u_s in zip(z, u):
+            x = xs[-1]
+            xs.append(chain.step(x, z_s))
+            if not lo <= x[0] <= hi:
+                ratio = eps
+            elif lo <= xs[-1][0] <= hi:
+                ratio = eps * chain.sd / (hi - lo) \
+                    / (math.exp(-0.5 * z_s * z_s) / math.sqrt(2.0 * math.pi))
+            else:
+                ratio = 0.0
+            ds.append(u_s < ratio)
+    ds.append(rng.random() < eps)
+    return np.concatenate(xs), np.array(ds, dtype=np.int8), rng
 
 
 class TestScalarLoop:
@@ -404,17 +440,15 @@ class TestScalarLoop:
     @pytest.mark.parametrize("kind", ["ou", "bounded"])
     @pytest.mark.parametrize("eta", [0.5, 0.1])
     @pytest.mark.parametrize("start", ["point", "measure"])
-    @pytest.mark.parametrize("d0", [None, 0, 1])
-    def test_run_split_matches_ensemble(self, kind, eta, start, d0):
+    def test_run_split_matches_ensemble(self, kind, eta, start):
         spec, smallset = _split_case(kind, eta)
         x0 = 0.4 if start == "point" else \
             eg.gaussian_on_grid(eg.Grid(-6.0, 6.0, 257), 0.5, 1.0)
-        seed = 17 + 2 * (d0 or 0) + (start == "measure")
+        seed = 17 + (start == "measure")
         scalar, lockstep = np.random.default_rng(seed), np.random.default_rng(seed)
-        blocks = eg.run_split(spec, eta, smallset, x0, 2000, scalar, d0=d0)
+        blocks = eg.run_split(spec, eta, smallset, x0, 2000, scalar)
         x = x0.sample(1, lockstep) if start == "measure" else [x0]
-        xs, ds = eg.split_ensemble(spec, eta, smallset, x, 2000, lockstep,
-                                   d0=None if d0 is None else [d0])
+        xs, ds = eg.split_ensemble(spec, eta, smallset, x, 2000, lockstep)
         assert np.array_equal(blocks.xs, xs[:, 0])
         assert np.array_equal(blocks.ds, ds[:, 0])
         assert blocks.ds.dtype == ds.dtype
@@ -422,14 +456,15 @@ class TestScalarLoop:
 
     def test_one_chain_avoids_the_lockstep_loop(self, ou, smallset_ou,
                                                 monkeypatch):
-        from emergolab import splitting
-
         def lockstep(*args, **kwargs):
-            raise AssertionError("one chain went through the lockstep loop")
-        monkeypatch.setattr(splitting, "split_ensemble", lockstep)
-        monkeypatch.setattr(splitting, "_advance_x", lockstep)
+            raise AssertionError("chain.step ran: the lockstep loop")
+        monkeypatch.setattr(Chain, "step", lockstep)
         rng = np.random.default_rng(0)
         assert eg.run_split(ou, 0.5, smallset_ou, 0.0, 300, rng).xs.size == 301
+        xs, ds = eg.split_ensemble(ou, 0.5, smallset_ou, 0.0, 300, rng)
+        assert xs.shape == ds.shape == (301, 1)  # a scalar start is one chain
+        with pytest.raises(AssertionError, match="lockstep"):
+            eg.split_ensemble(ou, 0.5, smallset_ou, [0.0, 0.0], 300, rng)
 
     def test_too_large_eps_raises_like_lockstep(self, ou):
         loose = eg.SmallSetSpec(-1.0, 1.0, 1.9)  # eps = 0.95
@@ -441,41 +476,45 @@ class TestScalarLoop:
 
     @pytest.mark.parametrize("kind", ["ou", "bounded"])
     def test_matches_ensemble_across_blocks(self, kind, monkeypatch):
-        # blocks of 7 steps: 200 steps cross 28 block boundaries, and the
-        # rejected proposals re-propose between them
-        from emergolab import splitting
+        # blocks of 7 steps: 200 steps cross 28 block boundaries, across
+        # which the float loop and the lockstep chains carry x and the marks
         spec, smallset = _split_case(kind, 0.5)
         monkeypatch.setattr(splitting, "STEP_DRAWS", 7)
-        rejected = []
-        residual = splitting._residual_draws
-
-        def count(chain, x, *args):
-            rejected.append(x.size)
-            return residual(chain, x, *args)
-        monkeypatch.setattr(splitting, "_residual_draws", count)
+        ref_xs, ref_ds, reference = _reference_split(spec, 0.5, smallset, 0.4,
+                                                     200, 23, 7)
         scalar, lockstep = np.random.default_rng(23), np.random.default_rng(23)
         blocks = eg.run_split(spec, 0.5, smallset, 0.4, 200, scalar)
         xs, ds = eg.split_ensemble(spec, 0.5, smallset, [0.4], 200, lockstep)
-        assert rejected  # the lockstep side re-proposed at least once
-        assert np.array_equal(blocks.xs, xs[:, 0])
-        assert np.array_equal(blocks.ds, ds[:, 0])
-        assert scalar.bit_generator.state == lockstep.bit_generator.state
+        assert 0 < ref_ds.sum() < ref_ds.size
+        for path_xs, path_ds in ((blocks.xs, blocks.ds), (xs[:, 0], ds[:, 0])):
+            assert np.array_equal(path_xs, ref_xs)
+            assert np.array_equal(path_ds, ref_ds)
+        for rng in (scalar, lockstep):
+            assert rng.bit_generator.state == reference.bit_generator.state
 
-    def test_too_large_eps_raises_inside_a_block(self, ou):
+    def test_too_large_eps_raises_inside_a_block(self, ou, monkeypatch):
         # on C = [-0.2, 0.2] at eps = 0.5, eps*nu/p(x, y) > 1 for every y in
-        # C, so the first residual proposal in C raises before any
-        # re-proposal: the generator has drawn one block of 200 steps, no more
+        # C.  The public chains compare eps with the exact constant and
+        # raise before any draw.  The path itself raises on the marks of its
+        # first block of 200 chain-steps, having drawn that block and no more
         narrow = eg.SmallSetSpec(-0.2, 0.2, 1.0)  # eps = 0.5
-        reference = np.random.default_rng(5)
-        for draw in (reference.standard_normal, reference.random, reference.random):
-            draw(200)
-        for run in (lambda rng: eg.run_split(ou, 0.5, narrow, 0.0, 200, rng,
-                                             d0=0),
+        for run in (lambda rng: eg.run_split(ou, 0.5, narrow, 0.0, 200, rng),
                     lambda rng: eg.split_ensemble(ou, 0.5, narrow, [0.0], 200,
-                                                  rng, d0=[0])):
+                                                  rng)):
+            rng = np.random.default_rng(5)
+            with pytest.raises(MinorizationError, match="exact constant"):
+                run(rng)
+            assert rng.bit_generator.state == \
+                np.random.default_rng(5).bit_generator.state
+        monkeypatch.setattr(splitting, "STEP_DRAWS", 200)
+        for x0 in ([0.0], [0.0, 0.1]):
+            reference = np.random.default_rng(5)
+            reference.standard_normal((200 // len(x0), len(x0)))
+            reference.random((200 // len(x0), len(x0)))
             rng = np.random.default_rng(5)
             with pytest.raises(MinorizationError):
-                run(rng)
+                splitting._split_path(Chain(ou, 0.5, 0.5), narrow, 0.5, x0, 400,
+                                      rng)
             assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1])
@@ -494,3 +533,48 @@ class TestScalarLoop:
         with pytest.raises(ValueError, match="drift argument must be finite"):
             eg.run_split(fast, 0.9, smallset, 3.0, 2000,
                          np.random.default_rng(3))
+
+
+@pytest.mark.filterwarnings("ignore:lambda")
+class TestRegeneration:
+    """The regeneration law of a long run_split trajectory (eta = 0.5,
+    C = [-1, 1])."""
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    def test_x_path_is_the_em_recursion(self, kind):
+        # the plain EM chain driven by the schedule's normals, a move from
+        # the atom included, over 10**4 steps (three blocks of STEP_DRAWS)
+        spec, smallset = _split_case(kind, 0.5)
+        ref_xs, ref_ds, _ = _reference_split(spec, 0.5, smallset, 3.0, 10 ** 4,
+                                             29, splitting.STEP_DRAWS)
+        blocks = eg.run_split(spec, 0.5, smallset, 3.0, 10 ** 4,
+                              np.random.default_rng(29))
+        assert blocks.n_blocks > 100
+        assert np.array_equal(blocks.xs, ref_xs)
+        assert np.array_equal(blocks.ds, ref_ds)
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    def test_states_after_atom_visits_are_nu(self, kind):
+        spec, smallset = _split_case(kind, 0.5)
+        n = 10 ** 5
+        blocks = eg.run_split(spec, 0.5, smallset, 0.0, n,
+                              np.random.default_rng(31))
+        t = blocks.atom_visit_times
+        after = blocks.xs[t[t < n] + 1]
+        assert after.size > 1000
+        assert kstest(after, "uniform", args=(-1.0, 2.0)).pvalue > 1e-4
+
+    @pytest.mark.parametrize("kind", ["ou", "bounded"])
+    def test_kac_mean_block_length(self, kind):
+        # E[tau_alpha] = 1/(eps*pi(C)), pi(C) one exact step from the solved
+        # invariant density (kernel._step_mass)
+        from emergolab import kernel as ke
+        spec, smallset = _split_case(kind, 0.5)
+        grid = ke.default_grid(spec, 0.5)
+        pi = eg.invariant_measure(spec, 0.5, grid).measure
+        pi_c = ke._step_mass(Chain(spec, 0.5, 0.5), grid, pi.density, -1.0, 1.0)
+        kac = 1.0 / (eg.resolve_split_epsilon(smallset) * pi_c)
+        lengths = eg.run_split(spec, 0.5, smallset, 0.0, 10 ** 5,
+                               np.random.default_rng(37)).block_lengths()
+        se = lengths.std(ddof=1) / math.sqrt(lengths.size)
+        assert abs(lengths.mean() - kac) <= 4 * se
